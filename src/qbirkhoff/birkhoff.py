@@ -8,12 +8,11 @@ quantum side as a channel acting on diagonals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, loads_json
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
@@ -183,13 +182,8 @@ def ds_matrix_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
     return DSMatrix.from_matrix(arr, tol)
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-finite number {token!r} in matrix file")
-
-
 def loads_ds_matrix(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
-    data = json.loads(text, parse_constant=_reject_constant)
-    return ds_matrix_from_dict(data, tol)
+    return ds_matrix_from_dict(loads_json(text), tol)
 
 
 def load_ds_matrix(path, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:

@@ -25,8 +25,8 @@ from .numerics import (
     hermitian_eig,
     max_abs,
     phase_fixed,
+    psd_allowance,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -37,12 +37,12 @@ __all__ = [
     "kraus_from_choi",
     "superoperator_from_kraus",
     "apply_kraus",
-    "numerical_index",
     "adjoint_channel",
     "matrix_to_pairs",
     "matrix_from_pairs",
     "channel_to_dict",
     "family_from_dict",
+    "loads_json",
     "channel_from_dict",
     "dumps_channel",
     "loads_channel",
@@ -80,11 +80,28 @@ class KrausFamily:
     def index(self) -> int:
         return len(self.ops)
 
+    @property
+    def array(self) -> np.ndarray:
+        """The operators stacked into one d×n×n array."""
+        return np.array(self.ops)
+
+    def products(self) -> np.ndarray:
+        """d×d×n×n array whose entry (i, j) is v_i v_j*.
+
+        The reversed products v_j* v_i are ``adjoint().products()`` with the
+        first two axes swapped.
+        """
+        a = self.array
+        return a[:, None] @ _stack_dagger(a)[None, :]
+
     def unit_defects(self) -> tuple[float, float]:
         """Deviations (entrywise max) of sum v v* and sum v* v from I."""
+        # contracted straight from the stack: the trace of products() would
+        # form all d² pairs to read d of them
+        a = self.array
         eye = np.eye(self.dim)
-        out_sum = sum(v @ dagger(v) for v in self.ops)
-        in_sum = sum(dagger(v) @ v for v in self.ops)
+        out_sum = np.tensordot(a, np.conj(a), axes=([0, 2], [0, 2]))
+        in_sum = np.tensordot(np.conj(a), a, axes=([0, 1], [0, 1]))
         return max_abs(out_sum - eye), max_abs(in_sum - eye)
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, bool]:
@@ -96,32 +113,38 @@ class KrausFamily:
         return KrausFamily(tuple(dagger(v) for v in self.ops))
 
 
+def _stack_dagger(a: np.ndarray) -> np.ndarray:
+    # conjugate transpose of every operator in a d×n×n stack
+    return np.conj(a).transpose(0, 2, 1)
+
+
+def _array(k) -> np.ndarray:
+    return k.array if isinstance(k, KrausFamily) else KrausFamily.from_ops(k).array
+
+
 def apply_kraus(ops, x) -> np.ndarray:
-    x = as_matrix(x)
-    out = np.zeros_like(x)
-    for v in ops:
-        out = out + v @ x @ dagger(v)
-    return out
+    """sum_k v_k x v_k* for a Kraus family or a sequence of operators."""
+    a = _array(ops)
+    return (a @ as_matrix(x) @ _stack_dagger(a)).sum(axis=0)
 
 
 def choi_from_kraus(k) -> np.ndarray:
     """n²×n² Choi matrix; block (i,j) equals the channel applied to e_ij."""
-    ops = k.ops if isinstance(k, KrausFamily) else tuple(as_matrix(v) for v in k)
-    n = ops[0].shape[0]
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for v in ops:
-        w = vec(v)
-        c += np.outer(w, np.conj(w))
-    return c
+    a = _array(k)
+    d, n = a.shape[0], a.shape[1]
+    w = a.transpose(0, 2, 1).reshape(d, n * n)  # row k is vec(v_k)
+    # summing outer products in Kraus order, not a BLAS product: with a
+    # degenerate spectrum, last-bit changes here pick another eigh basis and
+    # so other canonical Kraus operators
+    return (w[:, :, None] * np.conj(w)[:, None, :]).sum(axis=0)
 
 
 def superoperator_from_kraus(k) -> np.ndarray:
-    ops = k.ops if isinstance(k, KrausFamily) else tuple(as_matrix(v) for v in k)
-    n = ops[0].shape[0]
-    t = np.zeros((n * n, n * n), dtype=complex)
-    for v in ops:
-        t += np.kron(np.conj(v), v)
-    return t
+    """n²×n² matrix sum_k conj(v_k) (x) v_k."""
+    a = _array(k)
+    n = a.shape[1]
+    t = np.conj(a)[:, :, None, :, None] * a[:, None, :, None, :]
+    return t.sum(axis=0).reshape(n * n, n * n)
 
 
 def _canonical_sort_key(eigval: float, op: np.ndarray):
@@ -150,7 +173,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     top = float(vals[0]) if vals.size else 0.0
     if top <= 0.0:
         raise NotCompletelyPositive("Choi matrix is not positive semidefinite")
-    allowance = tol.psd_abs * max(1.0, float(np.max(np.abs(vals))))
+    allowance = psd_allowance(vals, tol)
     if float(vals[-1]) < -allowance:
         raise NotCompletelyPositive(
             f"Choi matrix has eigenvalue {vals[-1]:.3e} below -{allowance:.3e}"
@@ -202,7 +225,7 @@ class Channel:
         x = as_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise ValueError(f"operand of shape {x.shape} does not act on M_{self.dim}")
-        return apply_kraus(self.kraus.ops, x)
+        return apply_kraus(self.kraus, x)
 
     def choi(self) -> np.ndarray:
         return choi_from_kraus(self.kraus)
@@ -212,11 +235,6 @@ class Channel:
 
     def is_doubly_stochastic(self) -> bool:
         return self.unital and self.trace_preserving
-
-
-def numerical_index(ch: Channel) -> int:
-    """Dimension of the span of a minimal Kraus family (= Choi rank)."""
-    return ch.index
 
 
 def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
@@ -271,8 +289,13 @@ def channel_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     return Channel.from_kraus(family_from_dict(data), tol)
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-finite number {token!r} in channel file")
+def loads_json(text: str):
+    """Parse JSON text, rejecting the NaN/Infinity tokens Python would accept."""
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token!r} in JSON input")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def dumps_channel(ch: Channel) -> str:
@@ -280,8 +303,7 @@ def dumps_channel(ch: Channel) -> str:
 
 
 def loads_channel(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
-    data = json.loads(text, parse_constant=_reject_constant)
-    return channel_from_dict(data, tol)
+    return channel_from_dict(loads_json(text), tol)
 
 
 def load_channel(path, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:

@@ -29,6 +29,7 @@ from .channels import (
     channel_to_dict,
     dumps_channel,
     family_from_dict,
+    loads_json,
     matrix_to_pairs,
 )
 from .conjugacy import data_matrix, load_certificate, spectrum_invariant, verify_certificate
@@ -77,12 +78,7 @@ def _load_family(source: str, args) -> KrausFamily:
     """Channel source: "-" for stdin, a channel file path, or a builtin name."""
     if source != "-" and source in EXAMPLE_NAMES:
         return build_family(source, **_example_params(args))
-    data = json.loads(_read_text(source), parse_constant=_reject)
-    return family_from_dict(data)
-
-
-def _reject(token):
-    raise ValueError(f"non-finite number {token!r} in input")
+    return family_from_dict(loads_json(_read_text(source)))
 
 
 def _load_channel(source: str, args, tol: Tolerance) -> Channel:
@@ -259,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None, help="override all tolerance cutoffs")
+        p.add_argument(
+            "--tol", type=float, default=None,
+            help="set rank_rel, psd_abs and eq_abs; fixed cutoffs such as the "
+            "certificate residual (1e-8) do not move",
+        )
         p.add_argument("--json", action="store_true", help="machine output only (mute stderr text)")
 
     def example_params(p):

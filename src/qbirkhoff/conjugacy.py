@@ -13,7 +13,6 @@ the constructive half for doubly stochastic families.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .channels import (
     Channel,
     KrausFamily,
+    loads_json,
     matrix_from_pairs,
     matrix_to_pairs,
 )
@@ -31,6 +31,7 @@ from .numerics import (
     as_matrix,
     dagger,
     hermitian_eig,
+    is_psd,
     max_abs,
     phase_fixed,
 )
@@ -90,17 +91,12 @@ def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> DataMatri
             raise ValueError(f"state of shape {rho.shape} does not match dimension {n}")
         if max_abs(rho - dagger(rho)) > tol.eq_abs:
             raise ValueError("state is not hermitian")
-        vals, _ = hermitian_eig(rho, tol)
-        if float(vals[-1]) < -tol.psd_abs * max(1.0, float(np.max(np.abs(vals)))):
+        if not is_psd(rho, tol):
             raise ValueError("state is not positive semidefinite")
         if abs(np.trace(rho) - 1.0) > tol.eq_abs:
             raise ValueError("state does not have unit trace")
         tag = "custom state"
-    d = fam.index
-    mat = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            mat[i, j] = np.trace(rho @ fam.ops[i] @ dagger(fam.ops[j]))
+    mat = np.tensordot(fam.products(), rho.T, axes=2)  # tr(ρ v_i v_j*)
     # Gram structure forces hermitian PSD; symmetrize away roundoff
     return DataMatrix(matrix=(mat + dagger(mat)) / 2.0, state_tag=tag)
 
@@ -141,14 +137,10 @@ def verify_certificate(
     u, g, w = as_matrix(cert.u), as_matrix(cert.g), as_matrix(cert.w)
     if u.shape != (n, n) or w.shape != (n, n) or g.shape != (d, d):
         raise ValueError("certificate matrices do not match the channel sizes")
-    check = max(tol.eq_abs, 1e-9)
-    for k in range(d):
-        vk = np.conj(fam.ops[k]) if cert.antiunitary else fam.ops[k]
-        lhs = u @ vk @ dagger(u)
-        rhs = w @ sum(g[k, j] * fam2.ops[j] for j in range(d))
-        if max_abs(lhs - rhs) > check:
-            return False
-    return True
+    ops = np.conj(fam.array) if cert.antiunitary else fam.array
+    lhs = u @ ops @ dagger(u)
+    rhs = w @ np.tensordot(g, fam2.array, axes=1)
+    return max_abs(lhs - rhs) <= max(tol.eq_abs, 1e-9)
 
 
 def choi_block_projection(k) -> tuple[np.ndarray, bool]:
@@ -159,10 +151,7 @@ def choi_block_projection(k) -> tuple[np.ndarray, bool]:
     """
     fam = _family(k)
     n, d = fam.dim, fam.index
-    p = np.empty((n * d, n * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            p[i * n : (i + 1) * n, j * n : (j + 1) * n] = fam.ops[i] @ dagger(fam.ops[j])
+    p = fam.products().transpose(0, 2, 1, 3).reshape(d * n, d * n)
     unital, tp = fam.validate()
     return p, bool(unital and tp)
 
@@ -192,17 +181,14 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     if max_abs(dagger(w_full) @ p @ w_full - p2) > _VERIFY_TOL:
         raise NumericalFailure("intertwiner failed to conjugate the block projections")
 
-    u = np.zeros((n, n), dtype=complex)
-    blocks = []
-    for j in range(d):
-        m_j = sum(dagger(fam.ops[kk]) @ w_full[kk * n : (kk + 1) * n, j * n : (j + 1) * n]
-                  for kk in range(d))
-        blocks.append(m_j)
-        u += m_j @ fam2.ops[j]
+    # m[j] = Σ_k v_k* W_kj, with W_kj the (k, j) block of W
+    m = np.tensordot(np.conj(fam.array), w_full.reshape(d, n, d, n), axes=([0, 1], [0, 1]))
+    m = m.transpose(1, 0, 2)
+    ops2 = fam2.array
+    u = (m @ ops2).sum(axis=0)
     if max_abs(u @ dagger(u) - np.eye(n)) > _VERIFY_TOL:
         raise NumericalFailure("induced vector map failed to be unitary")
-    worst = max(max_abs(u @ dagger(fam2.ops[j]) - blocks[j]) for j in range(d))
-    if worst > _VERIFY_TOL:
+    if max_abs(u @ np.conj(ops2).transpose(0, 2, 1) - m) > _VERIFY_TOL:
         raise NumericalFailure("induced vector map violates its defining relation")
     return w_full, u
 
@@ -250,5 +236,4 @@ def certificate_from_dict(data) -> ConjugacyCertificate:
 
 def load_certificate(path) -> ConjugacyCertificate:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return certificate_from_dict(data)
+        return certificate_from_dict(loads_json(fh.read()))

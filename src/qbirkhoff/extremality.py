@@ -25,7 +25,6 @@ from .numerics import (
     hermitian_eig,
     max_abs,
     operator_norm,
-    vec,
 )
 
 __all__ = [
@@ -64,39 +63,30 @@ class DependencyCertificate:
 
     def residuals(self, family: KrausFamily) -> tuple[float, float]:
         """Entrywise-max residuals of (product sum, reversed-product sum)."""
-        ops = family.ops
-        d = len(ops)
-        n = family.dim
-        fwd = np.zeros((n, n), dtype=complex)
-        rev = np.zeros((n, n), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                fwd += self.lam[i, j] * (ops[i] @ dagger(ops[j]))
-                rev += self.lam[i, j] * (dagger(ops[j]) @ ops[i])
+        fwd = np.tensordot(self.lam, family.products(), axes=2)
+        rev = np.tensordot(self.lam, _reversed_products(family), axes=2)
         return max_abs(fwd), max_abs(rev)
+
+
+def _reversed_products(family: KrausFamily) -> np.ndarray:
+    # entry (i, j) is v_j* v_i
+    return family.adjoint().products().swapaxes(0, 1)
+
+
+def _columns(pairs: np.ndarray) -> np.ndarray:
+    # n²×d² matrix whose column i·d+j is vec(pairs[i, j])
+    d, n = pairs.shape[0], pairs.shape[2]
+    return pairs.transpose(3, 2, 0, 1).reshape(n * n, d * d)
 
 
 def product_matrix(family: KrausFamily) -> np.ndarray:
     """n²×d² matrix whose column i·d+j is vec(v_i v_j*)."""
-    ops = family.ops
-    n, d = family.dim, family.index
-    cols = np.empty((n * n, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            cols[:, i * d + j] = vec(ops[i] @ dagger(ops[j]))
-    return cols
+    return _columns(family.products())
 
 
 def stacked_matrix(family: KrausFamily) -> np.ndarray:
     """2n²×d² matrix: column i·d+j is vec(v_i v_j*) over vec(v_j* v_i)."""
-    ops = family.ops
-    n, d = family.dim, family.index
-    cols = np.empty((2 * n * n, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            cols[: n * n, i * d + j] = vec(ops[i] @ dagger(ops[j]))
-            cols[n * n :, i * d + j] = vec(dagger(ops[j]) @ ops[i])
-    return cols
+    return np.vstack([_columns(family.products()), _columns(_reversed_products(family))])
 
 
 def _rank_and_smallest(m, tol: Tolerance):
@@ -196,7 +186,7 @@ def _mix_family(family: KrausFamily, coeff: np.ndarray, tol: Tolerance) -> Kraus
     if top <= 0.0:
         raise NumericalFailure("mixing coefficient matrix has no positive part")
     ops = []
-    stacked = np.stack(family.ops)
+    stacked = family.array
     for m in range(gammas.size):
         if gammas[m] > tol.rank_rel * top:
             ops.append(np.sqrt(gammas[m]) * np.tensordot(basis[:, m], stacked, axes=(0, 0)))
@@ -205,24 +195,15 @@ def _mix_family(family: KrausFamily, coeff: np.ndarray, tol: Tolerance) -> Kraus
 
 def convex_split(
     ch: Channel, cert: DependencyCertificate, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[Channel, Channel]:
-    """Split τ = ½τ₊ + ½τ₋ along a certificate, τ±(x) = Σ (δ_ij ± λ_ij) v_i x v_j*.
+) -> tuple[tuple[float, Channel], tuple[float, Channel]]:
+    """Split τ = p·τ₊ + (1−p)·τ₋ along a certificate; returns ((p, τ₊), (1−p, τ₋)).
 
-    With ‖λ‖ = 1 at least one of I±λ is singular, so at least one branch has
-    strictly smaller index.
+    τ₊ and τ₋ have coefficient matrices I + aλ and I − bλ, with a and b
+    chosen to make both singular, so the index drops strictly on both
+    branches; p·a = (1−p)·b keeps the average equal to τ.  A certificate
+    with symmetric spectrum gives the plain ½-split.
     """
     _check_certificate(ch, cert, tol)
-    eye = np.eye(ch.index)
-    plus = Channel.from_kraus(_mix_family(ch.kraus, eye + cert.lam, tol), tol)
-    minus = Channel.from_kraus(_mix_family(ch.kraus, eye - cert.lam, tol), tol)
-    return plus, minus
-
-
-def _weighted_split(ch: Channel, cert: DependencyCertificate, tol: Tolerance):
-    # τ = p·τ_a + (1−p)·τ_b with coefficient matrices I + aλ and I − bλ both
-    # scaled to singularity, so the index drops strictly on both branches;
-    # p·a = (1−p)·b keeps the average equal to τ.  Reduces to the plain
-    # ½-split when the certificate spectrum is symmetric.
     vals, _ = hermitian_eig(cert.lam, tol)
     mu_max, mu_min = float(vals[0]), float(vals[-1])
     if mu_max <= tol.eq_abs or mu_min >= -tol.eq_abs:
@@ -290,7 +271,7 @@ def decompose_extremal(
             leaves.append((weight, current))
             complete = False
             continue
-        (p, plus), (q, minus) = _weighted_split(current, cert, tol)
+        (p, plus), (q, minus) = convex_split(current, cert, tol)
         stack.append((weight * p, plus, depth + 1))
         stack.append((weight * q, minus, depth + 1))
 

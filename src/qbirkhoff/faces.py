@@ -28,6 +28,7 @@ from .numerics import (
     dagger,
     hermitian_eig,
     max_abs,
+    psd_allowance,
 )
 
 __all__ = [
@@ -82,8 +83,7 @@ def schur_channel(spec: SchurSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> Channe
     m = spec.matrix
     k = spec.size
     vals, vecs = hermitian_eig(m, tol)
-    allowance = tol.psd_abs * max(1.0, float(np.max(np.abs(vals))))
-    if float(vals[-1]) < -allowance:
+    if float(vals[-1]) < -psd_allowance(vals, tol):
         raise NotCompletelyPositive("multiplier matrix is not PSD: outside the face")
     ops = []
     top = float(vals[0])

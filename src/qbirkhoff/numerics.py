@@ -26,6 +26,7 @@ __all__ = [
     "hermitize",
     "hermitian_eig",
     "numerical_rank",
+    "psd_allowance",
     "is_psd",
     "partial_trace",
     "phase_fixed",
@@ -144,17 +145,16 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def is_psd(m, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Positive semidefiniteness of a hermitian matrix.
+def psd_allowance(vals, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    """How far below zero the smallest of ``vals`` may lie and still count as
+    PSD: ``psd_abs`` scaled by the largest eigenvalue magnitude (floored at 1)."""
+    return tol.psd_abs * max(1.0, max_abs(vals))
 
-    The most negative eigenvalue may reach ``psd_abs`` scaled by the largest
-    eigenvalue magnitude (floored at 1).
-    """
+
+def is_psd(m, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Positive semidefiniteness of a hermitian matrix, within :func:`psd_allowance`."""
     vals, _ = hermitian_eig(m, tol)
-    if vals.size == 0:
-        return True
-    allowance = tol.psd_abs * max(1.0, float(np.max(np.abs(vals))))
-    return float(vals[-1]) >= -allowance
+    return vals.size == 0 or float(vals[-1]) >= -psd_allowance(vals, tol)
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:

@@ -208,15 +208,12 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """
     _require_doubly_stochastic(ch)
     n = ch.dim
-    t = ch.superoperator()
-    eigs = np.linalg.eigvals(t)
-    peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
-    p = _snap_period(peripheral, n)
+    vals, vecs = np.linalg.eig(ch.superoperator())
+    p = _snap_period(vals[np.abs(vals) > 1.0 - PERIPHERAL_BAND], n)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
 
     theta = np.exp(2j * np.pi / p)
-    vals, vecs = np.linalg.eig(t)
     close = np.nonzero(np.abs(vals - theta) <= 1e-6)[0]
     if close.size == 0:
         close = np.array([int(np.argmin(np.abs(vals - theta)))])

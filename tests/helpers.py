@@ -120,3 +120,51 @@ def gram_stacked_rank(family):
 
 def apply_by_kraus(family, x):
     return sum(v @ x @ dagger(v) for v in family.ops)
+
+
+# --- per-pair loop oracles for the Kraus-pair kernels ------------------------
+
+
+def _column_stack(m):
+    return np.asarray(m).T.reshape(-1)
+
+
+def product_columns_by_loop(family):
+    """n²×d² matrix filled one pair at a time: column i·d+j is vec(v_i v_j*)."""
+    ops = family.ops
+    d, n = len(ops), ops[0].shape[0]
+    cols = np.empty((n * n, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            cols[:, i * d + j] = _column_stack(ops[i] @ dagger(ops[j]))
+    return cols
+
+
+def stacked_columns_by_loop(family):
+    """2n²×d² matrix: column i·d+j is vec(v_i v_j*) over vec(v_j* v_i)."""
+    ops = family.ops
+    d, n = len(ops), ops[0].shape[0]
+    cols = np.empty((2 * n * n, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            cols[: n * n, i * d + j] = _column_stack(ops[i] @ dagger(ops[j]))
+            cols[n * n :, i * d + j] = _column_stack(dagger(ops[j]) @ ops[i])
+    return cols
+
+
+def block_matrix_by_loop(family):
+    """nd×nd block matrix whose block (i, j) is v_i v_j*."""
+    ops = family.ops
+    d, n = len(ops), ops[0].shape[0]
+    p = np.empty((n * d, n * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            p[i * n : (i + 1) * n, j * n : (j + 1) * n] = ops[i] @ dagger(ops[j])
+    return p
+
+
+def data_matrix_by_loop(family, rho):
+    """d×d matrix with entry (i, j) = tr(ρ v_i v_j*)."""
+    ops = family.ops
+    d = len(ops)
+    return np.array([[np.trace(rho @ ops[i] @ dagger(ops[j])) for j in range(d)] for i in range(d)])

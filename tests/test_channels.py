@@ -12,7 +12,6 @@ from qbirkhoff import (
     dumps_channel,
     family_from_dict,
     loads_channel,
-    numerical_index,
 )
 from qbirkhoff.channels import choi_from_kraus, kraus_from_choi, superoperator_from_kraus
 from qbirkhoff.numerics import dagger, max_abs, partial_trace, vec
@@ -66,7 +65,7 @@ def test_index_is_gauge_invariant(rng):
             sum(g[k, j] * ch.kraus.ops[j] for j in range(ch.kraus.index))
             for k in range(ch.kraus.index)
         ]
-        assert numerical_index(KrausFamily.from_ops(mixed)) == ch.kraus.index
+        assert Channel.from_kraus(KrausFamily.from_ops(mixed)).index == ch.kraus.index
 
 
 def test_choi_psd_iff_kraus_extraction_succeeds(rng):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qbirkhoff.cli import main
+from qbirkhoff.cli import _tolerance, build_parser, main
 from qbirkhoff import dumps_channel
 from qbirkhoff.catalog import build_example
 
@@ -160,6 +160,26 @@ def test_conjugacy_same_channel_with_identity_certificate(tmp_path, capsys):
     verdict = json.loads(out)
     assert verdict["certificate_verified"] is True
     assert verdict["spectra_match"] is True
+
+
+def test_conjugacy_rejects_nan_in_certificate(tmp_path, capsys):
+    # bool(nan) is True, so a parsed NaN would pass as an anti-unitary flag
+    eye = json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    cpath = tmp_path / "cert.json"
+    cpath.write_text('{"u": %s, "g": [[[1.0, 0.0]]], "w": %s, "antiunitary": NaN}' % (eye, eye))
+    code, out, err = run_cli(
+        capsys, "conjugacy", "identity", "identity", "--n", "2",
+        "--certificate", str(cpath), "--json",
+    )
+    assert code == 1
+    assert out == ""
+    assert "NaN" in err
+
+
+def test_tol_sets_the_three_tolerance_fields():
+    args = build_parser().parse_args(["analyze", "ex2.4", "--tol", "1e-6"])
+    tol = _tolerance(args)
+    assert (tol.rank_rel, tol.psd_abs, tol.eq_abs) == (1e-6, 1e-6, 1e-6)
 
 
 def test_conjugacy_detects_invariant_mismatch(capsys):

@@ -122,15 +122,21 @@ def test_ls_extremal_transfers_to_adjoint_and_choi(rng):
 
 
 def test_convex_split_reconstructs(rng):
-    ch = weyl_shift_clock_channel(2)
-    _, cert = landau_streater_test(ch)
-    plus, minus = convex_split(ch, cert)
-    for _ in range(5):
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        mixed = 0.5 * plus.apply(x) + 0.5 * minus.apply(x)
-        assert max_abs(mixed - ch.apply(x)) < 1e-8 * max(1.0, max_abs(x))
-    # unit-norm certificate makes at least one branch drop index
-    assert min(plus.kraus.index, minus.kraus.index) < ch.kraus.index
+    weyl = weyl_shift_clock_channel(2)
+    mixture = helpers.random_unitary_mixture(2, 3, rng)
+    for ch, symmetric in ((weyl, True), (mixture, False)):
+        _, cert = landau_streater_test(ch)
+        (p, plus), (q, minus) = convex_split(ch, cert)
+        assert 0.0 < p < 1.0 and abs(p + q - 1.0) < 1e-15
+        # the Weyl certificate has spectrum ±1; a generic one is lopsided
+        assert (abs(p - 0.5) < 1e-12) == symmetric
+        n = ch.dim
+        for _ in range(5):
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            mixed = p * plus.apply(x) + q * minus.apply(x)
+            assert max_abs(mixed - ch.apply(x)) < 1e-8 * max(1.0, max_abs(x))
+        # both coefficient matrices are scaled to singularity
+        assert max(plus.kraus.index, minus.kraus.index) < ch.kraus.index
 
 
 def test_decompose_weyl_pair_exactly():
