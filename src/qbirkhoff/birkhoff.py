@@ -86,41 +86,42 @@ class PermutationDecomposition:
 
     def mixture(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for w, perm in self.terms:
-            out[np.arange(self.n), list(perm)] += w
+        weights = np.array([w for w, _ in self.terms])
+        perms = np.array([perm for _, perm in self.terms], dtype=int).reshape(-1, self.n)
+        np.add.at(out, (np.arange(self.n), perms), weights[:, None])
         return out
 
 
-def _perfect_matching(support: np.ndarray):
-    # Kuhn's augmenting-path search; rows are matched in order, columns
-    # scanned lexicographically, so the result is deterministic
-    n = support.shape[0]
-    match_col = [-1] * n
-
-    def try_row(r, seen):
-        for c in range(n):
-            if support[r, c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] == -1 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
-            return None
-    perm = [0] * n
-    for c in range(n):
-        perm[match_col[c]] = c
-    return tuple(perm)
+def _augment(support, row, match_row, match_col) -> None:
+    # breadth-first from the free ``row``, columns in increasing order: deterministic
+    parent = {}
+    queue = [row]
+    for r in queue:
+        for c in support[r]:
+            if c not in parent:
+                parent[c] = r
+                if match_col[c] < 0:
+                    while c >= 0:
+                        r = parent[c]
+                        match_col[c] = r
+                        c, match_row[r] = match_row[r], c
+                    return
+                queue.append(match_col[c])
+    raise ValueError(
+        "support graph has no perfect matching — "
+        "input violates double stochasticity beyond tolerance"
+    )
 
 
 def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDecomposition:
     """Greedy Birkhoff-von Neumann decomposition.
 
-    Each round matches the support perfectly, removes the minimum matched
-    entry, and clamps subtraction noise to zero.  A missing matching means
-    the input violated double stochasticity beyond tolerance.
+    Each round subtracts the minimum entry of a perfect matching on the
+    support and clamps only the matched entries.  The matching persists
+    across rounds: only rows whose entry vanished are re-matched, by
+    iterative augmenting paths (Hopcroft & Karp 1973), so each round costs
+    O(n²) per vanished entry, with no recursion limit.  A missing matching
+    means the input violated double stochasticity beyond tolerance.
     """
     ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
     n = ds.n
@@ -128,20 +129,24 @@ def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDeco
     clamp = _CLAMP_FACTOR * n
     resid[resid < clamp] = 0.0
 
+    rows = np.arange(n)
+    support = [np.flatnonzero(row).tolist() for row in resid]
+    match_row = [-1] * n
+    match_col = [-1] * n
     terms = []
     while float(resid.sum()) > n * _MASS_FLOOR:
-        perm = _perfect_matching(resid > 0.0)
-        if perm is None:
-            raise ValueError(
-                "support graph has no perfect matching — "
-                "input violates double stochasticity beyond tolerance"
-            )
-        rows = np.arange(n)
-        cols = np.asarray(perm)
+        for r in range(n):
+            if match_row[r] < 0:
+                _augment(support, r, match_row, match_col)
+        cols = np.array(match_row)
         weight = float(resid[rows, cols].min())
         resid[rows, cols] -= weight
-        resid[resid < clamp] = 0.0
-        terms.append((weight, perm))
+        terms.append((weight, tuple(match_row)))
+        for r in (resid[rows, cols] < clamp).nonzero()[0].tolist():
+            c = match_row[r]
+            resid[r, c] = 0.0
+            support[r].remove(c)
+            match_row[r] = match_col[c] = -1
     return PermutationDecomposition(terms=tuple(terms), n=n)
 
 
@@ -151,14 +156,9 @@ def embed_classical(s, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     Acts on diagonal states as the matrix itself: diag(p) -> diag(S p).
     """
     ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
-    n = ds.n
-    ops = []
-    for i in range(n):
-        for j in range(n):
-            if ds.matrix[i, j] > tol.eq_abs:
-                v = np.zeros((n, n), dtype=complex)
-                v[i, j] = np.sqrt(ds.matrix[i, j])
-                ops.append(v)
+    rows, cols = np.nonzero(ds.matrix > tol.eq_abs)
+    ops = np.zeros((rows.size, *ds.matrix.shape), dtype=complex)
+    ops[np.arange(rows.size), rows, cols] = np.sqrt(ds.matrix[rows, cols])
     return Channel.from_kraus(ops, tol)
 
 

@@ -168,3 +168,11 @@ def data_matrix_by_loop(family, rho):
     ops = family.ops
     d = len(ops)
     return np.array([[np.trace(rho @ ops[i] @ dagger(ops[j])) for j in range(d)] for i in range(d)])
+
+
+def permutation_mixture_by_loop(dec):
+    """Σ w_k P_{π_k} added term by term, in term order."""
+    out = np.zeros((dec.n, dec.n))
+    for w, perm in dec.terms:
+        out[np.arange(dec.n), list(perm)] += w
+    return out

@@ -75,6 +75,44 @@ def test_decompose_sinkhorn_matrices(rng):
         assert len(dec.terms) <= n * n - 2 * n + 2
 
 
+@pytest.mark.parametrize("n", [20, 30, 40])
+@pytest.mark.parametrize("kind", ["sinkhorn", "permutations"])
+def test_decompose_at_benchmark_sizes(kind, n, rng):
+    if kind == "sinkhorn":
+        s = helpers.sinkhorn_ds_matrix(n, rng)
+    else:
+        s = helpers.random_ds_matrix(n, rng, k=n)
+    dec = birkhoff_decompose(s)
+    assert len(dec.terms) <= (n - 1) ** 2 + 1
+    mix = dec.mixture()
+    assert np.array_equal(mix, helpers.permutation_mixture_by_loop(dec))
+    assert max_abs(mix - s) <= 1e-9
+    for w, perm in dec.terms:
+        assert w > 0
+        assert sorted(perm) == list(range(n))
+    assert birkhoff_decompose(s).terms == dec.terms
+
+
+def test_decompose_long_augmenting_paths():
+    # a depth-first matching follows a path through every row of this cycle,
+    # deeper than Python's recursion limit
+    n = 1200
+    s = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+    dec = birkhoff_decompose(s)
+    assert len(dec.terms) == 2
+    assert max_abs(dec.mixture() - s) < 1e-12
+
+
+def test_decompose_without_perfect_matching():
+    # accepted as doubly stochastic within eq_abs = 1e-9, but once the
+    # identity is peeled the stray entry cannot be matched
+    s = np.eye(3)
+    s[0, 1] = 1e-10
+    assert is_doubly_stochastic(s)
+    with pytest.raises(ValueError, match="no perfect matching"):
+        birkhoff_decompose(s)
+
+
 def test_decompose_rejects_non_ds():
     with pytest.raises(ValueError):
         birkhoff_decompose(np.array([[0.9, 0.0], [0.0, 0.9]]))

@@ -215,6 +215,26 @@ def test_birkhoff_rejects_unbalanced(tmp_path, capsys):
     assert code == 1
 
 
+def test_birkhoff_long_augmenting_paths(tmp_path, capsys):
+    n = 1200
+    s = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"n": n, "rows": s.tolist()}))
+    code, out, _ = run_cli(capsys, "birkhoff", str(path), "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 2
+
+
+def test_birkhoff_without_perfect_matching(tmp_path, capsys):
+    s = np.eye(3)
+    s[0, 1] = 1e-10
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps({"n": 3, "rows": s.tolist()}))
+    code, _, err = run_cli(capsys, "birkhoff", str(path), "--json")
+    assert code == 1
+    assert "no perfect matching" in err
+
+
 def test_classify_reports_cyclic_projections(capsys):
     code, out, _ = run_cli(capsys, "classify", "ex2.12", "--m", "2", "--json")
     assert code == 0
