@@ -92,7 +92,7 @@ class PermutationDecomposition:
         return out
 
 
-def _augment(support, row, match_row, match_col) -> None:
+def _augment(support, row, match_row, match_col) -> bool:
     # breadth-first from the free ``row``, columns in increasing order: deterministic
     parent = {}
     queue = [row]
@@ -105,12 +105,9 @@ def _augment(support, row, match_row, match_col) -> None:
                         r = parent[c]
                         match_col[c] = r
                         c, match_row[r] = match_row[r], c
-                    return
+                    return True
                 queue.append(match_col[c])
-    raise ValueError(
-        "support graph has no perfect matching — "
-        "input violates double stochasticity beyond tolerance"
-    )
+    return False
 
 
 def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDecomposition:
@@ -120,8 +117,8 @@ def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDeco
     support and clamps only the matched entries.  The matching persists
     across rounds: only rows whose entry vanished are re-matched, by
     iterative augmenting paths (Hopcroft & Karp 1973), so each round costs
-    O(n²) per vanished entry, with no recursion limit.  A missing matching
-    means the input violated double stochasticity beyond tolerance.
+    O(n²) per vanished entry, with no recursion limit.  ``ValueError`` when the
+    residual has no perfect matching: the input was only near doubly stochastic.
     """
     ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
     n = ds.n
@@ -136,8 +133,11 @@ def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDeco
     terms = []
     while float(resid.sum()) > n * _MASS_FLOOR:
         for r in range(n):
-            if match_row[r] < 0:
-                _augment(support, r, match_row, match_col)
+            if match_row[r] < 0 and not _augment(support, r, match_row, match_col):
+                raise ValueError(
+                    f"the residual's support has no perfect matching, with mass {resid.sum():.3e}"
+                    f" left: the input is doubly stochastic only to within eq_abs = {tol.eq_abs}"
+                )
         cols = np.array(match_row)
         weight = float(resid[rows, cols].min())
         resid[rows, cols] -= weight

@@ -4,9 +4,9 @@ A unital channel is extremal among unital CP maps exactly when the products
 v_i v_j* of a minimal Kraus family are linearly independent; among doubly
 stochastic maps the products and the reversed products v_j* v_i must be
 jointly independent (Choi / Landau-Streater criteria).  A failed test is
-witnessed by a hermitian coefficient matrix, and the witness seeds a convex
-split whose branches have strictly smaller index, so recursion yields a
-finite decomposition into extremal channels.
+witnessed by a hermitian coefficient matrix; walking along witnesses reaches
+an extremal channel in the face, and peeling off its largest multiple leaves
+a remainder of smaller index, so index-many peels decompose the channel.
 """
 
 from __future__ import annotations
@@ -179,18 +179,18 @@ def _check_certificate(ch: Channel, cert: DependencyCertificate, tol: Tolerance)
         raise ValueError(f"certificate residual {worst:.3e} too large for a split")
 
 
-def _mix_family(family: KrausFamily, coeff: np.ndarray, tol: Tolerance) -> KrausFamily:
-    # Kraus family of x -> sum_ij coeff_ij v_i x v_j* for PSD hermitian coeff
+def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # coefficient rows b with bᵀ·conj(b) = coeff (PSD hermitian): the map
+    # x -> Σ_ij coeff_ij v_i x v_j* has the Kraus operators b @ v
     gammas, basis = hermitian_eig(coeff, tol)
-    top = float(gammas[0])
-    if top <= 0.0:
+    if gammas[0] <= 0.0:
         raise NumericalFailure("mixing coefficient matrix has no positive part")
-    ops = []
-    stacked = family.array
-    for m in range(gammas.size):
-        if gammas[m] > tol.rank_rel * top:
-            ops.append(np.sqrt(gammas[m]) * np.tensordot(basis[:, m], stacked, axes=(0, 0)))
-    return KrausFamily(tuple(ops))
+    keep = gammas > tol.rank_rel * gammas[0]
+    return (basis[:, keep] * np.sqrt(gammas[keep])).T
+
+
+def _ops(rows: np.ndarray, family: KrausFamily) -> np.ndarray:
+    return np.tensordot(rows, family.array, axes=1)
 
 
 def convex_split(
@@ -208,18 +208,17 @@ def convex_split(
     mu_max, mu_min = float(vals[0]), float(vals[-1])
     if mu_max <= tol.eq_abs or mu_min >= -tol.eq_abs:
         raise NumericalFailure("certificate spectrum does not straddle zero")
-    a = 1.0 / (-mu_min)
-    b = 1.0 / mu_max
+    a, b = -1.0 / mu_min, 1.0 / mu_max
     p = b / (a + b)
     eye = np.eye(ch.index)
-    plus = Channel.from_kraus(_mix_family(ch.kraus, eye + a * cert.lam, tol), tol)
-    minus = Channel.from_kraus(_mix_family(ch.kraus, eye - b * cert.lam, tol), tol)
+    plus = Channel.from_kraus(_ops(_mix_family(eye + a * cert.lam, tol), ch.kraus), tol)
+    minus = Channel.from_kraus(_ops(_mix_family(eye - b * cert.lam, tol), ch.kraus), tol)
     return (p, plus), (1.0 - p, minus)
 
 
 @dataclass(frozen=True)
 class ExtremalDecomposition:
-    """Convex combination Σ w_k τ_k with extremal terms (when complete)."""
+    """Convex combination Σ w_k τ_k, heaviest first; extremal terms when complete."""
 
     terms: tuple
     depth: int
@@ -235,8 +234,14 @@ class ExtremalDecomposition:
         return frobenius_norm(self.mixture_choi() - ch.choi())
 
 
-# Frobenius distance on Choi matrices below which two leaves are the same
-_LEAF_MERGE = 1e-7
+def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance) -> Channel:
+    # rows @ family, flagged, not canonicalized: the input was vetted, so a defect is rounding
+    fam = KrausFamily(tuple(_ops(rows, family)))
+    out_dev, in_dev = fam.unit_defects()
+    dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
+    if dev > tol.eq_abs:
+        raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > eq_abs {tol.eq_abs}")
+    return Channel(fam, True, in_dev <= tol.eq_abs)
 
 
 def decompose_extremal(
@@ -245,45 +250,40 @@ def decompose_extremal(
     max_depth: int = 64,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> ExtremalDecomposition:
-    """Decompose a channel into a convex combination of extremal channels.
+    """Greedy peeling into at most ``ch.index`` extremal channels of ``kind``
+    (CP: unital cone, CP_phi: doubly stochastic set).
 
-    ``kind`` selects the extremality notion (CP: unital cone, CP_phi: doubly
-    stochastic set).  Branches whose depth exceeds ``max_depth`` are kept
-    as-is and the result is flagged incomplete.
+    A certificate walk from the remainder τ reaches an extremal ε with
+    coefficient matrix C in τ's Kraus coordinates; w = 1/λ_max(C) keeps
+    τ − wε completely positive, and (τ − wε)/(1−w) has smaller index.
+    ``depth`` is the longest walk; one stopped at ``max_depth`` steps peels
+    its channel as it is and flags the result incomplete.
     """
     if kind not in (CP, CP_PHI):
         raise ValueError(f"unknown extremality kind {kind!r}")
     test = landau_streater_test if kind == CP_PHI else choi_extremal_test
     # the test's own preconditions vet ch (unital, and TP for CP_phi)
-
-    leaves = []
-    complete = True
-    deepest = 0
-    stack = [(1.0, ch, 0)]
-    while stack:
-        weight, current, depth = stack.pop()
-        deepest = max(deepest, depth)
-        extremal, cert = test(current, tol)
-        if extremal:
-            leaves.append((weight, current))
-            continue
-        if depth >= max_depth:
-            leaves.append((weight, current))
-            complete = False
-            continue
-        (p, plus), (q, minus) = convex_split(current, cert, tol)
-        stack.append((weight * p, plus, depth + 1))
-        stack.append((weight * q, minus, depth + 1))
-
-    merged = []  # entries [weight, channel, choi]
-    for weight, leaf in leaves:
-        c = leaf.choi()
-        for entry in merged:
-            if frobenius_norm(c - entry[2]) < _LEAF_MERGE:
-                entry[0] += weight
-                break
-        else:
-            merged.append([weight, leaf, c])
-    merged.sort(key=lambda entry: (-entry[0], np.round(entry[2], 9).tobytes()))
-    terms = tuple((w, leaf) for w, leaf, _ in merged)
-    return ExtremalDecomposition(terms=terms, depth=deepest, complete=complete)
+    terms, complete, deepest, mass, tau = [], True, 0, 1.0, ch
+    for _ in range(ch.index):
+        # walk: step to the singular one of I ∓ λ (λ has norm 1), rows in τ's coordinates
+        rows, steps = np.eye(tau.index), 0
+        extremal, cert = test(tau, tol)
+        while not extremal and steps < max_depth:
+            vals, _ = hermitian_eig(cert.lam, tol)
+            lam = cert.lam if vals[0] >= -vals[-1] else -cert.lam
+            rows = _mix_family(np.eye(len(rows)) - lam, tol) @ rows
+            extremal, cert = test(_derived(rows, tau.kraus, kind, tol), tol)
+            steps += 1
+        complete = complete and extremal
+        deepest = max(deepest, steps)
+        w = 1.0 / operator_norm(rows) ** 2 if steps else 1.0
+        terms.append((mass * w, Channel.from_kraus(_ops(rows, tau.kraus), tol)))
+        if steps == 0:  # the remainder itself was the last term
+            break
+        rest = (np.eye(tau.index) - w * rows.T @ np.conj(rows)) / (1.0 - w)
+        tau = _derived(_mix_family(rest, tol), tau.kraus, kind, tol)
+        mass *= 1.0 - w
+    else:
+        raise NumericalFailure(f"peeling left a remainder after {ch.index} terms")
+    terms.sort(key=lambda t: -t[0])
+    return ExtremalDecomposition(terms=tuple(terms), depth=deepest, complete=complete)

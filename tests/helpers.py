@@ -102,24 +102,79 @@ def _gram_rank(vectors, rel=1e-9):
     return int(np.sum(vals > rel * top))
 
 
-def gram_product_rank(family):
-    """Rank of span{v_i v_j*} from the Gram matrix (no SVD of stacked columns)."""
-    ops = family.ops
-    return _gram_rank([(a @ dagger(b)).ravel() for a in ops for b in ops])
-
-
-def gram_stacked_rank(family):
-    """Rank of span{v_i v_j* ⊕ v_j* v_i} from the Gram matrix."""
+def pair_vectors(family, reversed_too=False):
+    """vec(v_i v_j*), or vec(v_i v_j*) ⊕ vec(v_j* v_i), for every pair (i, j)."""
     ops = family.ops
     vecs = []
     for a in ops:
         for b in ops:
-            vecs.append(np.concatenate([(a @ dagger(b)).ravel(), (dagger(b) @ a).ravel()]))
-    return _gram_rank(vecs)
+            parts = [(a @ dagger(b)).ravel()]
+            if reversed_too:
+                parts.append((dagger(b) @ a).ravel())
+            vecs.append(np.concatenate(parts))
+    return vecs
+
+
+def gram_product_rank(family):
+    """Rank of span{v_i v_j*} from the Gram matrix (no SVD of stacked columns)."""
+    return _gram_rank(pair_vectors(family))
+
+
+def gram_stacked_rank(family):
+    """Rank of span{v_i v_j* ⊕ v_j* v_i} from the Gram matrix."""
+    return _gram_rank(pair_vectors(family, reversed_too=True))
+
+
+def dilation_rank(rows, rel=1e-9):
+    """Number of singular values of ``rows`` above ``rel`` times the largest,
+    read off the eigenvalues of the hermitian dilation [[0, R], [R*, 0]].
+    A Gram matrix squares the singular values, so it cannot resolve a ratio
+    below about 1e-8; this resolves them to machine precision."""
+    rows = np.asarray(rows)
+    m, k = rows.shape
+    dilation = np.zeros((m + k, m + k), dtype=complex)
+    dilation[:m, m:] = rows
+    dilation[m:, :m] = dagger(rows)
+    vals = np.linalg.eigvalsh(dilation)
+    return int(np.sum(vals > rel * vals[-1])) if vals[-1] > 0.0 else 0
 
 
 def apply_by_kraus(family, x):
     return sum(v @ x @ dagger(v) for v in family.ops)
+
+
+def choi_by_columns(ops):
+    """Σ_k vec(v_k) vec(v_k)*, one operator at a time, vec stacking columns."""
+    n = ops[0].shape[0]
+    c = np.zeros((n * n, n * n), dtype=complex)
+    for v in ops:
+        x = _column_stack(v)
+        c += np.outer(x, np.conj(x))
+    return c
+
+
+def check_decomposition(ch, dec, kind):
+    """Assert that ``dec`` writes ``ch`` as a convex combination of extremal
+    channels of ``kind`` ("CP" or "CP_phi"): positive weights summing to 1,
+    Choi reconstruction within 1e-9, unit defects within 1e-8 (unital, and
+    trace-preserving for CP_phi), minimal Kraus families (Gram rank of the
+    operators), and independent (stacked) products at the library's 1e-9
+    singular-value cutoff (dilation rank: kind-CP terms on M_2 come as
+    close as 1e-8 to it)."""
+    weights = np.array([w for w, _ in dec.terms])
+    assert weights.size > 0 and np.all(weights > 0.0)
+    assert abs(weights.sum() - 1.0) <= 1e-9
+    mixture = sum(w * choi_by_columns(term.kraus.ops) for w, term in dec.terms)
+    assert np.linalg.norm(mixture - choi_by_columns(ch.kraus.ops)) <= 1e-9
+    for _, term in dec.terms:
+        ops = term.kraus.ops
+        eye = np.eye(term.dim)
+        assert np.max(np.abs(sum(v @ dagger(v) for v in ops) - eye)) <= 1e-8
+        if kind == "CP_phi":
+            assert np.max(np.abs(sum(dagger(v) @ v for v in ops) - eye)) <= 1e-8
+        assert _gram_rank([v.ravel() for v in ops]) == len(ops)
+        products = pair_vectors(term.kraus, reversed_too=kind == "CP_phi")
+        assert dilation_rank(products) == len(ops) ** 2
 
 
 # --- per-pair loop oracles for the Kraus-pair kernels ------------------------

@@ -93,6 +93,18 @@ def test_decompose_at_benchmark_sizes(kind, n, rng):
     assert birkhoff_decompose(s).terms == dec.terms
 
 
+def test_decompose_sparse_mixtures_clamp_round_off():
+    # sums of few permutations leave round-off on matched entries; clamped,
+    # it never becomes a term of its own
+    gen = np.random.default_rng(7300)
+    for _ in range(300):
+        n = int(gen.integers(3, 9))
+        s = helpers.random_ds_matrix(n, gen, k=int(gen.integers(1, 2 * n)))
+        dec = birkhoff_decompose(s)
+        assert min(w for w, _ in dec.terms) >= 64 * n * np.finfo(float).eps
+        assert max_abs(dec.mixture() - s) < 1e-9
+
+
 def test_decompose_long_augmenting_paths():
     # a depth-first matching follows a path through every row of this cycle,
     # deeper than Python's recursion limit
@@ -109,7 +121,7 @@ def test_decompose_without_perfect_matching():
     s = np.eye(3)
     s[0, 1] = 1e-10
     assert is_doubly_stochastic(s)
-    with pytest.raises(ValueError, match="no perfect matching"):
+    with pytest.raises(ValueError, match="no perfect matching, with mass 1.000e-10 left"):
         birkhoff_decompose(s)
 
 

@@ -17,7 +17,7 @@ from qbirkhoff.catalog import (
     spin_triple_channel,
     weyl_shift_clock_channel,
 )
-from qbirkhoff.numerics import dagger, max_abs, numerical_rank, operator_norm
+from qbirkhoff.numerics import NumericalFailure, dagger, max_abs, numerical_rank, operator_norm
 
 import helpers
 
@@ -151,8 +151,9 @@ def test_decompose_weyl_pair_exactly():
 
 
 def test_decompose_properties_on_random_channels(rng):
-    for n in (2, 3):
-        for _ in range(6):
+    # random channels have full Choi rank n², so n = 4 has index 16
+    for n, count in ((2, 6), (3, 6), (4, 2)):
+        for _ in range(count):
             ch = helpers.random_ds_channel(n, rng)
             dec = decompose_extremal(ch)
             assert dec.complete
@@ -161,6 +162,43 @@ def test_decompose_properties_on_random_channels(rng):
             for _, leaf in dec.terms:
                 ok, _ = landau_streater_test(leaf)
                 assert ok
+            assert len(dec.terms) <= ch.index and dec.depth <= ch.index - 1
+            helpers.check_decomposition(ch, dec, CP_PHI)
+
+
+def test_decompose_depth_bound_keeps_the_mixture(rng):
+    # a walk stopped at max_depth peels its channel as it is
+    ch = helpers.random_ds_channel(3, rng)
+    dec = decompose_extremal(ch, max_depth=1)
+    assert not dec.complete and dec.depth == 1
+    assert len(dec.terms) <= ch.index
+    assert abs(dec.total_weight() - 1.0) < 1e-10
+    assert dec.reconstruction_error(ch) < 1e-9
+
+
+def test_decompose_unitary_mixtures_valid_or_numerical_failure():
+    # a channel the walk or the peel derives can lose its unit flags to
+    # rounding: that is a NumericalFailure, never the input's ValueError
+    for kind in (CP, CP_PHI):
+        for s in range(200):
+            ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(s))
+            try:
+                dec = decompose_extremal(ch, kind=kind)
+            except NumericalFailure as exc:
+                assert "eq_abs" in str(exc)
+                continue
+            assert len(dec.terms) <= ch.index
+            helpers.check_decomposition(ch, dec, kind)
+
+
+@pytest.mark.parametrize("seed", [192, 389, 607, 1021, 1276])
+def test_decompose_knife_edge_unitary_mixtures(seed):
+    # knife-edge inputs: a split that scales a certificate by 1/μ (μ small)
+    # pushes its residual past eq_abs; a walk step keeps scale 1
+    ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(seed))
+    dec = decompose_extremal(ch)
+    assert dec.complete and len(dec.terms) <= ch.index
+    helpers.check_decomposition(ch, dec, CP_PHI)
 
 
 def test_decompose_in_cp_class(rng):
