@@ -43,13 +43,7 @@ def identity_channel(n: int = 2) -> Channel:
 
 def depolarizing_channel(n: int = 2) -> Channel:
     """x -> tr(x)·I/n, Kraus family {e_ij/√n}."""
-    ops = []
-    for i in range(n):
-        for j in range(n):
-            v = np.zeros((n, n), dtype=complex)
-            v[i, j] = 1.0 / np.sqrt(n)
-            ops.append(v)
-    return Channel.from_kraus(ops)
+    return Channel.from_kraus(np.eye(n * n).reshape(n * n, n, n) / np.sqrt(n))
 
 
 def unitary_channel(u) -> Channel:
@@ -137,9 +131,8 @@ def weyl_mixture_channel(m: int = 2, lam: float = 0.5) -> Channel:
     """τ_λ = λ·τ + (1−λ)·identity; strongly mixing for 0 < λ < 1."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
-    ops = [np.sqrt(lam) * v for v in weyl_shift_clock_family(m).ops]
-    ops.append(np.sqrt(1.0 - lam) * np.eye(3))
-    return Channel.from_kraus(ops)
+    shifts = np.sqrt(lam) * weyl_shift_clock_family(m).ops
+    return Channel.from_kraus(np.concatenate([shifts, [np.sqrt(1.0 - lam) * np.eye(3)]]))
 
 
 def m2_family_channel(c1: float, c2: float) -> Channel:
@@ -175,7 +168,7 @@ def build_family(name: str, **params) -> KrausFamily:
         return diagonal_pair_family()
     if name == "ex2.11":
         return spin_triple_family()
-    if name == "ex2.12":
+    if name == "ex2.12" and params.get("lam") is None:
         return weyl_shift_clock_family(int(params.get("m", 2)))
     return build_example(name, **params).kraus
 

@@ -7,7 +7,10 @@ column-stacking convention:
     superoperator = sum_k conj(v_k) (x) v_k
 
 A ``Channel`` always carries a canonical minimal Kraus family obtained from
-the Choi eigendecomposition, so equal channels serialize identically.
+the Choi eigendecomposition: the same Choi matrix always gives the same
+operators.  Inside a degenerate eigenspace the basis is whatever ``eigh``
+returns, so two Kraus families of one channel can still canonicalize to
+different operators there (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     Tolerance,
     as_matrix,
-    dagger,
     hermitian_eig,
     max_abs,
     phase_fixed,
     psd_allowance,
-    unvec,
 )
 
 __all__ = [
@@ -57,33 +58,38 @@ class NotCompletelyPositive(ValueError):
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """Ordered family of n-by-n operators v_k representing x -> sum v_k x v_k*."""
+    """Ordered family of n-by-n operators v_k representing x -> sum v_k x v_k*.
 
-    ops: tuple
+    ``ops`` is one C-contiguous complex d×n×n array whose entry k is v_k.
+    """
+
+    ops: np.ndarray
 
     @classmethod
     def from_ops(cls, ops) -> "KrausFamily":
-        mats = tuple(as_matrix(v) for v in ops)
-        if not mats:
+        """The one coercion of a Kraus input: a sequence of n×n matrices, a
+        d×n×n array, or a family (returned as is)."""
+        if isinstance(ops, cls):
+            return ops
+        try:
+            a = np.ascontiguousarray(ops, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"Kraus family is not one d×n×n array: {exc}") from exc
+        if a.shape[:1] == (0,):
             raise ValueError("an empty Kraus family has no algebra size")
-        n = mats[0].shape[0]
-        for v in mats:
-            if v.shape != (n, n):
-                raise ValueError(f"ragged Kraus family: {v.shape} next to ({n}, {n})")
-        return cls(mats)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"Kraus family of shape {a.shape} is not d×n×n")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("Kraus family contains non-finite entries")
+        return cls(a)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
     @property
     def index(self) -> int:
-        return len(self.ops)
-
-    @property
-    def array(self) -> np.ndarray:
-        """The operators stacked into one d×n×n array."""
-        return np.array(self.ops)
+        return self.ops.shape[0]
 
     def products(self) -> np.ndarray:
         """d×d×n×n array whose entry (i, j) is v_i v_j*.
@@ -91,14 +97,14 @@ class KrausFamily:
         The reversed products v_j* v_i are ``adjoint().products()`` with the
         first two axes swapped.
         """
-        a = self.array
+        a = self.ops
         return a[:, None] @ _stack_dagger(a)[None, :]
 
     def unit_defects(self) -> tuple[float, float]:
         """Deviations (entrywise max) of sum v v* and sum v* v from I."""
         # contracted straight from the stack: the trace of products() would
         # form all d² pairs to read d of them
-        a = self.array
+        a = self.ops
         eye = np.eye(self.dim)
         out_sum = np.tensordot(a, np.conj(a), axes=([0, 2], [0, 2]))
         in_sum = np.tensordot(np.conj(a), a, axes=([0, 1], [0, 1]))
@@ -110,7 +116,7 @@ class KrausFamily:
         return out_dev <= tol.eq_abs, in_dev <= tol.eq_abs
 
     def adjoint(self) -> "KrausFamily":
-        return KrausFamily(tuple(dagger(v) for v in self.ops))
+        return KrausFamily.from_ops(_stack_dagger(self.ops))
 
 
 def _stack_dagger(a: np.ndarray) -> np.ndarray:
@@ -118,19 +124,15 @@ def _stack_dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).transpose(0, 2, 1)
 
 
-def _array(k) -> np.ndarray:
-    return k.array if isinstance(k, KrausFamily) else KrausFamily.from_ops(k).array
-
-
 def apply_kraus(ops, x) -> np.ndarray:
     """sum_k v_k x v_k* for a Kraus family or a sequence of operators."""
-    a = _array(ops)
+    a = KrausFamily.from_ops(ops).ops
     return (a @ as_matrix(x) @ _stack_dagger(a)).sum(axis=0)
 
 
 def choi_from_kraus(k) -> np.ndarray:
     """n²×n² Choi matrix; block (i,j) equals the channel applied to e_ij."""
-    a = _array(k)
+    a = KrausFamily.from_ops(k).ops
     d, n = a.shape[0], a.shape[1]
     w = a.transpose(0, 2, 1).reshape(d, n * n)  # row k is vec(v_k)
     # summing outer products in Kraus order, not a BLAS product: with a
@@ -141,7 +143,7 @@ def choi_from_kraus(k) -> np.ndarray:
 
 def superoperator_from_kraus(k) -> np.ndarray:
     """n²×n² matrix sum_k conj(v_k) (x) v_k."""
-    a = _array(k)
+    a = KrausFamily.from_ops(k).ops
     n = a.shape[1]
     t = np.conj(a)[:, :, None, :, None] * a[:, None, :, None, :]
     return t.sum(axis=0).reshape(n * n, n * n)
@@ -178,13 +180,12 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
         raise NotCompletelyPositive(
             f"Choi matrix has eigenvalue {vals[-1]:.3e} below -{allowance:.3e}"
         )
-    keep = [
-        (float(vals[k]), phase_fixed(unvec(np.sqrt(vals[k]) * vecs[:, k], n), tol.eq_abs))
-        for k in range(vals.size)
-        if vals[k] > tol.rank_rel * top
-    ]
-    keep.sort(key=lambda pair: _canonical_sort_key(*pair))
-    return KrausFamily(tuple(op for _, op in keep))
+    keep = vals > tol.rank_rel * top
+    # column k of the scaled eigenvectors is vec(v_k): unvec each one
+    cols = vecs[:, keep] * np.sqrt(vals[keep])
+    ops = phase_fixed(cols.T.reshape(-1, n, n).transpose(0, 2, 1), tol.eq_abs)
+    order = sorted(range(len(ops)), key=lambda k: _canonical_sort_key(float(vals[k]), ops[k]))
+    return KrausFamily(ops[order])
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,7 @@ class Channel:
 
     @classmethod
     def from_kraus(cls, ops, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
-        fam = ops if isinstance(ops, KrausFamily) else KrausFamily.from_ops(ops)
-        canon = kraus_from_choi(choi_from_kraus(fam), tol)
+        canon = kraus_from_choi(choi_from_kraus(ops), tol)
         unital, tp = canon.validate(tol)
         return cls(canon, unital, tp)
 
@@ -278,11 +278,10 @@ def family_from_dict(data) -> KrausFamily:
     n = data["dim"]
     if not isinstance(n, int) or n <= 0:
         raise ValueError(f'"dim" must be a positive integer, got {n!r}')
-    ops = [matrix_from_pairs(rows) for rows in data["kraus"]]
-    for v in ops:
-        if v.shape != (n, n):
-            raise ValueError(f'Kraus operator of shape {v.shape} does not match "dim" {n}')
-    return KrausFamily.from_ops(ops)
+    fam = KrausFamily.from_ops([matrix_from_pairs(rows) for rows in data["kraus"]])
+    if fam.dim != n:
+        raise ValueError(f'Kraus operators of size {fam.dim} do not match "dim" {n}')
+    return fam
 
 
 def channel_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:

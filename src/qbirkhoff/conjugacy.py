@@ -55,11 +55,7 @@ _VERIFY_TOL = 1e-7
 
 
 def _family(obj) -> KrausFamily:
-    if isinstance(obj, Channel):
-        return obj.kraus
-    if isinstance(obj, KrausFamily):
-        return obj
-    return KrausFamily.from_ops(obj)
+    return obj.kraus if isinstance(obj, Channel) else KrausFamily.from_ops(obj)
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,9 @@ def verify_certificate(
     u, g, w = as_matrix(cert.u), as_matrix(cert.g), as_matrix(cert.w)
     if u.shape != (n, n) or w.shape != (n, n) or g.shape != (d, d):
         raise ValueError("certificate matrices do not match the channel sizes")
-    ops = np.conj(fam.array) if cert.antiunitary else fam.array
+    ops = np.conj(fam.ops) if cert.antiunitary else fam.ops
     lhs = u @ ops @ dagger(u)
-    rhs = w @ np.tensordot(g, fam2.array, axes=1)
+    rhs = w @ np.tensordot(g, fam2.ops, axes=1)
     return max_abs(lhs - rhs) <= max(tol.eq_abs, 1e-9)
 
 
@@ -182,9 +178,9 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
         raise NumericalFailure("intertwiner failed to conjugate the block projections")
 
     # m[j] = Σ_k v_k* W_kj, with W_kj the (k, j) block of W
-    m = np.tensordot(np.conj(fam.array), w_full.reshape(d, n, d, n), axes=([0, 1], [0, 1]))
+    m = np.tensordot(np.conj(fam.ops), w_full.reshape(d, n, d, n), axes=([0, 1], [0, 1]))
     m = m.transpose(1, 0, 2)
-    ops2 = fam2.array
+    ops2 = fam2.ops
     u = (m @ ops2).sum(axis=0)
     if max_abs(u @ dagger(u) - np.eye(n)) > _VERIFY_TOL:
         raise NumericalFailure("induced vector map failed to be unitary")
@@ -201,7 +197,7 @@ def conjugate_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channe
     conjugation preserves both marginal sums exactly.
     """
     fam = _family(ch)
-    conj = KrausFamily.from_ops(tuple(np.conj(v) for v in fam.ops))
+    conj = KrausFamily(np.conj(fam.ops))
     if isinstance(ch, Channel):
         return Channel(kraus=conj, unital=ch.unital, trace_preserving=ch.trace_preserving)
     unital, tp = conj.validate(tol)

@@ -190,7 +190,7 @@ def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _ops(rows: np.ndarray, family: KrausFamily) -> np.ndarray:
-    return np.tensordot(rows, family.array, axes=1)
+    return np.tensordot(rows, family.ops, axes=1)
 
 
 def convex_split(
@@ -236,7 +236,7 @@ class ExtremalDecomposition:
 
 def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance) -> Channel:
     # rows @ family, flagged, not canonicalized: the input was vetted, so a defect is rounding
-    fam = KrausFamily(tuple(_ops(rows, family)))
+    fam = KrausFamily(_ops(rows, family))
     out_dev, in_dev = fam.unit_defects()
     dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
     if dev > tol.eq_abs:

@@ -85,11 +85,10 @@ def schur_channel(spec: SchurSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> Channe
     vals, vecs = hermitian_eig(m, tol)
     if float(vals[-1]) < -psd_allowance(vals, tol):
         raise NotCompletelyPositive("multiplier matrix is not PSD: outside the face")
-    ops = []
-    top = float(vals[0])
-    for r in range(k):
-        if vals[r] > tol.rank_rel * max(top, 1.0):
-            ops.append(np.diag(np.sqrt(vals[r]) * vecs[:, r]))
+    keep = vals > tol.rank_rel * max(float(vals[0]), 1.0)
+    # operator r is diag(sqrt(vals[r]) · vecs[:, r])
+    ops = np.zeros((np.count_nonzero(keep), k, k), dtype=complex)
+    ops[:, np.arange(k), np.arange(k)] = (vecs[:, keep] * np.sqrt(vals[keep])).T
     return Channel.from_kraus(ops, tol)
 
 

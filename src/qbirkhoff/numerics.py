@@ -176,12 +176,15 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
 
 
 def phase_fixed(m, eq_abs: float = DEFAULT_TOLERANCE.eq_abs) -> np.ndarray:
-    """Rotate a matrix by a global phase so its first entry of modulus above
-    ``eq_abs`` (row-major scan) becomes real positive."""
+    """Rotate a matrix, or each matrix of a d×n×n stack, by a global phase so
+    its first entry of modulus above ``eq_abs`` (row-major scan) becomes real
+    positive; a matrix with no such entry is left as it is."""
     arr = np.asarray(m, dtype=complex)
-    flat = arr.ravel(order="C")
-    above = np.nonzero(np.abs(flat) > eq_abs)[0]
-    if above.size == 0:
-        return arr.copy()
-    z = flat[above[0]]
-    return arr * (np.conj(z) / abs(z))
+    flat = arr.reshape(len(arr) if arr.ndim == 3 else 1, -1)
+    above = np.abs(flat) > eq_abs
+    found = above.any(axis=1)[:, None]
+    z = np.where(found, flat[np.arange(len(flat)), np.argmax(above, axis=1)][:, None], 1.0)
+    # hypot, not np.abs: on arrays np.abs rounds differently from abs() of one
+    # entry, and the canonical Kraus bytes must not move
+    turn = np.conj(z) / np.hypot(z.real, z.imag)
+    return np.where(found, flat * turn, flat).reshape(arr.shape)

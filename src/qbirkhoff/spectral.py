@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import Channel, KrausFamily
+from .channels import Channel
 from .numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -22,7 +22,6 @@ from .numerics import (
     dagger,
     hermitian_eig,
     max_abs,
-    numerical_rank,
     phase_fixed,
     unvec,
     vec,
@@ -79,6 +78,12 @@ def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
     return eigs[order]
 
 
+def _in_fixed_kernel(s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # singular values of T − I that count as zero: the cutoff is floored at 1,
+    # since T − I of a channel near the identity has s[0] < 1
+    return s <= tol.rank_rel * max(1.0, float(s[0]))
+
+
 def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """Orthonormal (Hilbert-Schmidt) basis of {x : τ(x) = x}.
 
@@ -90,8 +95,7 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     t = ch.superoperator()
     gap = t - np.eye(n * n)
     _, s, vh = np.linalg.svd(gap)
-    cutoff = tol.rank_rel * max(1.0, float(s[0]))
-    kernel = [np.conj(vh[k]) for k in range(n * n) if s[k] <= cutoff]
+    kernel = np.conj(vh[_in_fixed_kernel(s, tol)])
     basis = [phase_fixed(unvec(x, n), tol.eq_abs) for x in kernel]
     if not basis:
         raise NumericalFailure("unital channel lost its fixed space — broken input")
@@ -147,7 +151,8 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     n = ch.dim
     t = ch.superoperator()
     eigs = _sorted_eigs(np.linalg.eigvals(t))
-    fixed_dim = n * n - numerical_rank(t - np.eye(n * n), tol)
+    s = np.linalg.svd(t - np.eye(n * n), compute_uv=False)
+    fixed_dim = int(np.count_nonzero(_in_fixed_kernel(s, tol)))
     ergodic = fixed_dim == 1
     peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
     period = _snap_period(peripheral, n) if ergodic else None
@@ -270,9 +275,7 @@ def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERAN
         if max_abs(alpha @ fam.projections[k] @ dagger(alpha) - fam.projections[(k + 1) % p]) > _STRUCT_TOL:
             raise NumericalFailure("cycling map does not shift the projections")
 
-    residual = Channel.from_kraus(
-        KrausFamily(tuple(v @ dagger(alpha) for v in ch.kraus.ops)), tol
-    )
+    residual = Channel.from_kraus(ch.kraus.ops @ dagger(alpha), tol)
     for e in fam.projections:
         if max_abs(residual.apply(e) - e) > max(tol.eq_abs, 1e-9):
             raise NumericalFailure("residual channel does not fix the cyclic projections")

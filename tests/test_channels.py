@@ -28,12 +28,24 @@ def basis_units(n):
 
 
 def test_family_validation_rejects_mixed_shapes():
-    with pytest.raises(ValueError):
-        KrausFamily.from_ops([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        KrausFamily.from_ops([])
-    with pytest.raises(ValueError):
-        KrausFamily.from_ops([np.ones((2, 3))])
+    nan, inf = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    nan[0, 1], inf[1, 0] = np.nan, np.inf
+    rejected = [
+        [np.eye(2), np.eye(3)],
+        [],
+        [np.ones((2, 3))],
+        [np.eye(2), nan],
+        [inf],
+        np.eye(2),  # one matrix, not a stack
+        np.ones((1, 2, 2, 2)),
+    ]
+    for ops in rejected:
+        with pytest.raises(ValueError):
+            KrausFamily.from_ops(ops)
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
+    fam = KrausFamily.from_ops(stack)
+    assert fam.ops is stack
+    assert KrausFamily.from_ops(fam) is fam
 
 
 def test_identity_family_flags():

@@ -235,6 +235,51 @@ def test_birkhoff_without_perfect_matching(tmp_path, capsys):
     assert "no perfect matching" in err
 
 
+PARAMETRIC_BUILTINS = [
+    ("identity", "--n", "3"),
+    ("depolarizing", "--n", "3"),
+    ("ex2.8", "--z", "0.3+0.2j"),
+    ("ex2.9", "--z1", "0.3", "--z2", "0.2", "--z3", "0.1"),
+    ("ex2.10", "--x1", "0.2", "--x2", "-0.1", "--x3", "0.3"),
+    ("ex2.12", "--m", "3"),
+    ("ex2.12", "--lam", "0.5"),
+    ("ex2.12", "--m", "4", "--lam", "0.3"),
+    ("m2", "--c1", "0.3", "--c2", "0.7"),
+]
+
+
+def analyze_summary(report):
+    """Index, flags and verdicts of an analyze report, and its spectra."""
+    spectral = report.get("spectral", {})
+    exact = {key: report[key] for key in ("dim", "index", "unital", "trace_preserving")}
+    for test in ("choi_extremal", "landau_streater"):
+        exact[test] = report.get(test, {}).get("extremal")
+    for key in ("fixed_dim", "ergodic", "period", "aperiodic", "strongly_mixing"):
+        exact[key] = spectral.get(key)
+    spectra = [report["data_spectrum"], spectral.get("eigenvalues"), spectral.get("peripheral")]
+    return exact, [np.array(x if x is not None else []) for x in spectra]
+
+
+@pytest.mark.parametrize("builtin", PARAMETRIC_BUILTINS, ids=" ".join)
+def test_builtin_parameters_reach_analyze(builtin, tmp_path, capsys):
+    """analyze NAME <params> reports what analyze reports on the channel file
+    that example NAME <params> writes."""
+    code, text, _ = run_cli(capsys, "example", *builtin)
+    assert code == 0
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    summaries = []
+    for source in (builtin, (str(path),)):
+        code, out, _ = run_cli(capsys, "analyze", *source, "--json")
+        assert code == 0
+        summaries.append(analyze_summary(json.loads(out)))
+    (named, named_spectra), (from_file, file_spectra) = summaries
+    assert named == from_file
+    for got, expect in zip(named_spectra, file_spectra):
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect), initial=0.0) <= 1e-9
+
+
 def test_classify_reports_cyclic_projections(capsys):
     code, out, _ = run_cli(capsys, "classify", "ex2.12", "--m", "2", "--json")
     assert code == 0

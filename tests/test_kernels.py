@@ -32,7 +32,7 @@ def random_state(n, rng):
 def test_pair_kernels_match_per_pair_loops(n, d):
     rng = np.random.default_rng(7000 + 10 * n + d)
     fam = random_family(n, d, rng)
-    scale = max(1.0, max_abs(fam.array)) ** 2
+    scale = max(1.0, max_abs(fam.ops)) ** 2
     pairs = fam.products()
     assert pairs.shape == (d, d, n, n)
     for i in range(d):

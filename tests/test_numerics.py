@@ -126,6 +126,15 @@ def test_phase_fixed_leading_entry_real_positive(rng):
         assert abs(lead.imag) < 1e-12 and lead.real > 0
         # same matrix up to a global phase
         assert abs(max_abs(out) - max_abs(m)) < 1e-12
+    # a stack turns each matrix on its own, bit for bit; one with no entry
+    # above the cutoff stays as it is
+    stack = random_complex(rng, (4, 3, 3))
+    stack[1, 0, :2] = 0.0
+    stack[2] = 1e-12 * stack[2]
+    out = phase_fixed(stack)
+    for k in range(4):
+        assert np.array_equal(out[k], phase_fixed(stack[k]))
+    assert np.array_equal(out[2], stack[2])
 
 
 def test_non_finite_rejected():

@@ -154,9 +154,13 @@ def test_cycle_embed_deperiodizes():
 
 
 def test_classify_consistency_on_corpus(ds_corpus):
-    for ch in ds_corpus:
+    # T − I has s[0] < 1 on these two: a near-identity channel and a barely
+    # mixed Weyl pair (strongly mixing)
+    near_identity = Channel.from_kraus([np.sqrt(1.0 - 1e-10) * np.eye(2)])
+    for ch in [*ds_corpus, near_identity, weyl_mixture_channel(2, 1e-8)]:
         cl = classify(ch)
         assert cl.fixed_dim >= 1
+        assert cl.fixed_dim == len(fixed_point_space(ch))
         if cl.strongly_mixing:
             assert cl.ergodic and len(cl.peripheral) == 1
         if cl.ergodic:
