@@ -44,7 +44,7 @@ def _as_real_square(s) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DSMatrix:
     """A validated doubly stochastic matrix."""
 

@@ -56,7 +56,7 @@ class NotCompletelyPositive(ValueError):
     """The Choi matrix has a negative eigenvalue beyond tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausFamily:
     """Ordered family of n-by-n operators v_k representing x -> sum v_k x v_k*.
 
@@ -188,7 +188,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     return KrausFamily(ops[order])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A CP map with canonical minimal Kraus family and validity flags.
 

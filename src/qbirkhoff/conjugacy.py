@@ -58,7 +58,7 @@ def _family(obj) -> KrausFamily:
     return obj.kraus if isinstance(obj, Channel) else KrausFamily.from_ops(obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """Gram matrix D_ij = φ(v_i v_j*) at a state φ; hermitian PSD."""
 
@@ -66,7 +66,7 @@ class DataMatrix:
     state_tag: str = "normalized trace"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyCertificate:
     u: np.ndarray
     g: np.ndarray

@@ -48,7 +48,7 @@ CP_PHI = "CP_phi"
 _CERT_RESIDUAL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependencyCertificate:
     """Hermitian d×d witness λ of Kraus-product linear dependence.
 
@@ -89,11 +89,17 @@ def stacked_matrix(family: KrausFamily) -> np.ndarray:
     return np.vstack([_columns(family.products()), _columns(_reversed_products(family))])
 
 
-def _rank_and_smallest(m, tol: Tolerance):
-    # rank plus the right singular vector of the smallest singular value
-    _, s, vh = np.linalg.svd(m)
+def _rank_and_null(m, tol: Tolerance):
+    # rank and a unit x with m x ≈ 0: a square or tall m's last right singular vector; a wide
+    # m is short by counting, and e_k minus its row-space part is exact, k least covered (first)
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
     rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0
-    return rank, np.conj(vh[-1])
+    if len(vh) == m.shape[1]:
+        return rank, np.conj(vh[-1])
+    k = int(np.argmin(np.sum(np.abs(vh) ** 2, axis=0)))
+    x = -(dagger(vh) @ vh[:, k])
+    x[k] += 1.0
+    return rank, x / np.linalg.norm(x)
 
 
 def _sign_fixed(h: np.ndarray, eq_abs: float) -> np.ndarray:
@@ -117,7 +123,11 @@ def hermitize_certificate(
     the result is normalized to operator norm 1.  Raises
     :class:`NumericalFailure` when no hermitian direction survives.
     """
-    d = family.index
+    m = stacked_matrix(family) if kind == CP_PHI else product_matrix(family)
+    return _hermitized(nullvec, m, family.index, kind, tol)
+
+
+def _hermitized(nullvec, m, d: int, kind: str, tol: Tolerance) -> DependencyCertificate:
     arr = np.asarray(nullvec, dtype=complex)
     if arr.size != d * d:
         raise ValueError(f"null vector of size {arr.size} does not reshape to {d}×{d}")
@@ -129,41 +139,41 @@ def hermitize_certificate(
         nrm = operator_norm(part)
         if nrm <= tol.eq_abs:
             continue
-        cert = DependencyCertificate(_sign_fixed(part / nrm, tol.eq_abs), kind)
-        fwd, rev = cert.residuals(family)
-        if fwd <= _CERT_RESIDUAL and (kind != CP_PHI or rev <= _CERT_RESIDUAL):
-            return cert
+        h = _sign_fixed(part / nrm, tol.eq_abs)
+        if max_abs(m @ h.reshape(-1)) <= _CERT_RESIDUAL:
+            return DependencyCertificate(h, kind)
     raise NumericalFailure("no hermitian certificate survives within tolerance")
+
+
+def _verdict(m, d: int, kind: str, tol: Tolerance):
+    # (extremal, certificate) for m's d² columns; certificate residuals are max|m vec(λ)|
+    rank, nullvec = _rank_and_null(m, tol)
+    if rank == d * d:
+        return True, None
+    return False, _hermitized(nullvec, m, d, kind, tol)
 
 
 def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Extremality in the unital CP cone: are the products v_i v_j* independent?
 
-    Returns ``(extremal, certificate)``; the certificate (kind CP) is built
-    from the smallest singular direction when the product matrix is
-    rank-deficient.
+    Returns ``(extremal, certificate)``; a rank-deficient product matrix gives a kind-CP
+    certificate from its last right singular vector when n ≥ d, else from the least-covered
+    coordinate vector minus its projection onto the row space.
     """
     if not ch.unital:
         raise ValueError("extremality in the unital cone needs a unital channel")
-    fam = ch.kraus
-    rank, nullvec = _rank_and_smallest(product_matrix(fam), tol)
-    if rank == fam.index**2:
-        return True, None
-    return False, hermitize_certificate(nullvec, fam, CP, tol)
+    return _verdict(product_matrix(ch.kraus), ch.index, CP, tol)
 
 
 def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Extremality among doubly stochastic maps via the stacked bi-independence
-    test; refuses channels that are not trace-preserving."""
+    test; refuses channels that are not trace-preserving.  Its kind-CP_phi certificate
+    follows the rule of :func:`choi_extremal_test` on the 2n²×d² stacked matrix."""
     if not ch.unital:
         raise ValueError("extremality test needs a unital channel")
     if not ch.trace_preserving:
         raise ValueError("the doubly stochastic test needs a trace-preserving channel")
-    fam = ch.kraus
-    rank, nullvec = _rank_and_smallest(stacked_matrix(fam), tol)
-    if rank == fam.index**2:
-        return True, None
-    return False, hermitize_certificate(nullvec, fam, CP_PHI, tol)
+    return _verdict(stacked_matrix(ch.kraus), ch.index, CP_PHI, tol)
 
 
 def _check_certificate(ch: Channel, cert: DependencyCertificate, tol: Tolerance):
@@ -216,7 +226,7 @@ def convex_split(
     return (p, plus), (1.0 - p, minus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalDecomposition:
     """Convex combination Σ w_k τ_k, heaviest first; extremal terms when complete."""
 

@@ -52,7 +52,7 @@ _BOUNDARY_BAND = 1e-10
 _CLOSED_FORM_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurSpec:
     """Hermitian unit-diagonal coefficient matrix of an entrywise multiplier."""
 

@@ -45,7 +45,7 @@ PERIPHERAL_BAND = 1e-8
 _STRUCT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralClassification:
     """Spectral picture of a doubly stochastic channel."""
 
@@ -58,7 +58,7 @@ class SpectralClassification:
     strongly_mixing: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicFamily:
     """Orthogonal projections E_0..E_{p-1} with τ(E_k) = E_{k+1 mod p}."""
 

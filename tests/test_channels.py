@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import qbirkhoff
 from qbirkhoff import (
     Channel,
     KrausFamily,
@@ -152,3 +153,35 @@ def test_family_from_dict_preserves_raw_ops():
     assert fam.index == 2 and ch.kraus.index == 2
     with pytest.raises(ValueError):
         family_from_dict({"dim": 0, "kraus": []})
+
+
+
+_EYE = np.eye(2, dtype=complex)
+
+# one fresh instance per call, so two calls give equal but distinct objects
+ARRAY_HOLDERS = {
+    "KrausFamily": lambda: KrausFamily.from_ops([_EYE]),
+    "Channel": lambda: Channel.from_kraus([_EYE]),
+    "DependencyCertificate": lambda: qbirkhoff.DependencyCertificate(np.diag([1.0, -1.0]), "CP"),
+    "ExtremalDecomposition": lambda: qbirkhoff.ExtremalDecomposition(
+        ((1.0, Channel.from_kraus([_EYE])),), 0, True
+    ),
+    "DSMatrix": lambda: qbirkhoff.DSMatrix.from_matrix(np.eye(2)),
+    "DataMatrix": lambda: qbirkhoff.DataMatrix(_EYE),
+    "ConjugacyCertificate": lambda: qbirkhoff.ConjugacyCertificate(_EYE, _EYE, _EYE),
+    "SchurSpec": lambda: qbirkhoff.SchurSpec.from_matrix(np.ones((2, 2))),
+    "SpectralClassification": lambda: qbirkhoff.SpectralClassification(
+        np.ones(4), 4, False, np.ones(4), None, False, False
+    ),
+    "CyclicFamily": lambda: qbirkhoff.CyclicFamily((_EYE,), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDERS))
+def test_array_holding_objects_compare_by_identity(name):
+    # fields that hold arrays have no truth value: == and in must not ask for one
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not (a == b) and a != b
+    assert a not in [b] and a in [b, a]
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -9,15 +9,23 @@ from qbirkhoff import (
     choi_extremal_test,
     convex_split,
     decompose_extremal,
+    hermitize_certificate,
     landau_streater_test,
 )
-from qbirkhoff.extremality import product_matrix, stacked_matrix
+from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
 from qbirkhoff.catalog import (
     diagonal_pair_channel,
     spin_triple_channel,
     weyl_shift_clock_channel,
 )
-from qbirkhoff.numerics import NumericalFailure, dagger, max_abs, numerical_rank, operator_norm
+from qbirkhoff.numerics import (
+    DEFAULT_TOLERANCE,
+    NumericalFailure,
+    dagger,
+    max_abs,
+    numerical_rank,
+    operator_norm,
+)
 
 import helpers
 
@@ -76,6 +84,20 @@ def test_weyl_pair_certificate_is_frozen_diagonal():
     assert max_abs(cert.lam - np.diag([1.0, -1.0])) < 1e-9
     fwd, rev = cert.residuals(weyl_shift_clock_channel(2).kraus)
     assert fwd < 1e-9 and rev < 1e-9
+
+
+def test_hermitize_certificate_matches_the_tests(rng):
+    # the public wrapper rebuilds the test's matrix and gives the same certificate
+    cases = ((CP, choi_extremal_test, product_matrix), (CP_PHI, landau_streater_test, stacked_matrix))
+    for kind, test, matrix in cases:
+        for ch in (weyl_shift_clock_channel(2), helpers.random_unitary_mixture(2, 4, rng)):
+            _, cert = test(ch)
+            _, nullvec = _rank_and_null(matrix(ch.kraus), DEFAULT_TOLERANCE)
+            again = hermitize_certificate(nullvec, ch.kraus, kind)
+            assert again.kind == cert.kind == kind
+            assert np.array_equal(again.lam, cert.lam)
+            with pytest.raises(ValueError):
+                hermitize_certificate(nullvec[:-1], ch.kraus, kind)
 
 
 def test_certificates_have_unit_norm_and_small_residual(ds_corpus):
@@ -199,6 +221,18 @@ def test_decompose_knife_edge_unitary_mixtures(seed):
     dec = decompose_extremal(ch)
     assert dec.complete and len(dec.terms) <= ch.index
     helpers.check_decomposition(ch, dec, CP_PHI)
+
+
+@pytest.mark.parametrize("seed", [60, 292, 310, 389, 505, 607, 631, 932, 1199, 1225, 1231, 1287])
+def test_decompose_cp_former_failures(seed):
+    # these raised NumericalFailure when the null vector was the last right singular
+    # vector of the wide product matrix; the least-covered-coordinate rule ends every
+    # walk here at a unitary
+    ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(seed))
+    dec = decompose_extremal(ch, kind=CP)
+    assert len(dec.terms) <= ch.index
+    assert all(term.kraus.index == 1 for _, term in dec.terms)
+    helpers.check_decomposition(ch, dec, CP)
 
 
 def test_decompose_in_cp_class(rng):

@@ -2,14 +2,15 @@
 
 Rank tests cannot see an i <-> j transposition of the pair array; these
 compare every column, block and entry with one explicit product per pair.
+The rank kernel of the extremality tests is checked against the full SVD.
 """
 
 import numpy as np
 import pytest
 
 from qbirkhoff import KrausFamily, choi_block_projection, data_matrix
-from qbirkhoff.extremality import product_matrix, stacked_matrix
-from qbirkhoff.numerics import dagger, max_abs
+from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs
 
 import helpers
 
@@ -49,3 +50,42 @@ def test_pair_kernels_match_per_pair_loops(n, d):
     for got, expect in checks:
         assert got.shape == expect.shape
         assert max_abs(got - expect) < 1e-12 * scale
+
+
+# (rows, columns, rank of the factor product; None for a full random matrix)
+RANK_SHAPES = [
+    (4, 16, None),
+    (9, 81, None),
+    (6, 16, 3),
+    (9, 9, None),
+    (9, 9, 5),
+    (72, 16, None),
+    (512, 9, None),
+    (256, 9, 4),
+]
+
+
+@pytest.mark.parametrize("rows, cols, rank", RANK_SHAPES)
+def test_rank_and_null_thin(rows, cols, rank):
+    rng = np.random.default_rng(7100 + rows + cols)
+
+    def gaussian(r, c):
+        return rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+
+    m = gaussian(rows, cols) if rank is None else gaussian(rows, rank) @ gaussian(rank, cols)
+    tol = DEFAULT_TOLERANCE
+    got_rank, x = _rank_and_null(m, tol)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert got_rank == int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    assert got_rank == (min(rows, cols) if rank is None else rank)
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-12
+    again = _rank_and_null(m, tol)[1]
+    assert np.array_equal(x, again)
+    if rows < cols:  # short by counting: an exact null vector
+        assert np.linalg.norm(m @ x) <= 1e-12 * s[0]
+        if rank is None:  # full row rank: the rule read off the null-space projector
+            proj = np.eye(cols) - np.linalg.pinv(m) @ m
+            k = int(np.argmax(np.diag(proj).real))
+            assert max_abs(x - proj[:, k] / np.linalg.norm(proj[:, k])) < 1e-10
+    else:
+        assert np.array_equal(x, np.conj(np.linalg.svd(m)[2][-1]))
