@@ -22,12 +22,13 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOLERANCE,
+    NotCompletelyPositive,
     Tolerance,
     as_matrix,
-    hermitian_eig,
+    dagger,
     max_abs,
     phase_fixed,
-    psd_allowance,
+    psd_factor,
 )
 
 __all__ = [
@@ -50,10 +51,6 @@ __all__ = [
     "load_channel",
     "save_channel",
 ]
-
-
-class NotCompletelyPositive(ValueError):
-    """The Choi matrix has a negative eigenvalue beyond tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +95,7 @@ class KrausFamily:
         first two axes swapped.
         """
         a = self.ops
-        return a[:, None] @ _stack_dagger(a)[None, :]
+        return a[:, None] @ dagger(a)[None, :]
 
     def unit_defects(self) -> tuple[float, float]:
         """Deviations (entrywise max) of sum v v* and sum v* v from I."""
@@ -116,18 +113,13 @@ class KrausFamily:
         return out_dev <= tol.eq_abs, in_dev <= tol.eq_abs
 
     def adjoint(self) -> "KrausFamily":
-        return KrausFamily.from_ops(_stack_dagger(self.ops))
-
-
-def _stack_dagger(a: np.ndarray) -> np.ndarray:
-    # conjugate transpose of every operator in a d×n×n stack
-    return np.conj(a).transpose(0, 2, 1)
+        return KrausFamily.from_ops(dagger(self.ops))
 
 
 def apply_kraus(ops, x) -> np.ndarray:
     """sum_k v_k x v_k* for a Kraus family or a sequence of operators."""
     a = KrausFamily.from_ops(ops).ops
-    return (a @ as_matrix(x) @ _stack_dagger(a)).sum(axis=0)
+    return (a @ as_matrix(x) @ dagger(a)).sum(axis=0)
 
 
 def choi_from_kraus(k) -> np.ndarray:
@@ -160,29 +152,18 @@ def _canonical_sort_key(eigval: float, op: np.ndarray):
 def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     """Canonical minimal Kraus family of a PSD Choi matrix.
 
-    Eigenpairs above the relative rank cutoff become operators
+    The columns of :func:`~qbirkhoff.numerics.psd_factor` become operators
     unvec(sqrt(eig) * eigenvector), ordered by descending eigenvalue with a
     deterministic tie-break, each phase-fixed.  Raises
-    :class:`NotCompletelyPositive` when the Choi matrix has an eigenvalue
-    below the PSD allowance.
+    :class:`NotCompletelyPositive` when the Choi matrix is not PSD.
     """
     c = as_matrix(choi)
     n2 = c.shape[0]
     n = int(round(np.sqrt(n2)))
     if n * n != n2 or c.shape != (n2, n2):
         raise ValueError(f"Choi matrix of shape {c.shape} is not n² by n²")
-    vals, vecs = hermitian_eig(c, tol)
-    top = float(vals[0]) if vals.size else 0.0
-    if top <= 0.0:
-        raise NotCompletelyPositive("Choi matrix is not positive semidefinite")
-    allowance = psd_allowance(vals, tol)
-    if float(vals[-1]) < -allowance:
-        raise NotCompletelyPositive(
-            f"Choi matrix has eigenvalue {vals[-1]:.3e} below -{allowance:.3e}"
-        )
-    keep = vals > tol.rank_rel * top
-    # column k of the scaled eigenvectors is vec(v_k): unvec each one
-    cols = vecs[:, keep] * np.sqrt(vals[keep])
+    vals, cols = psd_factor(c, tol)
+    # column k is vec(v_k): unvec each one
     ops = phase_fixed(cols.T.reshape(-1, n, n).transpose(0, 2, 1), tol.eq_abs)
     order = sorted(range(len(ops)), key=lambda k: _canonical_sort_key(float(vals[k]), ops[k]))
     return KrausFamily(ops[order])

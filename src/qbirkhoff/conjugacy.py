@@ -157,7 +157,8 @@ def _range_basis(p: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
     rank = int(np.count_nonzero(vals > 0.5))
     if rank != n:
         raise NumericalFailure(f"block projection has rank {rank}, expected {n}")
-    return np.column_stack([phase_fixed(vecs[:, k], tol.eq_abs) for k in range(vecs.shape[1])])
+    # each eigencolumn phase-fixed on its own, as a stack of 1×nd rows
+    return phase_fixed(vecs.T[:, None], tol.eq_abs)[:, 0].T
 
 
 def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -184,7 +185,7 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     u = (m @ ops2).sum(axis=0)
     if max_abs(u @ dagger(u) - np.eye(n)) > _VERIFY_TOL:
         raise NumericalFailure("induced vector map failed to be unitary")
-    if max_abs(u @ np.conj(ops2).transpose(0, 2, 1) - m) > _VERIFY_TOL:
+    if max_abs(u @ dagger(ops2) - m) > _VERIFY_TOL:
         raise NumericalFailure("induced vector map violates its defining relation")
     return w_full, u
 

@@ -25,6 +25,8 @@ from .numerics import (
     hermitian_eig,
     max_abs,
     operator_norm,
+    psd_factor,
+    rank_cutoff,
 )
 
 __all__ = [
@@ -93,7 +95,7 @@ def _rank_and_null(m, tol: Tolerance):
     # rank and a unit x with m x ≈ 0: a square or tall m's last right singular vector; a wide
     # m is short by counting, and e_k minus its row-space part is exact, k least covered (first)
     _, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
     if len(vh) == m.shape[1]:
         return rank, np.conj(vh[-1])
     k = int(np.argmin(np.sum(np.abs(vh) ** 2, axis=0)))
@@ -192,11 +194,7 @@ def _check_certificate(ch: Channel, cert: DependencyCertificate, tol: Tolerance)
 def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
     # coefficient rows b with bᵀ·conj(b) = coeff (PSD hermitian): the map
     # x -> Σ_ij coeff_ij v_i x v_j* has the Kraus operators b @ v
-    gammas, basis = hermitian_eig(coeff, tol)
-    if gammas[0] <= 0.0:
-        raise NumericalFailure("mixing coefficient matrix has no positive part")
-    keep = gammas > tol.rank_rel * gammas[0]
-    return (basis[:, keep] * np.sqrt(gammas[keep])).T
+    return psd_factor(coeff, tol)[1].T
 
 
 def _ops(rows: np.ndarray, family: KrausFamily) -> np.ndarray:

@@ -19,16 +19,17 @@ from itertools import product
 
 import numpy as np
 
-from .channels import Channel, NotCompletelyPositive
+from .channels import Channel
 from .numerics import (
     DEFAULT_TOLERANCE,
+    NotCompletelyPositive,
     NumericalFailure,
     Tolerance,
     as_matrix,
     dagger,
     hermitian_eig,
     max_abs,
-    psd_allowance,
+    psd_factor,
 )
 
 __all__ = [
@@ -80,15 +81,14 @@ def schur_channel(spec: SchurSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> Channe
     Kraus operators are the diagonal factors of m = Σ_r c_r c_r*; a
     non-PSD multiplier lies outside the face and is rejected.
     """
-    m = spec.matrix
+    try:
+        cols = psd_factor(spec.matrix, tol)[1]
+    except NotCompletelyPositive as exc:
+        raise NotCompletelyPositive(f"multiplier matrix outside the face: {exc}") from None
     k = spec.size
-    vals, vecs = hermitian_eig(m, tol)
-    if float(vals[-1]) < -psd_allowance(vals, tol):
-        raise NotCompletelyPositive("multiplier matrix is not PSD: outside the face")
-    keep = vals > tol.rank_rel * max(float(vals[0]), 1.0)
-    # operator r is diag(sqrt(vals[r]) · vecs[:, r])
-    ops = np.zeros((np.count_nonzero(keep), k, k), dtype=complex)
-    ops[:, np.arange(k), np.arange(k)] = (vecs[:, keep] * np.sqrt(vals[keep])).T
+    # operator r is diag(cols[:, r])
+    ops = np.zeros((cols.shape[1], k, k), dtype=complex)
+    ops[:, np.arange(k), np.arange(k)] = cols.T
     return Channel.from_kraus(ops, tol)
 
 

@@ -2,7 +2,9 @@
 
 Every rank, positivity and equality decision in the package routes through
 this module, so a single vectorization convention (column stacking) and a
-single set of cutoffs apply everywhere.
+single set of cutoffs apply everywhere.  :func:`rank_cutoff` is the one rank
+cutoff (``rank_rel`` times the largest magnitude, floored at 1) and
+:func:`psd_factor` the one PSD square root.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "NumericalFailure",
+    "NotCompletelyPositive",
     "as_matrix",
     "dagger",
     "vec",
@@ -25,9 +28,11 @@ __all__ = [
     "is_hermitian",
     "hermitize",
     "hermitian_eig",
+    "rank_cutoff",
     "numerical_rank",
     "psd_allowance",
     "is_psd",
+    "psd_factor",
     "partial_trace",
     "phase_fixed",
 ]
@@ -37,11 +42,15 @@ class NumericalFailure(RuntimeError):
     """A verified construction failed its consistency check beyond tolerance."""
 
 
+class NotCompletelyPositive(ValueError):
+    """A matrix that must be PSD has a negative eigenvalue beyond tolerance."""
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical cutoffs shared by the whole package.
 
-    rank_rel   relative singular-value cutoff for rank decisions
+    rank_rel   rank cutoff relative to the largest magnitude (floored at 1)
     psd_abs    allowance for the most negative eigenvalue, scaled by the
                largest eigenvalue magnitude (floored at 1)
     eq_abs     entrywise allowance for equality tests
@@ -72,8 +81,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
 def vec(m) -> np.ndarray:
@@ -134,15 +143,19 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
+def rank_cutoff(values, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    """The one rank cutoff: ``rank_rel`` times the largest magnitude among
+    ``values``, floored at 1; values at or below it count as zero."""
+    return tol.rank_rel * max(1.0, max_abs(values))
+
+
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Number of singular values above ``rank_rel`` times the largest."""
+    """Number of singular values above :func:`rank_cutoff`."""
     arr = as_matrix(m)
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return int(np.count_nonzero(s > rank_cutoff(s, tol)))
 
 
 def psd_allowance(vals, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
@@ -155,6 +168,21 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Positive semidefiniteness of a hermitian matrix, within :func:`psd_allowance`."""
     vals, _ = hermitian_eig(m, tol)
     return vals.size == 0 or float(vals[-1]) >= -psd_allowance(vals, tol)
+
+
+def psd_factor(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, cols): the eigenvalues of a hermitian m above :func:`rank_cutoff`,
+    descending, and their eigencolumns scaled by sqrt, so cols @ cols* ≈ m.
+    Raises :class:`NotCompletelyPositive` unless m is PSD within
+    :func:`psd_allowance` with a positive eigenvalue."""
+    vals, vecs = hermitian_eig(m, tol)
+    if not vals.size or vals[0] <= 0.0:
+        raise NotCompletelyPositive("not PSD: no positive eigenvalue")
+    allowance = psd_allowance(vals, tol)
+    if vals[-1] < -allowance:
+        raise NotCompletelyPositive(f"not PSD: eigenvalue {vals[-1]:.3e} below -{allowance:.3e}")
+    keep = vals > rank_cutoff(vals, tol)
+    return vals[keep], vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:

@@ -22,9 +22,10 @@ from .numerics import (
     dagger,
     hermitian_eig,
     max_abs,
+    numerical_rank,
     phase_fixed,
+    rank_cutoff,
     unvec,
-    vec,
 )
 
 __all__ = [
@@ -78,12 +79,6 @@ def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
     return eigs[order]
 
 
-def _in_fixed_kernel(s: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # singular values of T − I that count as zero: the cutoff is floored at 1,
-    # since T − I of a channel near the identity has s[0] < 1
-    return s <= tol.rank_rel * max(1.0, float(s[0]))
-
-
 def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """Orthonormal (Hilbert-Schmidt) basis of {x : τ(x) = x}.
 
@@ -95,21 +90,22 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     t = ch.superoperator()
     gap = t - np.eye(n * n)
     _, s, vh = np.linalg.svd(gap)
-    kernel = np.conj(vh[_in_fixed_kernel(s, tol)])
-    basis = [phase_fixed(unvec(x, n), tol.eq_abs) for x in kernel]
-    if not basis:
+    kernel = np.conj(vh[s <= rank_cutoff(s, tol)])
+    if not len(kernel):
         raise NumericalFailure("unital channel lost its fixed space — broken input")
+    # row k of kernel is vec(b_k): unvec the whole stack
+    basis = phase_fixed(kernel.reshape(-1, n, n).swapaxes(1, 2), tol.eq_abs)
 
-    q = np.stack([vec(b) for b in basis], axis=1)
-    proj = q @ dagger(q)
-    eye = np.eye(n * n)
-    for a in basis:
-        if max_abs((eye - proj) @ vec(dagger(a))) > _STRUCT_TOL:
-            raise NumericalFailure("fixed-point space is not adjoint-closed within tolerance")
-        for b in basis:
-            if max_abs((eye - proj) @ vec(a @ b)) > _STRUCT_TOL:
-                raise NumericalFailure("fixed-point space is not product-closed within tolerance")
-    return basis
+    def vecs(mats):  # row k is vec(mats[k])
+        return mats.swapaxes(-1, -2).reshape(-1, n * n)
+
+    q = vecs(basis)
+    off_span = np.eye(n * n) - q.T @ np.conj(q)  # projector onto the span's complement
+    if max_abs(vecs(dagger(basis)) @ off_span.T) > _STRUCT_TOL:
+        raise NumericalFailure("fixed-point space is not adjoint-closed within tolerance")
+    if max_abs(vecs(basis[:, None] @ basis[None, :]) @ off_span.T) > _STRUCT_TOL:
+        raise NumericalFailure("fixed-point space is not product-closed within tolerance")
+    return list(basis)
 
 
 def invariant_projection(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -151,8 +147,7 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     n = ch.dim
     t = ch.superoperator()
     eigs = _sorted_eigs(np.linalg.eigvals(t))
-    s = np.linalg.svd(t - np.eye(n * n), compute_uv=False)
-    fixed_dim = int(np.count_nonzero(_in_fixed_kernel(s, tol)))
+    fixed_dim = n * n - numerical_rank(t - np.eye(n * n), tol)
     ergodic = fixed_dim == 1
     peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
     period = _snap_period(peripheral, n) if ergodic else None
@@ -180,24 +175,18 @@ def _projection_family(x: np.ndarray, p: int) -> list:
 
 
 def _verify_family(ch: Channel, projections, tol: Tolerance) -> bool:
-    n = ch.dim
-    p = len(projections)
-    check = max(tol.eq_abs, 1e-10)
-    total = np.zeros((n, n), dtype=complex)
-    for e in projections:
-        if max_abs(e - dagger(e)) > check or max_abs(e @ e - e) > check:
-            return False
-        total = total + e
-    if max_abs(total - np.eye(n)) > check:
-        return False
-    for k in range(p):
-        for j in range(k + 1, p):
-            if max_abs(projections[k] @ projections[j]) > check:
-                return False
-    for k in range(p):
-        if max_abs(ch.apply(projections[k]) - projections[(k + 1) % p]) > check:
-            return False
-    return True
+    # hermitian, E_a E_b = δ_ab E_a, Σ E_k = I and τ(E_k) = E_{k+1 mod p}
+    e = np.stack(projections)
+    v = ch.kraus.ops
+    orth = np.eye(len(e))[:, :, None, None] * e[:, None]
+    image = (v[None] @ e[:, None] @ dagger(v)[None]).sum(axis=1)
+    defects = (
+        e - dagger(e),
+        e[:, None] @ e[None, :] - orth,
+        e.sum(axis=0) - np.eye(ch.dim),
+        image - np.roll(e, -1, axis=0),
+    )
+    return max(max_abs(x) for x in defects) <= max(tol.eq_abs, 1e-10)
 
 
 def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -259,8 +248,8 @@ def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERAN
     for e in fam.projections:
         vals, vecs = hermitian_eig(e, tol)
         r = int(np.count_nonzero(vals > 0.5))
-        cols = [phase_fixed(vecs[:, k], tol.eq_abs) for k in range(r)]
-        bases.append(np.stack(cols, axis=1))
+        # each eigencolumn phase-fixed on its own, as a stack of 1×n rows
+        bases.append(phase_fixed(vecs[:, :r].T[:, None], tol.eq_abs)[:, 0].T)
         ranks.append(r)
     if len(set(ranks)) != 1:
         raise ValueError(f"cyclic projections have unequal ranks {ranks}")

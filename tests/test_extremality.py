@@ -235,6 +235,15 @@ def test_decompose_cp_former_failures(seed):
     helpers.check_decomposition(ch, dec, CP)
 
 
+@pytest.mark.xfail(strict=True, raises=NumericalFailure, reason="ROADMAP item 2")
+def test_decompose_cp_last_known_failure():
+    # the last remainder has mass about 2e-7, so normalizing it amplifies a
+    # rounding-level unit defect past eq_abs; a fix shows up as an XPASS
+    ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(1276))
+    dec = decompose_extremal(ch, kind=CP)
+    helpers.check_decomposition(ch, dec, CP)
+
+
 def test_decompose_in_cp_class(rng):
     ch = helpers.random_unitary_mixture(2, 2, rng)
     dec = decompose_extremal(ch, kind=CP)

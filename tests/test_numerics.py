@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qbirkhoff.channels import kraus_from_choi
 from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
+    NotCompletelyPositive,
     Tolerance,
     dagger,
     frobenius_norm,
@@ -15,6 +17,9 @@ from qbirkhoff.numerics import (
     operator_norm,
     partial_trace,
     phase_fixed,
+    psd_allowance,
+    psd_factor,
+    rank_cutoff,
     unvec,
     vec,
 )
@@ -74,6 +79,53 @@ def test_numerical_rank_unitary_invariant(rng):
         w = helpers.haar_unitary(n, rng)
         assert numerical_rank(m) == r
         assert numerical_rank(u @ m @ w) == r
+
+
+def test_rank_cutoff_floors_at_one():
+    rel = DEFAULT_TOLERANCE.rank_rel
+    assert rank_cutoff(np.array([1e-3, 1e-12])) == rel
+    assert rank_cutoff(np.array([0.0])) == rel
+    assert rank_cutoff(np.array([-5.0, 2.0])) == 5.0 * rel
+    # below 1 the cutoff does not shrink with the matrix: a tiny one has rank 0
+    assert numerical_rank(1e-10 * np.eye(3)) == 0
+    assert numerical_rank(np.zeros((2, 3))) == 0
+
+
+def test_psd_factor_rebuilds_psd_input(rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n + 1))
+        g = random_complex(rng, (n, r)) / np.sqrt(n)
+        m = g @ dagger(g)
+        vals, cols = psd_factor(m)
+        assert len(vals) == r and cols.shape == (n, r)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert max_abs(cols @ dagger(cols) - m) < 1e-12
+
+
+def test_psd_factor_drops_the_gap_and_rejects_non_psd():
+    rel = DEFAULT_TOLERANCE.rank_rel
+    # 0.8·rank_rel lies above rank_rel·largest (largest 0.5) but not above rank_rel
+    vals, cols = psd_factor(np.diag([0.5, 0.8 * rel, 0.0]))
+    assert vals.tolist() == [0.5] and cols.shape == (3, 1)
+    edge = psd_allowance(np.array([1.0]))
+    psd_factor(np.diag([1.0, -0.99 * edge]))
+    with pytest.raises(NotCompletelyPositive):
+        psd_factor(np.diag([1.0, -1.01 * edge]))
+    with pytest.raises(NotCompletelyPositive):
+        psd_factor(np.zeros((3, 3)))
+
+
+def test_kraus_from_choi_drops_an_operator_in_the_gap(rng):
+    # Choi matrix with top eigenvalue 0.5 < 1 and a second one at 0.8·rank_rel:
+    # the floored cutoff counts the second as zero, so one operator is left
+    q = np.linalg.qr(random_complex(rng, (4, 2)))[0]
+    choi = 0.5 * np.outer(q[:, 0], np.conj(q[:, 0]))
+    choi += 0.8 * DEFAULT_TOLERANCE.rank_rel * np.outer(q[:, 1], np.conj(q[:, 1]))
+    fam = kraus_from_choi(choi)
+    assert fam.index == 1
+    kept = np.outer(vec(fam.ops[0]), np.conj(vec(fam.ops[0])))
+    assert max_abs(kept - 0.5 * np.outer(q[:, 0], np.conj(q[:, 0]))) < 1e-12
 
 
 def test_partial_trace_of_kron_factors(rng):

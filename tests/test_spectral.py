@@ -18,7 +18,8 @@ from qbirkhoff.catalog import (
     weyl_mixture_channel,
     weyl_shift_clock_channel,
 )
-from qbirkhoff.numerics import dagger, max_abs, vec
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, vec
+from qbirkhoff.spectral import _verify_family
 
 import helpers
 
@@ -106,6 +107,15 @@ def test_cyclic_family_weyl_pair():
     fam = cyclic_projections(ch)
     assert fam is not None and fam.period == 3
     check_cyclic_postconditions(ch, fam)
+
+
+def test_verify_family_rejects_wrong_order_and_perturbation():
+    ch = weyl_shift_clock_channel(2)
+    projections = list(cyclic_projections(ch).projections)
+    assert _verify_family(ch, projections, DEFAULT_TOLERANCE)
+    assert not _verify_family(ch, projections[::-1], DEFAULT_TOLERANCE)
+    bumped = [projections[0] + 1e-6 * np.diag([1.0, 0.0, 0.0]), *projections[1:]]
+    assert not _verify_family(ch, bumped, DEFAULT_TOLERANCE)
 
 
 def test_cyclic_family_swap():
