@@ -29,6 +29,8 @@ from .numerics import (
     max_abs,
     phase_fixed,
     psd_factor,
+    unvec,
+    vec,
 )
 
 __all__ = [
@@ -74,8 +76,8 @@ class KrausFamily:
             raise ValueError(f"Kraus family is not one d×n×n array: {exc}") from exc
         if a.shape[:1] == (0,):
             raise ValueError("an empty Kraus family has no algebra size")
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ValueError(f"Kraus family of shape {a.shape} is not d×n×n")
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
+            raise ValueError(f"Kraus family of shape {a.shape} is not d×n×n with n ≥ 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("Kraus family contains non-finite entries")
         return cls(a)
@@ -124,9 +126,7 @@ def apply_kraus(ops, x) -> np.ndarray:
 
 def choi_from_kraus(k) -> np.ndarray:
     """n²×n² Choi matrix; block (i,j) equals the channel applied to e_ij."""
-    a = KrausFamily.from_ops(k).ops
-    d, n = a.shape[0], a.shape[1]
-    w = a.transpose(0, 2, 1).reshape(d, n * n)  # row k is vec(v_k)
+    w = vec(KrausFamily.from_ops(k).ops)  # row k is vec(v_k)
     # summing outer products in Kraus order, not a BLAS product: with a
     # degenerate spectrum, last-bit changes here pick another eigh basis and
     # so other canonical Kraus operators
@@ -163,8 +163,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     if n * n != n2 or c.shape != (n2, n2):
         raise ValueError(f"Choi matrix of shape {c.shape} is not n² by n²")
     vals, cols = psd_factor(c, tol)
-    # column k is vec(v_k): unvec each one
-    ops = phase_fixed(cols.T.reshape(-1, n, n).transpose(0, 2, 1), tol.eq_abs)
+    ops = phase_fixed(unvec(cols.T, n), tol.eq_abs)
     order = sorted(range(len(ops)), key=lambda k: _canonical_sort_key(float(vals[k]), ops[k]))
     return KrausFamily(ops[order])
 

@@ -336,3 +336,7 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -223,11 +223,14 @@ def certificate_from_dict(data) -> ConjugacyCertificate:
     missing = {"u", "g", "w"} - set(data)
     if missing:
         raise ValueError(f"certificate file lacks {sorted(missing)}")
+    antiunitary = data.get("antiunitary", False)
+    if not isinstance(antiunitary, bool):
+        raise ValueError(f'"antiunitary" must be true or false, got {antiunitary!r}')
     return ConjugacyCertificate(
         u=matrix_from_pairs(data["u"]),
         g=matrix_from_pairs(data["g"]),
         w=matrix_from_pairs(data["w"]),
-        antiunitary=bool(data.get("antiunitary", False)),
+        antiunitary=antiunitary,
     )
 
 

@@ -27,6 +27,7 @@ from .numerics import (
     operator_norm,
     psd_factor,
     rank_cutoff,
+    vec,
 )
 
 __all__ = [
@@ -77,8 +78,7 @@ def _reversed_products(family: KrausFamily) -> np.ndarray:
 
 def _columns(pairs: np.ndarray) -> np.ndarray:
     # n²×d² matrix whose column i·d+j is vec(pairs[i, j])
-    d, n = pairs.shape[0], pairs.shape[2]
-    return pairs.transpose(3, 2, 0, 1).reshape(n * n, d * d)
+    return vec(pairs).reshape(len(pairs) ** 2, -1).T
 
 
 def product_matrix(family: KrausFamily) -> np.ndarray:

@@ -86,18 +86,19 @@ def dagger(m) -> np.ndarray:
 
 
 def vec(m) -> np.ndarray:
-    """Column-stacking vectorization; vec(a @ x @ b) == kron(b.T, a) @ vec(x)."""
-    return np.asarray(m).reshape(-1, order="F")
+    """Column stacking of the last two axes; vec(a @ x @ b) == kron(b.T, a) @ vec(x)."""
+    m = np.asarray(m)
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
 
 
 def unvec(x, n: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` onto an ``n`` by ``n`` matrix."""
+    """Inverse of :func:`vec`, (..., n²) -> (..., n, n)."""
     x = np.asarray(x)
     if n is None:
-        n = int(round(np.sqrt(x.size)))
-    if n * n != x.size:
-        raise ValueError(f"vector of size {x.size} is not a square matrix")
-    return x.reshape((n, n), order="F")
+        n = int(round(np.sqrt(x.shape[-1])))
+    if n * n != x.shape[-1]:
+        raise ValueError(f"vector of size {x.shape[-1]} is not a square matrix")
+    return x.reshape(*x.shape[:-1], n, n).swapaxes(-1, -2)
 
 
 def frobenius_norm(m) -> float:
@@ -208,7 +209,7 @@ def phase_fixed(m, eq_abs: float = DEFAULT_TOLERANCE.eq_abs) -> np.ndarray:
     its first entry of modulus above ``eq_abs`` (row-major scan) becomes real
     positive; a matrix with no such entry is left as it is."""
     arr = np.asarray(m, dtype=complex)
-    flat = arr.reshape(len(arr) if arr.ndim == 3 else 1, -1)
+    flat = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])  # one row per matrix, or none
     above = np.abs(flat) > eq_abs
     found = above.any(axis=1)[:, None]
     z = np.where(found, flat[np.arange(len(flat)), np.argmax(above, axis=1)][:, None], 1.0)

@@ -1,9 +1,10 @@
 """Ergodic classification of doubly stochastic channels.
 
-Everything here reads off the superoperator: the fixed-point space is the
-kernel of T - I (a *-algebra for doubly stochastic maps), ergodicity means
-that kernel is the scalars, the peripheral spectrum detects periodicity, and
-a cyclic projection family can be deperiodized by an explicit unitary.
+Everything here reads off the superoperator T.  Eigenoperators τ(x) = μx
+are the kernel of T − μI at the one rank cutoff: μ = 1 gives the fixed-point
+*-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the period p read
+off the peripheral spectrum, the cyclic projection family that an explicit
+unitary deperiodizes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .numerics import (
     phase_fixed,
     rank_cutoff,
     unvec,
+    vec,
 )
 
 __all__ = [
@@ -79,6 +81,13 @@ def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
     return eigs[order]
 
 
+def _eigenspace(t: np.ndarray, mu: complex, tol: Tolerance) -> np.ndarray:
+    # k×n×n stack, Hilbert-Schmidt orthonormal and phase-fixed, spanning
+    # {x : τ(x) = μx}: the singular values of T − μI at or below rank_cutoff
+    _, s, vh = np.linalg.svd(t - mu * np.eye(len(t)))
+    return phase_fixed(unvec(np.conj(vh[s <= rank_cutoff(s, tol)])), tol.eq_abs)
+
+
 def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """Orthonormal (Hilbert-Schmidt) basis of {x : τ(x) = x}.
 
@@ -87,30 +96,20 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """
     _require_doubly_stochastic(ch)
     n = ch.dim
-    t = ch.superoperator()
-    gap = t - np.eye(n * n)
-    _, s, vh = np.linalg.svd(gap)
-    kernel = np.conj(vh[s <= rank_cutoff(s, tol)])
-    if not len(kernel):
+    basis = _eigenspace(ch.superoperator(), 1, tol)
+    if not len(basis):
         raise NumericalFailure("unital channel lost its fixed space — broken input")
-    # row k of kernel is vec(b_k): unvec the whole stack
-    basis = phase_fixed(kernel.reshape(-1, n, n).swapaxes(1, 2), tol.eq_abs)
-
-    def vecs(mats):  # row k is vec(mats[k])
-        return mats.swapaxes(-1, -2).reshape(-1, n * n)
-
-    q = vecs(basis)
+    q = vec(basis)
     off_span = np.eye(n * n) - q.T @ np.conj(q)  # projector onto the span's complement
-    if max_abs(vecs(dagger(basis)) @ off_span.T) > _STRUCT_TOL:
+    if max_abs(vec(dagger(basis)) @ off_span.T) > _STRUCT_TOL:
         raise NumericalFailure("fixed-point space is not adjoint-closed within tolerance")
-    if max_abs(vecs(basis[:, None] @ basis[None, :]) @ off_span.T) > _STRUCT_TOL:
+    if max_abs(vec(basis[:, None] @ basis[None, :]) @ off_span.T) > _STRUCT_TOL:
         raise NumericalFailure("fixed-point space is not product-closed within tolerance")
     return list(basis)
 
 
 def invariant_projection(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """A projection E ∉ {0, I} with τ(E) = E, or None for ergodic channels."""
-    _require_doubly_stochastic(ch)
     basis = fixed_point_space(ch, tol)
     if len(basis) == 1:
         return None
@@ -195,26 +194,20 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     Works from an eigenoperator x with τ(x) = e^{2πi/p} x, rescaled so its
     spectrum sits on the p-th roots of unity; the averaged powers of x are
     then the spectral projections.  This succeeds for the ergodic periodic
-    case the construction is made for, and for non-ergodic channels whose
-    peripheral structure happens to be as clean (a permutation-like part);
-    when post-verification fails, None is returned rather than an unverified
-    family.  Channels with trivial peripheral structure are refused.
+    case and for non-ergodic channels as clean as the swap channel.  Only
+    single eigenspace basis elements are tried, so a higher-dimensional
+    eigenspace, like a failed post-verification, may give None rather than an
+    unverified family.  Channels with trivial peripheral structure are refused.
     """
     _require_doubly_stochastic(ch)
     n = ch.dim
-    vals, vecs = np.linalg.eig(ch.superoperator())
+    t = ch.superoperator()
+    vals = np.linalg.eigvals(t)
     p = _snap_period(vals[np.abs(vals) > 1.0 - PERIPHERAL_BAND], n)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
-
-    theta = np.exp(2j * np.pi / p)
-    close = np.nonzero(np.abs(vals - theta) <= 1e-6)[0]
-    if close.size == 0:
-        close = np.array([int(np.argmin(np.abs(vals - theta)))])
-
     candidates = []
-    for idx in close:
-        x = unvec(vecs[:, idx], n)
+    for x in _eigenspace(t, np.exp(2j * np.pi / p), tol):
         candidates.append(x)
         if p == 2:
             candidates.append((x + dagger(x)) / 2.0)

@@ -58,6 +58,21 @@ def random_unitary_mixture(n, k, rng):
     return Channel.from_kraus(KrausFamily.from_ops(ops))
 
 
+def random_periodic_channel(n, p, d, rng):
+    """Mixture of d operators (block shift)·(random block-diagonal unitary)
+    over p blocks of size n/p: block k maps onto block k+1 mod p, so the
+    channel is ergodic with period p generically for d ≥ 2."""
+    b = n // p
+    shift = np.kron(np.roll(np.eye(p), 1, axis=0), np.eye(b))
+    ops = []
+    for w in rng.dirichlet(np.ones(d)):
+        blocks = np.zeros((n, n), dtype=complex)
+        for k in range(p):
+            blocks[k * b : (k + 1) * b, k * b : (k + 1) * b] = haar_unitary(b, rng)
+        ops.append(np.sqrt(w) * shift @ blocks)
+    return Channel.from_kraus(KrausFamily.from_ops(ops))
+
+
 def random_ds_matrix(n, rng, k=None):
     """Doubly stochastic matrix as a Dirichlet mixture of random permutations."""
     k = k or n * n

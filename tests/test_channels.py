@@ -39,6 +39,7 @@ def test_family_validation_rejects_mixed_shapes():
         [inf],
         np.eye(2),  # one matrix, not a stack
         np.ones((1, 2, 2, 2)),
+        np.zeros((1, 0, 0)),  # operators of size 0 act on no space
     ]
     for ops in rejected:
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qbirkhoff.cli import _tolerance, build_parser, main
 from qbirkhoff import dumps_channel
+from qbirkhoff.channels import matrix_to_pairs
 from qbirkhoff.catalog import build_example
 
 
@@ -176,6 +181,22 @@ def test_conjugacy_rejects_nan_in_certificate(tmp_path, capsys):
     assert "NaN" in err
 
 
+@pytest.mark.parametrize("flag, code", [(False, 0), ("false", 1), (0, 1)])
+def test_certificate_antiunitary_must_be_a_json_boolean(tmp_path, capsys, flag, code):
+    # bool("false") is True: a string flag would silently flip the check
+    u, g = matrix_to_pairs(np.eye(4)), matrix_to_pairs(np.eye(2))
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps({"u": u, "g": g, "w": u, "antiunitary": flag}))
+    got, out, err = run_cli(
+        capsys, "conjugacy", "ex2.4", "ex2.4", "--certificate", str(cpath), "--json"
+    )
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["verdict"] == "certificate verified: conjugate"
+    else:
+        assert out == "" and "antiunitary" in err
+
+
 def test_tol_sets_the_three_tolerance_fields():
     args = build_parser().parse_args(["analyze", "ex2.4", "--tol", "1e-6"])
     tol = _tolerance(args)
@@ -295,6 +316,31 @@ def test_classify_aperiodic_has_no_family(capsys):
     doc = json.loads(out)
     assert doc["strongly_mixing"] is True
     assert doc["cyclic_projections"] is None
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "example"])
+def test_size_zero_operators_are_exit_1(capsys, command):
+    code, out, err = run_cli(capsys, command, "identity", "--n", "0", "--json")
+    assert code == 1
+    assert out == ""
+
+
+def run_module(*argv):
+    # pytest's pythonpath setting does not reach a child process
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "qbirkhoff.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_python_m_runs_the_cli():
+    bad = run_module("analyze", "ex2.8", "--z", "1.5")
+    assert bad.returncode == 2
+    assert "outside the face" in bad.stderr
+    ok = run_module("analyze", "ex2.4", "--json")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["dim"] == 4
 
 
 def test_missing_file_is_exit_1(capsys):

@@ -43,10 +43,18 @@ def test_tolerance_fields_validated():
     assert DEFAULT_TOLERANCE == Tolerance()
 
 
-def test_vec_is_column_stacking():
+def test_vec_is_column_stacking(rng):
     m = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(vec(m), np.array([1, 3, 2, 4], dtype=complex))
     assert np.array_equal(unvec(vec(m), 2), m)
+    # stacks vectorize matrix by matrix on the last two axes
+    for shape in ((4, 3, 3), (2, 2, 3, 3)):
+        stack = random_complex(rng, shape)
+        flat = vec(stack)
+        assert flat.shape == (*shape[:-2], 9)
+        for idx in np.ndindex(*shape[:-2]):
+            assert np.array_equal(flat[idx], vec(stack[idx]))
+        assert np.array_equal(unvec(flat), stack)
 
 
 def test_vec_kron_identity(rng):
@@ -187,6 +195,8 @@ def test_phase_fixed_leading_entry_real_positive(rng):
     for k in range(4):
         assert np.array_equal(out[k], phase_fixed(stack[k]))
     assert np.array_equal(out[2], stack[2])
+    empty = np.zeros((0, 3, 3), dtype=complex)
+    assert phase_fixed(empty).shape == (0, 3, 3)
 
 
 def test_non_finite_rejected():

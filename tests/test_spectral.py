@@ -147,6 +147,24 @@ def test_cyclic_projections_refuse_aperiodic():
         cyclic_projections(depolarizing_channel())
 
 
+def test_cyclic_projections_none_when_the_root_is_no_eigenvalue():
+    # phase differences of diag(1, i, e^{7πi/6}, 1) have denominators 4, 3
+    # and 12, so p = 12, but e^{2πi/12} is no eigenvalue: an empty eigenspace
+    u = np.diag(np.exp(2j * np.pi * np.array([0, 1 / 4, 7 / 12, 0])))
+    ch = Channel.from_kraus(KrausFamily.from_ops([u]))
+    assert cyclic_projections(ch) is None
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (6, 3), (8, 4), (9, 3)])
+def test_cyclic_family_on_random_periodic_channels(n, p):
+    rng = np.random.default_rng(100 * n + p)
+    ch = helpers.random_periodic_channel(n, p, 2, rng)
+    assert classify(ch).period == p
+    fam = cyclic_projections(ch)
+    assert fam is not None and fam.period == p
+    check_cyclic_postconditions(ch, fam)
+
+
 def test_cycle_embed_deperiodizes():
     ch = cycle_embed_channel(3)
     cl = classify(ch)
