@@ -3,7 +3,9 @@
 Matrices are written out exactly as displayed in their sources of truth;
 builders return canonical :class:`~qbirkhoff.channels.Channel` values, with
 the raw families also exposed where certificate checks need the displayed
-representatives rather than the canonical gauge.
+representatives rather than the canonical gauge.  :data:`BUILTINS` is the
+one table of the named examples: each name's builder and the parameters it
+takes, with their types and defaults.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .channels import Channel, KrausFamily
 from .faces import M2CanonicalForm, SchurSpec, m2_index2_channel, schur_channel
-from .numerics import as_matrix
+from .numerics import DEFAULT_TOLERANCE, Tolerance, as_matrix
 
 __all__ = [
     "identity_channel",
@@ -20,30 +22,27 @@ __all__ = [
     "unitary_channel",
     "swap_channel",
     "diagonal_pair_family",
-    "diagonal_pair_channel",
     "qubit_multiplier_channel",
     "triple_multiplier_channel",
     "spin_triple_family",
-    "spin_triple_channel",
     "weyl_basis",
     "weyl_shift_clock_family",
-    "weyl_shift_clock_channel",
     "weyl_mixture_channel",
-    "m2_family_channel",
     "cycle_embed_channel",
+    "BUILTINS",
     "EXAMPLE_NAMES",
     "build_family",
     "build_example",
 ]
 
 
-def identity_channel(n: int = 2) -> Channel:
-    return Channel.from_kraus([np.eye(n)])
+def identity_channel(n: int = 2, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
+    return Channel.from_kraus([np.eye(n)], tol)
 
 
-def depolarizing_channel(n: int = 2) -> Channel:
+def depolarizing_channel(n: int = 2, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """x -> tr(x)·I/n, Kraus family {e_ij/√n}."""
-    return Channel.from_kraus(np.eye(n * n).reshape(n * n, n, n) / np.sqrt(n))
+    return Channel.from_kraus(np.eye(n * n).reshape(n * n, n, n) / np.sqrt(n), tol)
 
 
 def unitary_channel(u) -> Channel:
@@ -64,26 +63,25 @@ def diagonal_pair_family() -> KrausFamily:
     return KrausFamily.from_ops([v1, v2])
 
 
-def diagonal_pair_channel() -> Channel:
-    return Channel.from_kraus(diagonal_pair_family())
-
-
-def qubit_multiplier_channel(z: complex) -> Channel:
+def qubit_multiplier_channel(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """M₂ multiplier channel fixing the diagonal: e₁₂ -> z·e₁₂, |z| ≤ 1."""
-    spec = SchurSpec.from_matrix([[1.0, z], [np.conj(z), 1.0]])
-    return schur_channel(spec)
+    spec = SchurSpec.from_matrix([[1.0, z], [np.conj(z), 1.0]], tol)
+    return schur_channel(spec, tol)
 
 
-def triple_multiplier_channel(z1: complex, z2: complex, z3: complex) -> Channel:
+def triple_multiplier_channel(
+    z1: complex, z2: complex, z3: complex, tol: Tolerance = DEFAULT_TOLERANCE
+) -> Channel:
     """M₃ multiplier channel of the face fixing all three diagonal units."""
     spec = SchurSpec.from_matrix(
         [
             [1.0, z1, z3],
             [np.conj(z1), 1.0, z2],
             [np.conj(z3), np.conj(z2), 1.0],
-        ]
+        ],
+        tol,
     )
-    return schur_channel(spec)
+    return schur_channel(spec, tol)
 
 
 def spin_triple_family() -> KrausFamily:
@@ -93,10 +91,6 @@ def spin_triple_family() -> KrausFamily:
     ly = r * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
     lz = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
     return KrausFamily.from_ops([r * lx, r * ly, r * lz])
-
-
-def spin_triple_channel() -> Channel:
-    return Channel.from_kraus(spin_triple_family())
 
 
 def weyl_basis(n: int = 3) -> list:
@@ -115,28 +109,20 @@ def weyl_basis(n: int = 3) -> list:
     return out
 
 
-def weyl_shift_clock_family(m: int = 2) -> KrausFamily:
+def weyl_shift_clock_family(m: int) -> KrausFamily:
+    """τ(x) = (1/m) Σ_{k=1..m} v_k x v_k* over the non-identity basis elements."""
     if not 2 <= m <= 8:
         raise ValueError("the index parameter must lie in 2..8")
     basis = weyl_basis(3)
     return KrausFamily.from_ops([w / np.sqrt(m) for w in basis[1 : m + 1]])
 
 
-def weyl_shift_clock_channel(m: int = 2) -> Channel:
-    """τ(x) = (1/m) Σ_{k=1..m} v_k x v_k* over the non-identity basis elements."""
-    return Channel.from_kraus(weyl_shift_clock_family(m))
-
-
-def weyl_mixture_channel(m: int = 2, lam: float = 0.5) -> Channel:
+def weyl_mixture_channel(m: int, lam: float, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """τ_λ = λ·τ + (1−λ)·identity; strongly mixing for 0 < λ < 1."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     shifts = np.sqrt(lam) * weyl_shift_clock_family(m).ops
-    return Channel.from_kraus(np.concatenate([shifts, [np.sqrt(1.0 - lam) * np.eye(3)]]))
-
-
-def m2_family_channel(c1: float, c2: float) -> Channel:
-    return m2_index2_channel(M2CanonicalForm.from_c(c1, c2))
+    return Channel.from_kraus(np.concatenate([shifts, [np.sqrt(1.0 - lam) * np.eye(3)]]), tol)
 
 
 def cycle_embed_channel(n: int = 3) -> Channel:
@@ -149,59 +135,64 @@ def cycle_embed_channel(n: int = 3) -> Channel:
     return embed_classical(s)
 
 
-EXAMPLE_NAMES = (
-    "identity",
-    "depolarizing",
-    "ex2.4",
-    "ex2.8",
-    "ex2.9",
-    "ex2.10",
-    "ex2.11",
-    "ex2.12",
-    "m2",
-)
+def _weyl_example(m: int, lam: float | None, tol: Tolerance) -> Channel | KrausFamily:
+    # without a mixing weight the example is τ itself, kept as displayed
+    if lam is None:
+        return weyl_shift_clock_family(m)
+    return weyl_mixture_channel(m, lam, tol)
 
 
-def build_family(name: str, **params) -> KrausFamily:
-    """Raw (displayed) Kraus family of a builtin, for gauge-sensitive checks."""
-    if name == "ex2.4":
-        return diagonal_pair_family()
-    if name == "ex2.11":
-        return spin_triple_family()
-    if name == "ex2.12" and params.get("lam") is None:
-        return weyl_shift_clock_family(int(params.get("m", 2)))
-    return build_example(name, **params).kraus
+# name -> (builder, {parameter: (type, default)}).  ``builder(tol=..., **params)``
+# returns the channel, or the displayed Kraus family where certificate checks
+# need it (Examples 2.4, 2.11 and the unmixed 2.12).
+BUILTINS = {
+    "identity": (identity_channel, {"n": (int, 2)}),
+    "depolarizing": (depolarizing_channel, {"n": (int, 2)}),
+    "ex2.4": (lambda tol: diagonal_pair_family(), {}),
+    "ex2.8": (qubit_multiplier_channel, {"z": (complex, 0.5)}),
+    "ex2.9": (
+        triple_multiplier_channel,
+        {"z1": (complex, 0.0), "z2": (complex, 0.0), "z3": (complex, 0.0)},
+    ),
+    "ex2.10": (
+        lambda x1, x2, x3, tol: triple_multiplier_channel(x1, x2, x3, tol),
+        {"x1": (float, 0.0), "x2": (float, 0.0), "x3": (float, 0.0)},
+    ),
+    "ex2.11": (lambda tol: spin_triple_family(), {}),
+    "ex2.12": (_weyl_example, {"m": (int, 2), "lam": (float, None)}),
+    "m2": (
+        lambda c1, c2, tol: m2_index2_channel(M2CanonicalForm.from_c(c1, c2), tol),
+        {"c1": (float, 0.0), "c2": (float, 0.5)},
+    ),
+}
+
+EXAMPLE_NAMES = tuple(BUILTINS)
 
 
-def build_example(name: str, **params) -> Channel:
-    """Materialize a named builtin; unknown names raise KeyError."""
-    if name == "identity":
-        return identity_channel(int(params.get("n", 2)))
-    if name == "depolarizing":
-        return depolarizing_channel(int(params.get("n", 2)))
-    if name == "ex2.4":
-        return diagonal_pair_channel()
-    if name == "ex2.8":
-        return qubit_multiplier_channel(complex(params.get("z", 0.5)))
-    if name == "ex2.9":
-        return triple_multiplier_channel(
-            complex(params.get("z1", 0.0)),
-            complex(params.get("z2", 0.0)),
-            complex(params.get("z3", 0.0)),
-        )
-    if name == "ex2.10":
-        return triple_multiplier_channel(
-            float(params.get("x1", 0.0)),
-            float(params.get("x2", 0.0)),
-            float(params.get("x3", 0.0)),
-        )
-    if name == "ex2.11":
-        return spin_triple_channel()
-    if name == "ex2.12":
-        m = int(params.get("m", 2))
-        if params.get("lam") is not None:
-            return weyl_mixture_channel(m, float(params["lam"]))
-        return weyl_shift_clock_channel(m)
-    if name == "m2":
-        return m2_family_channel(float(params.get("c1", 0.0)), float(params.get("c2", 0.5)))
-    raise KeyError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+def _build(name: str, tol: Tolerance, params: dict) -> Channel | KrausFamily:
+    if name not in BUILTINS:
+        raise KeyError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    builder, declared = BUILTINS[name]
+    unknown = [key for key in params if key not in declared]
+    if unknown:
+        takes = ", ".join(declared) or "no parameters"
+        raise ValueError(f"{name} takes no parameter {', '.join(unknown)} (it takes {takes})")
+    args = {}
+    for key, (kind, default) in declared.items():
+        value = params.get(key, default)
+        args[key] = None if value is None else kind(value)
+    return builder(tol=tol, **args)
+
+
+def build_family(name: str, *, tol: Tolerance = DEFAULT_TOLERANCE, **params) -> KrausFamily:
+    """Raw (displayed) Kraus family of a builtin, for gauge-sensitive checks;
+    the canonical family where the builtin displays none."""
+    made = _build(name, tol, params)
+    return made.kraus if isinstance(made, Channel) else made
+
+
+def build_example(name: str, *, tol: Tolerance = DEFAULT_TOLERANCE, **params) -> Channel:
+    """Materialize a named builtin; unknown names raise KeyError, parameters
+    it does not take ValueError."""
+    made = _build(name, tol, params)
+    return made if isinstance(made, Channel) else Channel.from_kraus(made, tol)

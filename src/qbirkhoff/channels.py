@@ -183,9 +183,7 @@ class Channel:
 
     @classmethod
     def from_kraus(cls, ops, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
-        canon = kraus_from_choi(choi_from_kraus(ops), tol)
-        unital, tp = canon.validate(tol)
-        return cls(canon, unital, tp)
+        return cls.from_choi(choi_from_kraus(ops), tol)
 
     @classmethod
     def from_choi(cls, choi, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
@@ -233,8 +231,9 @@ def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 
 
 def matrix_to_pairs(m) -> list:
-    arr = as_matrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    """Nested lists of [re, im] pairs, for an array of any shape."""
+    a = np.asarray(m, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def matrix_from_pairs(rows) -> np.ndarray:

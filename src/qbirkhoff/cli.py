@@ -21,13 +21,11 @@ from .birkhoff import (
     decomposition_to_dicts,
     loads_ds_matrix,
 )
-from .catalog import EXAMPLE_NAMES, build_example, build_family
+from .catalog import BUILTINS, build_example, build_family
 from .channels import (
     Channel,
-    KrausFamily,
     NotCompletelyPositive,
     channel_to_dict,
-    dumps_channel,
     family_from_dict,
     loads_json,
     matrix_to_pairs,
@@ -62,9 +60,30 @@ def _emit(payload):
     sys.stdout.write("\n")
 
 
-def _example_params(args) -> dict:
-    keys = ("n", "z", "z1", "z2", "z3", "x1", "x2", "x3", "m", "lam", "c1", "c2")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+# every builtin parameter, in table order, with its flag's type and help;
+# built once, since build_parser runs on every main() call
+_PARAMS = {
+    key: (kind, "parameter of " + ", ".join(n for n, (_, d) in BUILTINS.items() if key in d))
+    for _, declared in BUILTINS.values()
+    for key, (kind, _) in declared.items()
+}
+
+
+def _flags(keys) -> str:
+    return " ".join(f"--{key}" for key in keys) or "no flags"
+
+
+def _builtin_params(args, sources) -> list:
+    """The builtin flags each channel argument takes: a builtin name takes
+    the parameters it declares, a channel file or "-" none.  A flag that no
+    argument takes is invalid input."""
+    given = {k: getattr(args, k) for k in _PARAMS if getattr(args, k) is not None}
+    declared = [BUILTINS[s][1] if s in BUILTINS else {} for s in sources]
+    stray = [k for k in given if not any(k in d for d in declared)]
+    if stray:
+        takes = "; ".join(f"{s} takes {_flags(d)}" for s, d in zip(sources, declared))
+        raise ValueError(f"no channel argument takes {_flags(stray)} ({takes})")
+    return [{k: v for k, v in given.items() if k in d} for d in declared]
 
 
 def _read_text(source: str) -> str:
@@ -74,19 +93,19 @@ def _read_text(source: str) -> str:
         return fh.read()
 
 
-def _load_family(source: str, args) -> KrausFamily:
-    """Channel source: "-" for stdin, a channel file path, or a builtin name."""
-    if source != "-" and source in EXAMPLE_NAMES:
-        return build_family(source, **_example_params(args))
-    return family_from_dict(loads_json(_read_text(source)))
+def _load_families(args, tol: Tolerance, *sources) -> list:
+    """Channel sources: "-" for stdin, a channel file path, or a builtin name."""
+    return [
+        build_family(source, tol=tol, **params)
+        if source in BUILTINS
+        else family_from_dict(loads_json(_read_text(source)))
+        for source, params in zip(sources, _builtin_params(args, sources))
+    ]
 
 
-def _load_channel(source: str, args, tol: Tolerance) -> Channel:
-    return Channel.from_kraus(_load_family(source, args), tol)
-
-
-def _complex_pairs(values) -> list:
-    return [[float(np.real(z)), float(np.imag(z))] for z in values]
+def _load_channel(args, tol: Tolerance) -> Channel:
+    (fam,) = _load_families(args, tol, args.channel)
+    return Channel.from_kraus(fam, tol)
 
 
 def _certificate_dict(cert) -> dict | None:
@@ -97,10 +116,10 @@ def _certificate_dict(cert) -> dict | None:
 
 def _classification_dict(sc) -> dict:
     return {
-        "eigenvalues": _complex_pairs(sc.eigenvalues),
+        "eigenvalues": matrix_to_pairs(sc.eigenvalues),
         "fixed_dim": sc.fixed_dim,
         "ergodic": sc.ergodic,
-        "peripheral": _complex_pairs(sc.peripheral),
+        "peripheral": matrix_to_pairs(sc.peripheral),
         "period": sc.period,
         "aperiodic": sc.aperiodic,
         "strongly_mixing": sc.strongly_mixing,
@@ -109,7 +128,7 @@ def _classification_dict(sc) -> dict:
 
 def cmd_analyze(args) -> int:
     tol = _tolerance(args)
-    ch = _load_channel(args.channel, args, tol)
+    ch = _load_channel(args, tol)
     report = {
         "dim": ch.dim,
         "index": ch.index,
@@ -154,7 +173,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol = _tolerance(args)
-    ch = _load_channel(args.channel, args, tol)
+    ch = _load_channel(args, tol)
     kind = CP_PHI if args.kind == "CP_phi" else CP
     dec = decompose_extremal(ch, kind=kind, max_depth=args.max_depth, tol=tol)
     _emit([{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms])
@@ -170,8 +189,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_conjugacy(args) -> int:
     tol = _tolerance(args)
-    fam_a = _load_family(args.channel_a, args)
-    fam_b = _load_family(args.channel_b, args)
+    fam_a, fam_b = _load_families(args, tol, args.channel_a, args.channel_b)
     if fam_a.dim != fam_b.dim:
         raise ValueError(f"dimension mismatch: {fam_a.dim} vs {fam_b.dim}")
     spec_a = spectrum_invariant(data_matrix(fam_a, tol=tol))
@@ -214,19 +232,16 @@ def cmd_birkhoff(args) -> int:
 
 
 def cmd_example(args) -> int:
-    try:
-        ch = build_example(args.name, **_example_params(args))
-    except KeyError as exc:
-        raise ValueError(str(exc)) from exc
-    sys.stdout.write(dumps_channel(ch))
-    sys.stdout.write("\n")
+    (params,) = _builtin_params(args, [args.name])
+    ch = build_example(args.name, tol=_tolerance(args), **params)
+    _emit(channel_to_dict(ch))
     _say(args, f"{args.name}: channel on M_{ch.dim}, index {ch.index}")
     return 0
 
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
-    ch = _load_channel(args.channel, args, tol)
+    ch = _load_channel(args, tol)
     sc = classify(ch, tol)
     report = _classification_dict(sc)
     report["cyclic_projections"] = None
@@ -263,18 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine output only (mute stderr text)")
 
     def example_params(p):
-        p.add_argument("--n", type=int, help="algebra size for identity/depolarizing")
-        p.add_argument("--z", type=complex, help="multiplier for ex2.8")
-        p.add_argument("--z1", type=complex)
-        p.add_argument("--z2", type=complex)
-        p.add_argument("--z3", type=complex)
-        p.add_argument("--x1", type=float)
-        p.add_argument("--x2", type=float)
-        p.add_argument("--x3", type=float)
-        p.add_argument("--m", type=int, help="index parameter for ex2.12")
-        p.add_argument("--lam", type=float, help="mixing weight for the ex2.12 variant")
-        p.add_argument("--c1", type=float)
-        p.add_argument("--c2", type=float)
+        for key, (kind, text) in _PARAMS.items():
+            p.add_argument(f"--{key}", type=kind, help=text)
 
     p = sub.add_parser("analyze", help="validation, extremality, spectra of a channel")
     p.add_argument("channel", help='channel file, "-" for stdin, or a builtin name')
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_birkhoff)
 
     p = sub.add_parser("example", help="emit a builtin channel file")
-    p.add_argument("name", help=", ".join(EXAMPLE_NAMES))
+    p.add_argument("name", help=", ".join(BUILTINS))
     common(p)
     example_params(p)
     p.set_defaults(func=cmd_example)

@@ -27,16 +27,14 @@ from qbirkhoff import (
 )
 from qbirkhoff.birkhoff import birkhoff_decompose
 from qbirkhoff.catalog import (
+    build_example,
     cycle_embed_channel,
     depolarizing_channel,
-    diagonal_pair_channel,
     diagonal_pair_family,
     identity_channel,
-    spin_triple_channel,
     spin_triple_family,
     swap_channel,
     weyl_mixture_channel,
-    weyl_shift_clock_channel,
 )
 from qbirkhoff.numerics import dagger, max_abs
 
@@ -72,7 +70,7 @@ def test_criterion_1_diagonal_pair_reproduction(capfd):
 def test_criterion_2_spin_triple_reproduction(capfd):
     fam = spin_triple_family()
     unit_err = max_abs(sum(v @ dagger(v) for v in fam.ops) - np.eye(3))
-    extremal, _ = choi_extremal_test(spin_triple_channel())
+    extremal, _ = choi_extremal_test(build_example("ex2.11"))
     conj = conjugate_channel(fam)
     # expand each conjugated operator in the original three directions
     basis = fam.ops
@@ -97,7 +95,7 @@ def test_criterion_2_spin_triple_reproduction(capfd):
 
 
 def test_criterion_3_weyl_pair(capfd):
-    ch = weyl_shift_clock_channel(2)
+    ch = build_example("ex2.12", m=2)
     cl = classify(ch)
     extremal, cert = landau_streater_test(ch)
     fwd, rev = cert.residuals(ch.kraus) if cert is not None else (np.inf, np.inf)
@@ -134,7 +132,7 @@ def test_criterion_4_ls_choi_consistency(capfd):
         corpus.extend(helpers.random_ds_channel(n, gen) for _ in range(170))
     gen = np.random.default_rng(4242)
     # structured members keep the LS ⟹ Choi direction non-vacuous
-    structured = [diagonal_pair_channel(), spin_triple_channel()]
+    structured = [build_example("ex2.4"), build_example("ex2.11")]
     structured += [
         Channel.from_kraus(KrausFamily.from_ops([helpers.haar_unitary(n, gen)]))
         for n in (2, 3, 4)

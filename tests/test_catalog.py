@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qbirkhoff.catalog import (
+    BUILTINS,
     EXAMPLE_NAMES,
     build_example,
     build_family,
@@ -12,7 +16,8 @@ from qbirkhoff.catalog import (
     weyl_mixture_channel,
     weyl_shift_clock_family,
 )
-from qbirkhoff.numerics import dagger, max_abs
+from qbirkhoff.channels import NotCompletelyPositive, dumps_channel
+from qbirkhoff.numerics import Tolerance, dagger, max_abs
 
 
 def test_every_named_example_is_doubly_stochastic():
@@ -106,3 +111,40 @@ def test_parameterized_examples():
     assert ch.dim == 3 and ch.kraus.index == 1
     ch = build_example("m2", c1=0.2, c2=0.7)
     assert ch.dim == 2
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_every_builtin_takes_each_declared_parameter_at_its_default(name):
+    plain = dumps_channel(build_example(name))
+    for key, (_, default) in BUILTINS[name][1].items():
+        assert dumps_channel(build_example(name, **{key: default})) == plain, key
+        assert build_family(name, **{key: default}).dim == build_example(name).dim
+
+
+def test_undeclared_parameters_are_rejected():
+    for build in (build_example, build_family):
+        with pytest.raises(ValueError, match="ex2.4 takes no parameter n"):
+            build("ex2.4", n=3)
+        with pytest.raises(ValueError, match="x1, x2, x3"):
+            build("ex2.10", z1=0.5)
+
+
+def test_tolerance_reaches_builtin_construction():
+    # |z| = 1 + 1e-7 leaves the multiplier matrix an eigenvalue of -1e-7
+    with pytest.raises(NotCompletelyPositive, match="not PSD"):
+        build_example("ex2.8", z=1.0000001)
+    loose = Tolerance(rank_rel=1e-3, psd_abs=1e-3, eq_abs=1e-3)
+    ch = build_example("ex2.8", z=1.0000001, tol=loose)
+    assert ch.dim == 2 and ch.kraus.index == 1
+
+
+def test_readme_table_lists_every_builtin_and_parameter():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {}
+    for name, params in re.findall(r"^\| `([^`]+)` \|.*\| ([^|]*) \|$", readme, re.M):
+        listed[name] = dict(re.findall(r"`--(\w+)` \(([^)]*)\)", params))
+    declared = {
+        name: {k: "unset" if d is None else f"{d:g}" for k, (_, d) in params.items()}
+        for name, (_, params) in BUILTINS.items()
+    }
+    assert listed == declared

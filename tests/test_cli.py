@@ -11,7 +11,7 @@ import pytest
 from qbirkhoff.cli import _tolerance, build_parser, main
 from qbirkhoff import dumps_channel
 from qbirkhoff.channels import matrix_to_pairs
-from qbirkhoff.catalog import build_example
+from qbirkhoff.catalog import BUILTINS, EXAMPLE_NAMES, build_example
 
 
 def run_cli(capsys, *argv):
@@ -346,3 +346,41 @@ def test_python_m_runs_the_cli():
 def test_missing_file_is_exit_1(capsys):
     code, _, _ = run_cli(capsys, "analyze", "/no/such/file.json", "--json")
     assert code == 1
+
+
+def test_flag_no_channel_argument_takes_is_exit_1(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "example", "ex2.10", "--z1", "0.5", "--json")
+    assert code == 1 and out == ""
+    assert "--z1" in err and "ex2.10 takes --x1 --x2 --x3" in err
+    path = tmp_path / "identity.json"
+    path.write_text(dumps_channel(build_example("identity")))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--n", "3", "--json")
+    assert code == 1 and out == ""
+    assert "--n" in err
+
+
+def test_each_channel_argument_gets_the_flags_it_declares(capsys):
+    code, out, _ = run_cli(capsys, "conjugacy", "identity", "ex2.12", "--n", "3", "--m", "3", "--json")
+    assert code == 0  # identity on M_3: --n reached it, or the dimensions would differ
+    assert len(json.loads(out)["spectrum_b"]) == 3  # one value per Kraus operator: m = 3
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_generated_flags_at_their_defaults(capsys, name):
+    flags = []
+    for key, (_, default) in BUILTINS[name][1].items():
+        if default is not None:
+            flags += [f"--{key}", str(default)]
+    _, plain, _ = run_cli(capsys, "example", name, "--json")
+    code, out, _ = run_cli(capsys, "example", name, *flags, "--json")
+    assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("command", ["analyze", "example"])
+def test_tol_reaches_builtin_construction(capsys, command):
+    argv = [command, "ex2.8", "--z", "1.0000001", "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "not PSD" in err
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
+    assert code == 0
+    assert json.loads(out)["dim"] == 2

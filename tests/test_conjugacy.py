@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qbirkhoff import (
     verify_certificate,
 )
 from qbirkhoff.catalog import diagonal_pair_family, spin_triple_family
+from qbirkhoff.conjugacy import certificate_from_dict, certificate_to_dict
 from qbirkhoff.numerics import NumericalFailure, dagger, max_abs
 
 import helpers
@@ -212,3 +215,17 @@ def test_dimension_mismatch_raises():
             KrausFamily.from_ops([np.eye(3)]),
             ConjugacyCertificate(u=np.eye(2), g=np.eye(1), w=np.eye(2)),
         )
+
+
+@pytest.mark.parametrize("antiunitary", [False, True])
+def test_certificate_dict_roundtrip(rng, antiunitary):
+    cert = ConjugacyCertificate(
+        u=helpers.haar_unitary(3, rng),
+        g=helpers.haar_unitary(2, rng),
+        w=helpers.haar_unitary(3, rng),
+        antiunitary=antiunitary,
+    )
+    back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+    for name in ("u", "g", "w"):
+        assert np.array_equal(getattr(back, name), getattr(cert, name))
+    assert back.antiunitary is antiunitary

@@ -13,11 +13,7 @@ from qbirkhoff import (
     landau_streater_test,
 )
 from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
-from qbirkhoff.catalog import (
-    diagonal_pair_channel,
-    spin_triple_channel,
-    weyl_shift_clock_channel,
-)
+from qbirkhoff.catalog import build_example
 from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -42,10 +38,10 @@ FROZEN_RANKS = {
 
 def named_channels():
     return {
-        "ex2.4": diagonal_pair_channel(),
-        "ex2.11": spin_triple_channel(),
-        "weyl2": weyl_shift_clock_channel(2),
-        "weyl3": weyl_shift_clock_channel(3),
+        "ex2.4": build_example("ex2.4"),
+        "ex2.11": build_example("ex2.11"),
+        "weyl2": build_example("ex2.12", m=2),
+        "weyl3": build_example("ex2.12", m=3),
     }
 
 
@@ -80,9 +76,9 @@ def test_unitary_channel_is_extremal(rng):
 
 
 def test_weyl_pair_certificate_is_frozen_diagonal():
-    _, cert = landau_streater_test(weyl_shift_clock_channel(2))
+    _, cert = landau_streater_test(build_example("ex2.12", m=2))
     assert max_abs(cert.lam - np.diag([1.0, -1.0])) < 1e-9
-    fwd, rev = cert.residuals(weyl_shift_clock_channel(2).kraus)
+    fwd, rev = cert.residuals(build_example("ex2.12", m=2).kraus)
     assert fwd < 1e-9 and rev < 1e-9
 
 
@@ -90,7 +86,7 @@ def test_hermitize_certificate_matches_the_tests(rng):
     # the public wrapper rebuilds the test's matrix and gives the same certificate
     cases = ((CP, choi_extremal_test, product_matrix), (CP_PHI, landau_streater_test, stacked_matrix))
     for kind, test, matrix in cases:
-        for ch in (weyl_shift_clock_channel(2), helpers.random_unitary_mixture(2, 4, rng)):
+        for ch in (build_example("ex2.12", m=2), helpers.random_unitary_mixture(2, 4, rng)):
             _, cert = test(ch)
             _, nullvec = _rank_and_null(matrix(ch.kraus), DEFAULT_TOLERANCE)
             again = hermitize_certificate(nullvec, ch.kraus, kind)
@@ -115,8 +111,8 @@ def test_certificates_have_unit_norm_and_small_residual(ds_corpus):
 
 def test_choi_implies_landau_streater(ds_corpus, rng):
     pool = list(ds_corpus)
-    pool.append(diagonal_pair_channel())
-    pool.append(spin_triple_channel())
+    pool.append(build_example("ex2.4"))
+    pool.append(build_example("ex2.11"))
     pool.extend(helpers.random_unitary_mixture(3, 2, rng) for _ in range(5))
     for ch in pool:
         choi_ok, _ = choi_extremal_test(ch)
@@ -128,7 +124,7 @@ def test_choi_implies_landau_streater(ds_corpus, rng):
 def test_ls_extremal_transfers_to_adjoint_and_choi(rng):
     # the stronger kind transfers to the weaker one and to the adjoint; use
     # channels rich enough to pass the test in the first place
-    pool = [diagonal_pair_channel(), spin_triple_channel()]
+    pool = [build_example("ex2.4"), build_example("ex2.11")]
     pool.extend(
         Channel.from_kraus(KrausFamily.from_ops([helpers.haar_unitary(n, rng)]))
         for n in (2, 3, 4)
@@ -144,7 +140,7 @@ def test_ls_extremal_transfers_to_adjoint_and_choi(rng):
 
 
 def test_convex_split_reconstructs(rng):
-    weyl = weyl_shift_clock_channel(2)
+    weyl = build_example("ex2.12", m=2)
     mixture = helpers.random_unitary_mixture(2, 3, rng)
     for ch, symmetric in ((weyl, True), (mixture, False)):
         _, cert = landau_streater_test(ch)
@@ -162,7 +158,7 @@ def test_convex_split_reconstructs(rng):
 
 
 def test_decompose_weyl_pair_exactly():
-    ch = weyl_shift_clock_channel(2)
+    ch = build_example("ex2.12", m=2)
     dec = decompose_extremal(ch)
     assert dec.complete and dec.depth == 1
     assert len(dec.terms) == 2
@@ -255,7 +251,7 @@ def test_decompose_in_cp_class(rng):
 
 
 def test_extremal_input_decomposes_to_single_term():
-    ch = diagonal_pair_channel()
+    ch = build_example("ex2.4")
     dec = decompose_extremal(ch)
     assert dec.complete and len(dec.terms) == 1
     weight, leaf = dec.terms[0]

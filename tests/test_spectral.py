@@ -11,12 +11,12 @@ from qbirkhoff import (
     invariant_projection,
 )
 from qbirkhoff.catalog import (
+    build_example,
     cycle_embed_channel,
     depolarizing_channel,
     identity_channel,
     swap_channel,
     weyl_mixture_channel,
-    weyl_shift_clock_channel,
 )
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, vec
 from qbirkhoff.spectral import _verify_family
@@ -53,7 +53,7 @@ def test_swap_channel_fixed_space():
 
 
 def test_weyl_pair_period_three():
-    cl = classify(weyl_shift_clock_channel(2))
+    cl = classify(build_example("ex2.12", m=2))
     assert cl.fixed_dim == 1 and cl.ergodic
     assert cl.period == 3 and not cl.aperiodic and not cl.strongly_mixing
     theta = np.exp(2j * np.pi / 3)
@@ -103,14 +103,14 @@ def test_unitary_channel_peripheral_is_phase_differences(rng):
 
 
 def test_cyclic_family_weyl_pair():
-    ch = weyl_shift_clock_channel(2)
+    ch = build_example("ex2.12", m=2)
     fam = cyclic_projections(ch)
     assert fam is not None and fam.period == 3
     check_cyclic_postconditions(ch, fam)
 
 
 def test_verify_family_rejects_wrong_order_and_perturbation():
-    ch = weyl_shift_clock_channel(2)
+    ch = build_example("ex2.12", m=2)
     projections = list(cyclic_projections(ch).projections)
     assert _verify_family(ch, projections, DEFAULT_TOLERANCE)
     assert not _verify_family(ch, projections[::-1], DEFAULT_TOLERANCE)
