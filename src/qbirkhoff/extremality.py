@@ -23,6 +23,7 @@ from .numerics import (
     dagger,
     frobenius_norm,
     hermitian_eig,
+    hermitize,
     max_abs,
     operator_norm,
     psd_factor,
@@ -40,7 +41,6 @@ __all__ = [
     "choi_extremal_test",
     "landau_streater_test",
     "hermitize_certificate",
-    "convex_split",
     "decompose_extremal",
 ]
 
@@ -178,19 +178,6 @@ def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     return _verdict(stacked_matrix(ch.kraus), ch.index, CP_PHI, tol)
 
 
-def _check_certificate(ch: Channel, cert: DependencyCertificate, tol: Tolerance):
-    lam = np.asarray(cert.lam)
-    d = ch.index
-    if lam.shape != (d, d):
-        raise ValueError(f"certificate shape {lam.shape} does not match index {d}")
-    if abs(operator_norm(lam) - 1.0) > 1e-8:
-        raise ValueError("certificate is not normalized to operator norm 1")
-    fwd, rev = cert.residuals(ch.kraus)
-    worst = max(fwd, rev) if cert.kind == CP_PHI else fwd
-    if worst > _CERT_RESIDUAL:
-        raise ValueError(f"certificate residual {worst:.3e} too large for a split")
-
-
 def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
     # coefficient rows b with bᵀ·conj(b) = coeff (PSD hermitian): the map
     # x -> Σ_ij coeff_ij v_i x v_j* has the Kraus operators b @ v
@@ -199,29 +186,6 @@ def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 def _ops(rows: np.ndarray, family: KrausFamily) -> np.ndarray:
     return np.tensordot(rows, family.ops, axes=1)
-
-
-def convex_split(
-    ch: Channel, cert: DependencyCertificate, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[tuple[float, Channel], tuple[float, Channel]]:
-    """Split τ = p·τ₊ + (1−p)·τ₋ along a certificate; returns ((p, τ₊), (1−p, τ₋)).
-
-    τ₊ and τ₋ have coefficient matrices I + aλ and I − bλ, with a and b
-    chosen to make both singular, so the index drops strictly on both
-    branches; p·a = (1−p)·b keeps the average equal to τ.  A certificate
-    with symmetric spectrum gives the plain ½-split.
-    """
-    _check_certificate(ch, cert, tol)
-    vals, _ = hermitian_eig(cert.lam, tol)
-    mu_max, mu_min = float(vals[0]), float(vals[-1])
-    if mu_max <= tol.eq_abs or mu_min >= -tol.eq_abs:
-        raise NumericalFailure("certificate spectrum does not straddle zero")
-    a, b = -1.0 / mu_min, 1.0 / mu_max
-    p = b / (a + b)
-    eye = np.eye(ch.index)
-    plus = Channel.from_kraus(_ops(_mix_family(eye + a * cert.lam, tol), ch.kraus), tol)
-    minus = Channel.from_kraus(_ops(_mix_family(eye - b * cert.lam, tol), ch.kraus), tol)
-    return (p, plus), (1.0 - p, minus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +252,8 @@ def decompose_extremal(
         terms.append((mass * w, Channel.from_kraus(_ops(rows, tau.kraus), tol)))
         if steps == 0:  # the remainder itself was the last term
             break
-        rest = (np.eye(tau.index) - w * rows.T @ np.conj(rows)) / (1.0 - w)
+        # hermitian by construction; the 1/(1−w) factor amplifies its rounding
+        rest = hermitize((np.eye(tau.index) - w * rows.T @ np.conj(rows)) / (1.0 - w))
         tau = _derived(_mix_family(rest, tol), tau.kraus, kind, tol)
         mass *= 1.0 - w
     else:

@@ -40,7 +40,6 @@ __all__ = [
     "m3_face_membership",
     "M3FaceScan",
     "m3_real_face_scan",
-    "scan_csv_lines",
     "M2CanonicalForm",
     "m2_index2_channel",
     "m2_index2_is_extremal",
@@ -200,10 +199,6 @@ def m3_real_face_scan(grid_step: float, tol: Tolerance = DEFAULT_TOLERANCE) -> M
     return M3FaceScan(
         entries=tuple(entries), vertices=vertices, extreme_candidates=tuple(candidates)
     )
-
-
-def scan_csv_lines(scan: M3FaceScan) -> list:
-    return [f"{x1:.12g},{x2:.12g},{x3:.12g},{cls}" for (x1, x2, x3), cls in scan.entries]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ __all__ = [
     "frobenius_norm",
     "operator_norm",
     "max_abs",
-    "is_hermitian",
     "hermitize",
     "hermitian_eig",
     "rank_cutoff",
@@ -114,11 +113,6 @@ def max_abs(m) -> float:
     """Largest entry magnitude; 0 for an empty array."""
     arr = np.asarray(m)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
-def is_hermitian(m, eq_abs: float = DEFAULT_TOLERANCE.eq_abs) -> bool:
-    arr = np.asarray(m)
-    return arr.ndim == 2 and arr.shape[0] == arr.shape[1] and max_abs(arr - dagger(arr)) <= eq_abs
 
 
 def hermitize(m, eq_abs: float | None = None) -> np.ndarray:

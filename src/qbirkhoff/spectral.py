@@ -4,7 +4,9 @@ Everything here reads off the superoperator T.  Eigenoperators τ(x) = μx
 are the kernel of T − μI at the one rank cutoff: μ = 1 gives the fixed-point
 *-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the period p read
 off the peripheral spectrum, the cyclic projection family that an explicit
-unitary deperiodizes.
+unitary deperiodizes.  Each peripheral eigenspace is a bimodule over the
+fixed algebra, which lies in the multiplicative domain, so one generic
+element of it carries its whole structure.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
 # eigenvalues this close to the unit circle count as peripheral
 PERIPHERAL_BAND = 1e-8
 
-# structural checks (normality, closure, projection defect) use a looser
+# structural checks (closure, cycling, the root's branch cut) use a looser
 # cutoff than entrywise equality: they sit behind an eigensolve
 _STRUCT_TOL = 1e-7
 
@@ -88,6 +90,16 @@ def _eigenspace(t: np.ndarray, mu: complex, tol: Tolerance) -> np.ndarray:
     return phase_fixed(unvec(np.conj(vh[s <= rank_cutoff(s, tol)])), tol.eq_abs)
 
 
+def _generic_element(basis: np.ndarray) -> np.ndarray:
+    # Σ_k b_k/√(k+1): one fixed real combination, with distinct weights
+    return np.tensordot(1.0 / np.sqrt(np.arange(1, len(basis) + 1)), basis, axes=1)
+
+
+def _hermitian_mix(x: np.ndarray) -> np.ndarray:
+    # generic hermitian combination of x; for a normal x it shares x's eigenvectors
+    return _generic_element(np.stack([(x + dagger(x)) / 2.0, (x - dagger(x)) / 2.0j]))
+
+
 def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """Orthonormal (Hilbert-Schmidt) basis of {x : τ(x) = x}.
 
@@ -109,24 +121,20 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
 
 
 def invariant_projection(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
-    """A projection E ∉ {0, I} with τ(E) = E, or None for ergodic channels."""
+    """A projection E ∉ {0, I} with τ(E) = E, or None for ergodic channels.
+
+    E is the spectral projection, below its largest gap, of the fixed
+    algebra's generic hermitian element."""
     basis = fixed_point_space(ch, tol)
     if len(basis) == 1:
         return None
-    n = ch.dim
-    for raw in basis:
-        for h in ((raw + dagger(raw)) / 2.0, (raw - dagger(raw)) / 2.0j):
-            scalar_part = (np.trace(h) / n) * np.eye(n)
-            if max_abs(h - scalar_part) <= _STRUCT_TOL:
-                continue
-            vals, vecs = hermitian_eig(h, tol)
-            # split the spectrum at its largest gap; both sides are nonempty
-            gaps = vals[:-1] - vals[1:]
-            cut = int(np.argmax(gaps)) + 1
-            e = vecs[:, :cut] @ dagger(vecs[:, :cut])
-            if max_abs(ch.apply(e) - e) <= max(tol.eq_abs, 1e-10):
-                return e
-    raise NumericalFailure("non-ergodic channel yielded no verified invariant projection")
+    vals, vecs = hermitian_eig(_hermitian_mix(_generic_element(np.stack(basis))), tol)
+    # split the spectrum at its largest gap; both sides are nonempty
+    cut = int(np.argmax(vals[:-1] - vals[1:])) + 1
+    e = vecs[:, :cut] @ dagger(vecs[:, :cut])
+    if max_abs(ch.apply(e) - e) > max(tol.eq_abs, 1e-10):
+        raise NumericalFailure("non-ergodic channel yielded no verified invariant projection")
+    return e
 
 
 def _snap_period(peripheral: np.ndarray, n: int) -> int:
@@ -163,8 +171,13 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     )
 
 
-def _principal_root(c: complex, p: int) -> complex:
-    return complex(abs(c) ** (1.0 / p) * np.exp(1j * np.angle(c) / p))
+def _unitary_root(m: np.ndarray, p: int) -> np.ndarray:
+    # principal p-th root of a unitary m in an orthonormal eigenbasis q of m; the
+    # cut sits _STRUCT_TOL below −1, so a cluster at −1 split by rounding has one root
+    _, q = np.linalg.eigh(_hermitian_mix(m))
+    eigs = np.sum(np.conj(q) * (m @ q), axis=0)  # diagonal of q* m q
+    phases = np.angle(np.exp(-1j * _STRUCT_TOL) * eigs) + _STRUCT_TOL
+    return (q * np.exp(1j * phases / p)) @ dagger(q)
 
 
 def _projection_family(x: np.ndarray, p: int) -> list:
@@ -191,41 +204,27 @@ def _verify_family(ch: Channel, projections, tol: Tolerance) -> bool:
 def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Construct a verified cyclic projection family from the peripheral spectrum.
 
-    Works from an eigenoperator x with τ(x) = e^{2πi/p} x, rescaled so its
-    spectrum sits on the p-th roots of unity; the averaged powers of x are
-    then the spectral projections.  This succeeds for the ergodic periodic
-    case and for non-ergodic channels as clean as the swap channel.  Only
-    single eigenspace basis elements are tried, so a higher-dimensional
-    eigenspace, like a failed post-verification, may give None rather than an
-    unverified family.  Channels with trivial peripheral structure are refused.
+    Works from the generic eigenoperator x with τ(x) = e^{2πi/p} x: its polar
+    unitary u = w·vh, and then u′ = u·(u^p)^{-1/p} (principal root), are again
+    eigenoperators, and u′^p = I, so the averaged powers of u′ are the spectral
+    projections.  A failed post-verification, like an empty eigenspace, gives
+    None rather than an unverified family.  Channels with trivial peripheral
+    structure are refused.
     """
     _require_doubly_stochastic(ch)
-    n = ch.dim
     t = ch.superoperator()
     vals = np.linalg.eigvals(t)
-    p = _snap_period(vals[np.abs(vals) > 1.0 - PERIPHERAL_BAND], n)
+    p = _snap_period(vals[np.abs(vals) > 1.0 - PERIPHERAL_BAND], ch.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
-    candidates = []
-    for x in _eigenspace(t, np.exp(2j * np.pi / p), tol):
-        candidates.append(x)
-        if p == 2:
-            candidates.append((x + dagger(x)) / 2.0)
-            candidates.append((x - dagger(x)) / 2.0j)
-
-    for raw in candidates:
-        c = complex(np.trace(np.linalg.matrix_power(raw, p)) / n)
-        if abs(c) < 1e-10:
-            continue
-        x = raw / _principal_root(c, p)
-        if max_abs(x @ dagger(x) - dagger(x) @ x) > _STRUCT_TOL:
-            continue
-        if max_abs(np.linalg.matrix_power(x, p) - np.eye(n)) > _STRUCT_TOL:
-            continue
-        projections = _projection_family(x, p)
-        if _verify_family(ch, projections, tol):
-            return CyclicFamily(projections=tuple(projections), period=p)
-    return None
+    basis = _eigenspace(t, np.exp(2j * np.pi / p), tol)
+    if not len(basis):
+        return None
+    w, _, vh = np.linalg.svd(_generic_element(basis))
+    u = w @ vh
+    u = u @ dagger(_unitary_root(np.linalg.matrix_power(u, p), p))
+    projections = _projection_family(u, p)
+    return CyclicFamily(tuple(projections), p) if _verify_family(ch, projections, tol) else None
 
 
 def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERANCE):

@@ -73,6 +73,18 @@ def random_periodic_channel(n, p, d, rng):
     return Channel.from_kraus(KrausFamily.from_ops(ops))
 
 
+def block_sum_channel(a, b):
+    """Channel on M_{n+m} with Kraus operators v_k ⊕ w_k, for a and b of equal
+    index: doubly stochastic when both are, and never ergodic (each block's
+    unit is fixed)."""
+    va, vb = a.kraus.ops, b.kraus.ops
+    n, size = va.shape[1], va.shape[1] + vb.shape[1]
+    ops = np.zeros((len(va), size, size), dtype=complex)
+    ops[:, :n, :n] = va
+    ops[:, n:, n:] = vb
+    return Channel.from_kraus(KrausFamily.from_ops(ops))
+
+
 def random_ds_matrix(n, rng, k=None):
     """Doubly stochastic matrix as a Dirichlet mixture of random permutations."""
     k = k or n * n

@@ -7,7 +7,6 @@ from qbirkhoff import (
     Channel,
     KrausFamily,
     choi_extremal_test,
-    convex_split,
     decompose_extremal,
     hermitize_certificate,
     landau_streater_test,
@@ -139,24 +138,6 @@ def test_ls_extremal_transfers_to_adjoint_and_choi(rng):
         assert adj_ok
 
 
-def test_convex_split_reconstructs(rng):
-    weyl = build_example("ex2.12", m=2)
-    mixture = helpers.random_unitary_mixture(2, 3, rng)
-    for ch, symmetric in ((weyl, True), (mixture, False)):
-        _, cert = landau_streater_test(ch)
-        (p, plus), (q, minus) = convex_split(ch, cert)
-        assert 0.0 < p < 1.0 and abs(p + q - 1.0) < 1e-15
-        # the Weyl certificate has spectrum ±1; a generic one is lopsided
-        assert (abs(p - 0.5) < 1e-12) == symmetric
-        n = ch.dim
-        for _ in range(5):
-            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            mixed = p * plus.apply(x) + q * minus.apply(x)
-            assert max_abs(mixed - ch.apply(x)) < 1e-8 * max(1.0, max_abs(x))
-        # both coefficient matrices are scaled to singularity
-        assert max(plus.kraus.index, minus.kraus.index) < ch.kraus.index
-
-
 def test_decompose_weyl_pair_exactly():
     ch = build_example("ex2.12", m=2)
     dec = decompose_extremal(ch)
@@ -229,6 +210,16 @@ def test_decompose_cp_former_failures(seed):
     assert len(dec.terms) <= ch.index
     assert all(term.kraus.index == 1 for _, term in dec.terms)
     helpers.check_decomposition(ch, dec, CP)
+
+
+@pytest.mark.parametrize("kind", [CP, CP_PHI])
+def test_decompose_hermitizes_the_remainder(kind):
+    # the remainder's coefficient matrix is hermitian by construction, but the
+    # 1/(1−w) factor amplified its rounding past hermitize's eq_abs check here
+    ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(4727))
+    dec = decompose_extremal(ch, kind=kind)
+    assert len(dec.terms) <= ch.index
+    helpers.check_decomposition(ch, dec, kind)
 
 
 @pytest.mark.xfail(strict=True, raises=NumericalFailure, reason="ROADMAP item 2")

@@ -15,7 +15,6 @@ from qbirkhoff import (
     m3_real_face_scan,
     schur_channel,
 )
-from qbirkhoff.faces import scan_csv_lines
 from qbirkhoff.numerics import max_abs
 
 
@@ -104,9 +103,7 @@ def test_real_face_scan_vertices():
     for v in scan.vertices:
         assert v in scan.extreme_candidates
     assert len(scan.entries) == 5**3
-    lines = scan_csv_lines(scan)
-    assert lines[0] == "-1,-1,-1,outside"
-    assert all(line.count(",") == 3 for line in lines)
+    assert scan.entries[0] == ((-1.0, -1.0, -1.0), "outside")
 
 
 def test_real_face_midpoints_are_not_extreme_candidates():

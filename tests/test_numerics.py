@@ -10,7 +10,6 @@ from qbirkhoff.numerics import (
     frobenius_norm,
     hermitian_eig,
     hermitize,
-    is_hermitian,
     is_psd,
     max_abs,
     numerical_rank,
@@ -168,7 +167,7 @@ def test_hermitize_rejects_large_skew():
         hermitize(m, eq_abs=1e-9)
     soft = np.eye(2) + 1e-12 * np.array([[0, 1], [0, 0]])
     out = hermitize(soft, eq_abs=1e-9)
-    assert is_hermitian(out)
+    assert max_abs(out - dagger(out)) <= 1e-9
 
 
 def test_operator_norm_matches_gram_eigenvalue(rng):

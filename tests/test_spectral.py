@@ -10,6 +10,7 @@ from qbirkhoff import (
     fixed_point_space,
     invariant_projection,
 )
+from qbirkhoff.birkhoff import embed_classical
 from qbirkhoff.catalog import (
     build_example,
     cycle_embed_channel,
@@ -19,7 +20,7 @@ from qbirkhoff.catalog import (
     weyl_mixture_channel,
 )
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, vec
-from qbirkhoff.spectral import _verify_family
+from qbirkhoff.spectral import _unitary_root, _verify_family
 
 import helpers
 
@@ -50,6 +51,37 @@ def test_swap_channel_fixed_space():
     assert max_abs(e - dagger(e)) < 1e-9
     assert max_abs(ch.apply(e) - e) < 1e-9
     assert 0 < np.trace(e).real < ch.dim
+
+
+def _period_two_block_sum(seed):
+    rng = np.random.default_rng(seed)
+    a = helpers.random_periodic_channel(4, 2, 2, rng)
+    return helpers.block_sum_channel(a, helpers.random_periodic_channel(4, 2, 2, rng))
+
+
+NON_ERGODIC = {
+    "identity3": lambda: identity_channel(3),
+    "(01)(23)": lambda: embed_classical(np.eye(4)[[1, 0, 3, 2]]),
+    "(012)(3)": lambda: embed_classical(np.eye(4)[[2, 0, 1, 3]]),
+    "diagonal-unitary": lambda: Channel.from_kraus(
+        [np.diag(np.exp(2j * np.pi * np.array([0, 1 / 4, 7 / 12, 0])))]
+    ),
+    "ex2.4": lambda: build_example("ex2.4"),
+    "ex2.8": lambda: build_example("ex2.8"),
+    "ex2.9": lambda: build_example("ex2.9"),
+    **{f"block-sum-{s}": (lambda s=s: _period_two_block_sum(s)) for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", list(NON_ERGODIC))
+def test_invariant_projection_contract(name):
+    ch = NON_ERGODIC[name]()
+    assert not classify(ch).ergodic
+    e = invariant_projection(ch)
+    assert max_abs(e @ e - e) < 1e-9
+    assert max_abs(e - dagger(e)) < 1e-9
+    assert max_abs(ch.apply(e) - e) < 1e-9
+    assert 0.5 < np.trace(e).real < ch.dim - 0.5
 
 
 def test_weyl_pair_period_three():
@@ -155,7 +187,7 @@ def test_cyclic_projections_none_when_the_root_is_no_eigenvalue():
     assert cyclic_projections(ch) is None
 
 
-@pytest.mark.parametrize("n, p", [(4, 2), (6, 3), (8, 4), (9, 3)])
+@pytest.mark.parametrize("n, p", [(4, 2), (6, 3), (8, 4), (9, 3), (12, 4)])
 def test_cyclic_family_on_random_periodic_channels(n, p):
     rng = np.random.default_rng(100 * n + p)
     ch = helpers.random_periodic_channel(n, p, 2, rng)
@@ -163,6 +195,28 @@ def test_cyclic_family_on_random_periodic_channels(n, p):
     fam = cyclic_projections(ch)
     assert fam is not None and fam.period == p
     check_cyclic_postconditions(ch, fam)
+
+
+@pytest.mark.parametrize("name", ["(01)(23)", *(f"block-sum-{s}" for s in range(5))])
+def test_cyclic_family_on_non_ergodic_period_two_channels(name):
+    # the −1 eigenspace is two-dimensional, and none of its orthonormal basis
+    # elements need be a scaled unitary
+    ch = NON_ERGODIC[name]()
+    fam = cyclic_projections(ch)
+    assert fam is not None and fam.period == 2
+    check_cyclic_postconditions(ch, fam)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_unitary_root_on_a_degenerate_spectrum(p):
+    # each eigenvalue cluster gets one principal root, the cluster at −1 too
+    v = helpers.haar_unitary(6, np.random.default_rng(p))
+    eigs = np.array([-1, -1, -1, 1j, 1j, 1])
+    m = (v * eigs) @ dagger(v)
+    r = _unitary_root(m, p)
+    assert max_abs(r @ dagger(r) - np.eye(6)) < 1e-12
+    assert max_abs(np.linalg.matrix_power(r, p) - m) < 1e-12
+    assert max_abs(r - (v * np.exp(1j * np.angle(eigs) / p)) @ dagger(v)) < 1e-12
 
 
 def test_cycle_embed_deperiodizes():
