@@ -1,10 +1,12 @@
-"""Unital completely positive maps in Kraus, Choi and superoperator form.
+"""Unital completely positive maps in Kraus, Choi, superoperator and real form.
 
-The three representations are tied together by the package-wide
-column-stacking convention:
+The representations are tied together by the package-wide column-stacking
+convention:
 
     choi          = sum_k vec(v_k) vec(v_k)*
     superoperator = sum_k conj(v_k) (x) v_k
+    real form     = U* superoperator U, with U's columns the vec of the hermitian
+                    basis {E_jj; (E_jk + E_kj)/√2, i(E_jk − E_kj)/√2 : j < k}
 
 A ``Channel`` always carries a canonical minimal Kraus family obtained from
 the Choi eigendecomposition: the same Choi matrix always gives the same
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,6 +213,30 @@ class Channel:
 
     def superoperator(self) -> np.ndarray:
         return superoperator_from_kraus(self.kraus)
+
+    def real_superoperator(self) -> np.ndarray:
+        """The real form: real and unitarily similar to T, since τ(x*) = τ(x)*.
+        That symmetry also lets it read only the rows and columns of E_jj, E_jk."""
+        t, n = self.superoperator(), self.dim
+        j, k = np.triu_indices(n, 1)
+        diag = np.arange(n) * (n + 1)
+        rows = np.concatenate((diag, k * n + j))  # vec indices of E_jj and E_jk
+        g, h = t[rows[:, None], rows], t[rows[:, None], np.concatenate((diag, j * n + k))]
+        plus, minus = g + h, g - h
+        r = np.block([[plus.real, -minus.imag[:, n:]], [plus.imag[n:], minus.real[n:, n:]]])
+        # each block scaled once, so the identity maps to I exactly
+        r[:n, :n] *= 0.5
+        r[:n, n:] *= np.sqrt(0.5)
+        r[n:, :n] *= np.sqrt(0.5)
+        return r
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of τ from the real form, solved once: read-only complex128,
+        with exact conjugate pairs and real ones as x + 0.0j."""
+        vals = np.linalg.eigvals(self.real_superoperator()).astype(complex)
+        vals.flags.writeable = False
+        return vals
 
     def is_doubly_stochastic(self) -> bool:
         return self.unital and self.trace_preserving

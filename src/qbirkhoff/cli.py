@@ -11,6 +11,7 @@ incomplete at the depth bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,8 +61,7 @@ def _emit(payload):
     sys.stdout.write("\n")
 
 
-# every builtin parameter, in table order, with its flag's type and help;
-# built once, since build_parser runs on every main() call
+# every builtin parameter, in table order, with its flag's type and help
 _PARAMS = {
     key: (kind, "parameter of " + ", ".join(n for n, (_, d) in BUILTINS.items() if key in d))
     for _, declared in BUILTINS.values()
@@ -323,10 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args keeps no state between calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -69,9 +69,9 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a complex 2-d array, rejecting non-finite entries."""
-    arr = np.asarray(m, dtype=complex)
+def as_matrix(m, dtype=complex) -> np.ndarray:
+    """Coerce to a 2-d array (complex by default), rejecting non-finite entries."""
+    arr = np.asarray(m, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -145,8 +145,9 @@ def rank_cutoff(values, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Number of singular values above :func:`rank_cutoff`."""
-    arr = as_matrix(m)
+    """Number of singular values above :func:`rank_cutoff`; a real matrix
+    keeps its real SVD."""
+    arr = as_matrix(m, float if np.isrealobj(m) else complex)
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)

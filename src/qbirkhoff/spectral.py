@@ -1,7 +1,9 @@
 """Ergodic classification of doubly stochastic channels.
 
-Everything here reads off the superoperator T.  Eigenoperators τ(x) = μx
-are the kernel of T − μI at the one rank cutoff: μ = 1 gives the fixed-point
+The spectrum of τ, and the fixed-space dimension, come from its real form R
+(``Channel.spectrum``, solved once per channel, and the rank of R − I).
+Eigenoperators τ(x) = μx are the kernel of the complex superoperator T − μI
+at the one rank cutoff: μ = 1 gives the fixed-point
 *-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the period p read
 off the peripheral spectrum, the cyclic projection family that an explicit
 unitary deperiodizes.  Each peripheral eigenspace is a bimodule over the
@@ -152,9 +154,8 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     """Spectral classification: fixed space, ergodicity, period, mixing."""
     _require_doubly_stochastic(ch)
     n = ch.dim
-    t = ch.superoperator()
-    eigs = _sorted_eigs(np.linalg.eigvals(t))
-    fixed_dim = n * n - numerical_rank(t - np.eye(n * n), tol)
+    eigs = _sorted_eigs(ch.spectrum)
+    fixed_dim = n * n - numerical_rank(ch.real_superoperator() - np.eye(n * n), tol)
     ergodic = fixed_dim == 1
     peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
     period = _snap_period(peripheral, n) if ergodic else None
@@ -212,12 +213,10 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     structure are refused.
     """
     _require_doubly_stochastic(ch)
-    t = ch.superoperator()
-    vals = np.linalg.eigvals(t)
-    p = _snap_period(vals[np.abs(vals) > 1.0 - PERIPHERAL_BAND], ch.dim)
+    p = _snap_period(ch.spectrum[np.abs(ch.spectrum) > 1.0 - PERIPHERAL_BAND], ch.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
-    basis = _eigenspace(t, np.exp(2j * np.pi / p), tol)
+    basis = _eigenspace(ch.superoperator(), np.exp(2j * np.pi / p), tol)
     if not len(basis):
         return None
     w, _, vh = np.linalg.svd(_generic_element(basis))

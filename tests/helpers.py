@@ -120,6 +120,21 @@ def super_by_apply(ch):
     return np.column_stack(cols)
 
 
+def real_form_by_apply(ch):
+    """tr(B_a τ(B_b)) over the hermitian basis E_jj, then (E_jk + E_kj)/√2,
+    then i(E_jk − E_kj)/√2 for j < k, from the channel's action."""
+    n = ch.dim
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[j, k] = E_jk
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    basis = (
+        [units[j, j] for j in range(n)]
+        + [(units[j, k] + units[k, j]) / np.sqrt(2) for j, k in pairs]
+        + [1j * (units[j, k] - units[k, j]) / np.sqrt(2) for j, k in pairs]
+    )
+    images = [ch.apply(b) for b in basis]
+    return np.array([[np.trace(a @ im) for im in images] for a in basis])
+
+
 def _gram_rank(vectors, rel=1e-9):
     g = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
     vals = np.linalg.eigvalsh((g + dagger(g)) / 2)

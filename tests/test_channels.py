@@ -78,6 +78,31 @@ def test_superoperator_matches_action_oracle(ds_corpus):
         assert max_abs(t - helpers.super_by_apply(ch)) < 1e-10
 
 
+def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
+    gen = np.random.default_rng(1212)
+    for n in range(1, 6):
+        for d in range(1, 5):
+            unital = helpers.random_unitary_mixture(n, d, gen)
+            ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+            for ch in (unital, Channel.from_kraus(ops)):
+                r, t = ch.real_superoperator(), ch.superoperator()
+                assert r.dtype == np.float64
+                scale = max(1.0, np.linalg.norm(t, 2))
+                oracle = helpers.real_form_by_apply(ch)
+                assert max_abs(oracle.imag) < 1e-12 * scale
+                assert max_abs(r - oracle.real) < 1e-12 * scale
+                s_r = np.linalg.svd(r, compute_uv=False)
+                s_t = np.linalg.svd(t, compute_uv=False)
+                assert max_abs(s_r - s_t) < 1e-12 * scale
+                # the same multiset: each eigenvalue of T claims its nearest of R
+                left = list(np.linalg.eigvals(r))
+                for mu in np.linalg.eigvals(t):
+                    k = int(np.argmin(np.abs(np.array(left) - mu)))
+                    assert abs(left.pop(k) - mu) < 1e-8 * scale
+        exact = Channel(KrausFamily.from_ops([np.eye(n)]), True, True)
+        assert np.array_equal(exact.real_superoperator(), np.eye(n * n))
+
+
 def test_index_is_gauge_invariant(rng):
     for _ in range(10):
         n = int(rng.integers(2, 4))

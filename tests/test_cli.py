@@ -109,12 +109,11 @@ def test_numerical_failures_are_exit_2(capsys, monkeypatch):
     import qbirkhoff.cli as cli
 
     for exc in (NumericalFailure("boom"), NotCompletelyPositive("boom")):
-        def blow_up(args, _exc=exc):
+        def blow_up(*args, _exc=exc):
             raise _exc
 
-        monkeypatch.setitem(
-            cli.build_parser.__globals__, "cmd_analyze", blow_up
-        )
+        # the parser is built once and binds cmd_analyze; patch what it calls
+        monkeypatch.setattr(cli, "choi_extremal_test", blow_up)
         code = cli.main(["analyze", "ex2.4", "--json"])
         capsys.readouterr()
         assert code == 2
@@ -341,6 +340,15 @@ def test_python_m_runs_the_cli():
     ok = run_module("analyze", "ex2.4", "--json")
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["dim"] == 4
+
+
+def test_reused_parser_prints_the_bytes_of_a_fresh_process(capsys):
+    fresh = run_module("classify", "ex2.12", "--json")
+    assert fresh.returncode == 0
+    assert run_cli(capsys, "analyze", "--bogus")[0] == 1
+    assert run_cli(capsys, "--help")[0] == 0
+    code, out, _ = run_cli(capsys, "classify", "ex2.12", "--json")
+    assert code == 0 and out == fresh.stdout
 
 
 def test_missing_file_is_exit_1(capsys):

@@ -250,3 +250,41 @@ def test_classify_consistency_on_corpus(ds_corpus):
             assert cl.aperiodic == (cl.period == 1)
         else:
             assert cl.period is None and not cl.strongly_mixing
+
+
+def test_spectrum_is_complex_and_closed_under_conjugation(ds_corpus, rng):
+    # the real solver returns exact conjugate pairs and real eigenvalues as x + 0.0j
+    periodic = [helpers.random_periodic_channel(6, p, 2, rng) for p in (2, 3)]
+    for ch in [*ds_corpus, build_example("ex2.12"), *periodic]:
+        eigs = classify(ch).eigenvalues
+        assert eigs.dtype == np.complex128
+        assert np.array_equal(np.sort_complex(eigs), np.sort_complex(np.conj(eigs)))
+        assert np.all((eigs.imag == 0.0) | (np.abs(eigs.imag) > 1e-12))
+        assert any(z.imag == 0.0 and abs(z - 1.0) < 1e-9 for z in eigs)
+
+
+def test_identity_spectrum_is_real():
+    exact = Channel(KrausFamily.from_ops([np.eye(3)]), True, True)
+    assert classify(exact).eigenvalues.tolist() == [1 + 0j] * 9
+    # the canonical Kraus operator of identity_channel(3) is I only to rounding
+    eigs = classify(identity_channel(3)).eigenvalues
+    assert eigs.dtype == np.complex128 and len(eigs) == 9
+    assert np.all(eigs.imag == 0.0) and max_abs(eigs - 1.0) < 1e-15
+
+
+def test_classify_and_cyclic_projections_share_one_eigensolve(monkeypatch):
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        solved.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    ch = build_example("ex2.12")
+    cl = classify(ch)
+    fam = cyclic_projections(ch)
+    assert cl.period == fam.period == 3
+    assert solved == [np.float64]
+    with pytest.raises(ValueError):
+        ch.spectrum[0] = 0.0  # the cached spectrum is read-only
