@@ -67,11 +67,11 @@ def is_doubly_stochastic(s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         arr = _as_real_square(s)
     except ValueError:
         return False
-    if float(arr.min()) < -tol.eq_abs:
+    if float(arr.min()) < -tol.cutoff:
         return False
     rows = np.abs(arr.sum(axis=1) - 1.0)
     cols = np.abs(arr.sum(axis=0) - 1.0)
-    return float(rows.max()) <= tol.eq_abs and float(cols.max()) <= tol.eq_abs
+    return float(rows.max()) <= tol.cutoff and float(cols.max()) <= tol.cutoff
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDeco
             if match_row[r] < 0 and not _augment(support, r, match_row, match_col):
                 raise ValueError(
                     f"the residual's support has no perfect matching, with mass {resid.sum():.3e}"
-                    f" left: the input is doubly stochastic only to within eq_abs = {tol.eq_abs}"
+                    f" left: the input is doubly stochastic only to within the tolerance {tol.cutoff}"
                 )
         cols = np.array(match_row)
         weight = float(resid[rows, cols].min())
@@ -156,7 +156,7 @@ def embed_classical(s, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     Acts on diagonal states as the matrix itself: diag(p) -> diag(S p).
     """
     ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
-    rows, cols = np.nonzero(ds.matrix > tol.eq_abs)
+    rows, cols = np.nonzero(ds.matrix > tol.cutoff)
     ops = np.zeros((rows.size, *ds.matrix.shape), dtype=complex)
     ops[np.arange(rows.size), rows, cols] = np.sqrt(ds.matrix[rows, cols])
     return Channel.from_kraus(ops, tol)

@@ -14,13 +14,11 @@ import numpy as np
 
 from .channels import Channel, KrausFamily
 from .faces import M2CanonicalForm, SchurSpec, m2_index2_channel, schur_channel
-from .numerics import DEFAULT_TOLERANCE, Tolerance, as_matrix
+from .numerics import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
     "identity_channel",
     "depolarizing_channel",
-    "unitary_channel",
-    "swap_channel",
     "diagonal_pair_family",
     "qubit_multiplier_channel",
     "triple_multiplier_channel",
@@ -28,7 +26,6 @@ __all__ = [
     "weyl_basis",
     "weyl_shift_clock_family",
     "weyl_mixture_channel",
-    "cycle_embed_channel",
     "BUILTINS",
     "EXAMPLE_NAMES",
     "build_family",
@@ -43,15 +40,6 @@ def identity_channel(n: int = 2, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 def depolarizing_channel(n: int = 2, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """x -> tr(x)·I/n, Kraus family {e_ij/√n}."""
     return Channel.from_kraus(np.eye(n * n).reshape(n * n, n, n) / np.sqrt(n), tol)
-
-
-def unitary_channel(u) -> Channel:
-    return Channel.from_kraus([as_matrix(u)])
-
-
-def swap_channel() -> Channel:
-    """Conjugation by the 2×2 basis swap."""
-    return unitary_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def diagonal_pair_family() -> KrausFamily:
@@ -123,16 +111,6 @@ def weyl_mixture_channel(m: int, lam: float, tol: Tolerance = DEFAULT_TOLERANCE)
         raise ValueError("mixing weight must lie in [0, 1]")
     shifts = np.sqrt(lam) * weyl_shift_clock_family(m).ops
     return Channel.from_kraus(np.concatenate([shifts, [np.sqrt(1.0 - lam) * np.eye(3)]]), tol)
-
-
-def cycle_embed_channel(n: int = 3) -> Channel:
-    """Embedding of the n-cycle permutation: diagonals rotate, off-diagonals die."""
-    from .birkhoff import embed_classical
-
-    s = np.zeros((n, n))
-    for k in range(n):
-        s[(k + 1) % n, k] = 1.0
-    return embed_classical(s)
 
 
 def _weyl_example(m: int, lam: float | None, tol: Tolerance) -> Channel | KrausFamily:

@@ -113,9 +113,9 @@ class KrausFamily:
         return max_abs(out_sum - eye), max_abs(in_sum - eye)
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, bool]:
-        """(unital, trace_preserving) flags within ``eq_abs``."""
+        """(unital, trace_preserving) flags within ``tol.cutoff``."""
         out_dev, in_dev = self.unit_defects()
-        return out_dev <= tol.eq_abs, in_dev <= tol.eq_abs
+        return out_dev <= tol.cutoff, in_dev <= tol.cutoff
 
     def adjoint(self) -> "KrausFamily":
         return KrausFamily.from_ops(dagger(self.ops))
@@ -166,7 +166,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     if n * n != n2 or c.shape != (n2, n2):
         raise ValueError(f"Choi matrix of shape {c.shape} is not n² by n²")
     vals, cols = psd_factor(c, tol)
-    ops = phase_fixed(unvec(cols.T, n), tol.eq_abs)
+    ops = phase_fixed(unvec(cols.T, n), tol.cutoff)
     order = sorted(range(len(ops)), key=lambda k: _canonical_sort_key(float(vals[k]), ops[k]))
     return KrausFamily(ops[order])
 

@@ -31,7 +31,13 @@ from .channels import (
     loads_json,
     matrix_to_pairs,
 )
-from .conjugacy import data_matrix, load_certificate, spectrum_invariant, verify_certificate
+from .conjugacy import (
+    data_matrix,
+    load_certificate,
+    spectra_match,
+    spectrum_invariant,
+    verify_certificate,
+)
 from .extremality import (
     CP,
     CP_PHI,
@@ -46,9 +52,7 @@ __all__ = ["main", "run", "build_parser"]
 
 
 def _tolerance(args) -> Tolerance:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOLERANCE
-    return Tolerance(rank_rel=args.tol, psd_abs=args.tol, eq_abs=args.tol)
+    return Tolerance(args.tol)
 
 
 def _say(args, text: str):
@@ -194,7 +198,7 @@ def cmd_conjugacy(args) -> int:
         raise ValueError(f"dimension mismatch: {fam_a.dim} vs {fam_b.dim}")
     spec_a = spectrum_invariant(data_matrix(fam_a, tol=tol))
     spec_b = spectrum_invariant(data_matrix(fam_b, tol=tol))
-    match = spec_a.size == spec_b.size and bool(np.max(np.abs(spec_a - spec_b)) <= 1e-8)
+    match = spectra_match(spec_a, spec_b)
     report = {
         "spectrum_a": [float(x) for x in spec_a],
         "spectrum_b": [float(x) for x in spec_b],
@@ -271,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument(
-            "--tol", type=float, default=None,
-            help="set rank_rel, psd_abs and eq_abs; fixed cutoffs such as the "
-            "certificate residual (1e-8) do not move",
+            "--tol", type=float, default=DEFAULT_TOLERANCE.cutoff,
+            help="the one cutoff of every rank, PSD and equality decision "
+            "(default 1e-9); fixed cutoffs such as the certificate residual "
+            "(1e-8) do not move",
         )
         p.add_argument("--json", action="store_true", help="machine output only (mute stderr text)")
 

@@ -26,6 +26,7 @@ from .channels import (
 )
 from .numerics import (
     DEFAULT_TOLERANCE,
+    STRUCT_TOL,
     NumericalFailure,
     Tolerance,
     as_matrix,
@@ -33,7 +34,7 @@ from .numerics import (
     hermitian_eig,
     is_psd,
     max_abs,
-    phase_fixed,
+    projection_eigenbasis,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "ConjugacyCertificate",
     "data_matrix",
     "spectrum_invariant",
+    "spectra_match",
     "conjugate_data_test",
     "verify_certificate",
     "choi_block_projection",
@@ -51,7 +53,8 @@ __all__ = [
     "load_certificate",
 ]
 
-_VERIFY_TOL = 1e-7
+# invariant spectra farther apart than this (entrywise) differ
+_SPECTRA_MATCH = 1e-8
 
 
 def _family(obj) -> KrausFamily:
@@ -85,11 +88,11 @@ def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> DataMatri
         rho = as_matrix(state)
         if rho.shape != (n, n):
             raise ValueError(f"state of shape {rho.shape} does not match dimension {n}")
-        if max_abs(rho - dagger(rho)) > tol.eq_abs:
+        if max_abs(rho - dagger(rho)) > tol.cutoff:
             raise ValueError("state is not hermitian")
         if not is_psd(rho, tol):
             raise ValueError("state is not positive semidefinite")
-        if abs(np.trace(rho) - 1.0) > tol.eq_abs:
+        if abs(np.trace(rho) - 1.0) > tol.cutoff:
             raise ValueError("state does not have unit trace")
         tag = "custom state"
     mat = np.tensordot(fam.products(), rho.T, axes=2)  # tr(ρ v_i v_j*)
@@ -103,6 +106,13 @@ def spectrum_invariant(dm: DataMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> np
     return vals
 
 
+def spectra_match(spec_a, spec_b) -> bool:
+    """Whether two invariant spectra (descending) agree: equal sizes and every
+    entry within a fixed 1e-8."""
+    a, b = np.asarray(spec_a), np.asarray(spec_b)
+    return a.size == b.size and bool(np.max(np.abs(a - b)) <= _SPECTRA_MATCH)
+
+
 def conjugate_data_test(dm: DataMatrix, dm2: DataMatrix, tol: Tolerance = DEFAULT_TOLERANCE):
     """A unitary g with g D g* = D' when the spectra match, else None."""
     a, b = as_matrix(dm.matrix), as_matrix(dm2.matrix)
@@ -110,10 +120,10 @@ def conjugate_data_test(dm: DataMatrix, dm2: DataMatrix, tol: Tolerance = DEFAUL
         return None
     vals_a, vecs_a = hermitian_eig(a, tol)
     vals_b, vecs_b = hermitian_eig(b, tol)
-    if float(np.max(np.abs(vals_a - vals_b))) > 1e-8:
+    if not spectra_match(vals_a, vals_b):
         return None
     g = vecs_b @ dagger(vecs_a)
-    if max_abs(g @ a @ dagger(g) - b) > _VERIFY_TOL:
+    if max_abs(g @ a @ dagger(g) - b) > STRUCT_TOL:
         return None
     return g
 
@@ -136,29 +146,27 @@ def verify_certificate(
     ops = np.conj(fam.ops) if cert.antiunitary else fam.ops
     lhs = u @ ops @ dagger(u)
     rhs = w @ np.tensordot(g, fam2.ops, axes=1)
-    return max_abs(lhs - rhs) <= max(tol.eq_abs, 1e-9)
+    return max_abs(lhs - rhs) <= max(tol.cutoff, 1e-9)
 
 
-def choi_block_projection(k) -> tuple[np.ndarray, bool]:
+def choi_block_projection(k, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, bool]:
     """The nd×nd block matrix ((v_i v_j*)) and whether it is a projection.
 
     The block matrix is a projection exactly when the family is doubly
-    stochastic, and then its rank is n.
+    stochastic (within ``tol``), and then its rank is n.
     """
     fam = _family(k)
     n, d = fam.dim, fam.index
     p = fam.products().transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    unital, tp = fam.validate()
+    unital, tp = fam.validate(tol)
     return p, bool(unital and tp)
 
 
-def _range_basis(p: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
-    vals, vecs = hermitian_eig(p, tol)
-    rank = int(np.count_nonzero(vals > 0.5))
+def _eigenbasis(p: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
+    rank, cols = projection_eigenbasis(p, tol)
     if rank != n:
         raise NumericalFailure(f"block projection has rank {rank}, expected {n}")
-    # each eigencolumn phase-fixed on its own, as a stack of 1×nd rows
-    return phase_fixed(vecs.T[:, None], tol.eq_abs)[:, 0].T
+    return cols
 
 
 def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -167,15 +175,16 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     fam, fam2 = _family(k), _family(k2)
     if fam.dim != fam2.dim or fam.index != fam2.index:
         raise ValueError("intertwiner needs equal dimension and index")
+    blocks = []
     for name, f in (("first", fam), ("second", fam2)):
-        unital, tp = f.validate(tol)
-        if not (unital and tp):
+        p, is_projection = choi_block_projection(f, tol)
+        if not is_projection:
             raise ValueError(f"{name} family is not doubly stochastic")
+        blocks.append(p)
     n, d = fam.dim, fam.index
-    p, _ = choi_block_projection(fam)
-    p2, _ = choi_block_projection(fam2)
-    w_full = _range_basis(p, n, tol) @ dagger(_range_basis(p2, n, tol))
-    if max_abs(dagger(w_full) @ p @ w_full - p2) > _VERIFY_TOL:
+    p, p2 = blocks
+    w_full = _eigenbasis(p, n, tol) @ dagger(_eigenbasis(p2, n, tol))
+    if max_abs(dagger(w_full) @ p @ w_full - p2) > STRUCT_TOL:
         raise NumericalFailure("intertwiner failed to conjugate the block projections")
 
     # m[j] = Σ_k v_k* W_kj, with W_kj the (k, j) block of W
@@ -183,9 +192,9 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     m = m.transpose(1, 0, 2)
     ops2 = fam2.ops
     u = (m @ ops2).sum(axis=0)
-    if max_abs(u @ dagger(u) - np.eye(n)) > _VERIFY_TOL:
+    if max_abs(u @ dagger(u) - np.eye(n)) > STRUCT_TOL:
         raise NumericalFailure("induced vector map failed to be unitary")
-    if max_abs(u @ dagger(ops2) - m) > _VERIFY_TOL:
+    if max_abs(u @ dagger(ops2) - m) > STRUCT_TOL:
         raise NumericalFailure("induced vector map violates its defining relation")
     return w_full, u
 

@@ -104,10 +104,10 @@ def _rank_and_null(m, tol: Tolerance):
     return rank, x / np.linalg.norm(x)
 
 
-def _sign_fixed(h: np.ndarray, eq_abs: float) -> np.ndarray:
+def _sign_fixed(h: np.ndarray, cutoff: float) -> np.ndarray:
     for z in h.ravel(order="C"):
         for part in (z.real, z.imag):
-            if abs(part) > eq_abs:
+            if abs(part) > cutoff:
                 return h if part > 0.0 else -h
     return h
 
@@ -136,12 +136,12 @@ def _hermitized(nullvec, m, d: int, kind: str, tol: Tolerance) -> DependencyCert
     lam = arr.reshape(d, d)
     herm = (lam + dagger(lam)) / 2.0
     anti = (lam - dagger(lam)) / 2.0j
-    candidates = [herm, anti] if operator_norm(herm) > tol.eq_abs else [anti]
+    candidates = [herm, anti] if operator_norm(herm) > tol.cutoff else [anti]
     for part in candidates:
         nrm = operator_norm(part)
-        if nrm <= tol.eq_abs:
+        if nrm <= tol.cutoff:
             continue
-        h = _sign_fixed(part / nrm, tol.eq_abs)
+        h = _sign_fixed(part / nrm, tol.cutoff)
         if max_abs(m @ h.reshape(-1)) <= _CERT_RESIDUAL:
             return DependencyCertificate(h, kind)
     raise NumericalFailure("no hermitian certificate survives within tolerance")
@@ -211,9 +211,9 @@ def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance) -
     fam = KrausFamily(_ops(rows, family))
     out_dev, in_dev = fam.unit_defects()
     dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
-    if dev > tol.eq_abs:
-        raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > eq_abs {tol.eq_abs}")
-    return Channel(fam, True, in_dev <= tol.eq_abs)
+    if dev > tol.cutoff:
+        raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > tolerance {tol.cutoff}")
+    return Channel(fam, True, in_dev <= tol.cutoff)
 
 
 def decompose_extremal(

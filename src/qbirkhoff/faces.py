@@ -63,9 +63,9 @@ class SchurSpec:
         arr = as_matrix(m)
         if arr.shape[0] != arr.shape[1]:
             raise ValueError(f"multiplier matrix must be square, got {arr.shape}")
-        if max_abs(arr - dagger(arr)) > tol.eq_abs:
+        if max_abs(arr - dagger(arr)) > tol.cutoff:
             raise ValueError("multiplier matrix is not hermitian")
-        if max_abs(np.diag(arr) - 1.0) > tol.eq_abs:
+        if max_abs(np.diag(arr) - 1.0) > tol.cutoff:
             raise ValueError("multiplier matrix must have unit diagonal")
         return cls((arr + dagger(arr)) / 2.0)
 
@@ -221,14 +221,14 @@ class M2CanonicalForm:
 
     @property
     def degenerate(self) -> bool:
-        return abs(self.c1 - self.c2) <= DEFAULT_TOLERANCE.eq_abs
+        return abs(self.c1 - self.c2) <= DEFAULT_TOLERANCE.cutoff
 
 
 def _check_form(form: M2CanonicalForm, tol: Tolerance):
     for name, c, d in (("1", form.c1, form.d1), ("2", form.c2, form.d2)):
-        if c < -tol.eq_abs or d < -tol.eq_abs:
+        if c < -tol.cutoff or d < -tol.cutoff:
             raise ValueError(f"pair {name} has a negative coefficient")
-        if abs(c * c + d * d - 1.0) > tol.eq_abs:
+        if abs(c * c + d * d - 1.0) > tol.cutoff:
             raise ValueError(f"pair {name} violates c² + d² = 1")
 
 
@@ -244,4 +244,4 @@ def m2_index2_channel(form: M2CanonicalForm, tol: Tolerance = DEFAULT_TOLERANCE)
 def m2_index2_is_extremal(form: M2CanonicalForm, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Closed-form extremality in the unital cone: d₁c₂ ≠ d₂c₁."""
     _check_form(form, tol)
-    return abs(form.d1 * form.c2 - form.d2 * form.c1) > tol.eq_abs
+    return abs(form.d1 * form.c2 - form.d2 * form.c1) > tol.cutoff

@@ -2,9 +2,15 @@
 
 Every rank, positivity and equality decision in the package routes through
 this module, so a single vectorization convention (column stacking) and a
-single set of cutoffs apply everywhere.  :func:`rank_cutoff` is the one rank
-cutoff (``rank_rel`` times the largest magnitude, floored at 1) and
-:func:`psd_factor` the one PSD square root.
+single cutoff apply everywhere.  :class:`Tolerance` holds that one value:
+:func:`rank_cutoff` scales it by the largest magnitude (floored at 1) for both
+the rank drop and the PSD allowance, :func:`psd_factor` is the one PSD square
+root, and equality tests compare entrywise against the value itself.
+
+Fixed cutoffs do not move with the tolerance: :data:`STRUCT_TOL` guards the
+structural checks that follow an eigensolve, and other modules keep their own
+constants (the certificate residual and the spectra match, 1e-8; the
+peripheral band, 1e-8).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
+    "STRUCT_TOL",
     "NumericalFailure",
     "NotCompletelyPositive",
     "as_matrix",
@@ -29,11 +36,10 @@ __all__ = [
     "hermitian_eig",
     "rank_cutoff",
     "numerical_rank",
-    "psd_allowance",
     "is_psd",
     "psd_factor",
-    "partial_trace",
     "phase_fixed",
+    "projection_eigenbasis",
 ]
 
 
@@ -47,26 +53,25 @@ class NotCompletelyPositive(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical cutoffs shared by the whole package.
+    """The one numerical cutoff shared by the whole package.
 
-    rank_rel   rank cutoff relative to the largest magnitude (floored at 1)
-    psd_abs    allowance for the most negative eigenvalue, scaled by the
-               largest eigenvalue magnitude (floored at 1)
-    eq_abs     entrywise allowance for equality tests
+    ``cutoff`` is relative for rank and PSD decisions (times the largest
+    magnitude, floored at 1, see :func:`rank_cutoff`) and absolute for
+    entrywise equality tests.
     """
 
-    rank_rel: float = 1e-9
-    psd_abs: float = 1e-9
-    eq_abs: float = 1e-9
+    cutoff: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rank_rel", "psd_abs", "eq_abs"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        if not 0.0 < self.cutoff < 1.0:
+            raise ValueError(f"cutoff must lie in (0, 1), got {self.cutoff!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
+
+# structural checks that sit behind an eigensolve (closure, cycling, an
+# intertwiner's residuals, a root's branch cut) use this looser fixed cutoff
+STRUCT_TOL = 1e-7
 
 
 def as_matrix(m, dtype=complex) -> np.ndarray:
@@ -115,13 +120,13 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def hermitize(m, eq_abs: float | None = None) -> np.ndarray:
-    """Hermitian part (m + m*)/2; with ``eq_abs`` given, reject inputs further
-    from hermitian than the allowance."""
+def hermitize(m, cutoff: float | None = None) -> np.ndarray:
+    """Hermitian part (m + m*)/2; with ``cutoff`` given, reject inputs further
+    from hermitian than it."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if eq_abs is not None and max_abs(arr - dagger(arr)) > eq_abs:
+    if cutoff is not None and max_abs(arr - dagger(arr)) > cutoff:
         raise ValueError("matrix is not hermitian within tolerance")
     return (arr + dagger(arr)) / 2.0
 
@@ -131,17 +136,18 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np
     columns of a hermitian matrix.
 
     The input is hermitized before the solve; inputs that are not hermitian
-    within ``tol.eq_abs`` are rejected.
+    within ``tol.cutoff`` are rejected.
     """
-    h = hermitize(m, eq_abs=tol.eq_abs)
+    h = hermitize(m, tol.cutoff)
     vals, vecs = np.linalg.eigh(h)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def rank_cutoff(values, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """The one rank cutoff: ``rank_rel`` times the largest magnitude among
-    ``values``, floored at 1; values at or below it count as zero."""
-    return tol.rank_rel * max(1.0, max_abs(values))
+    """The one scaled cutoff: ``tol.cutoff`` times the largest magnitude among
+    ``values``, floored at 1.  Values at or below it count as zero in a rank,
+    and an eigenvalue no further below zero than it still counts as PSD."""
+    return tol.cutoff * max(1.0, max_abs(values))
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
@@ -154,61 +160,46 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     return int(np.count_nonzero(s > rank_cutoff(s, tol)))
 
 
-def psd_allowance(vals, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """How far below zero the smallest of ``vals`` may lie and still count as
-    PSD: ``psd_abs`` scaled by the largest eigenvalue magnitude (floored at 1)."""
-    return tol.psd_abs * max(1.0, max_abs(vals))
-
-
 def is_psd(m, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Positive semidefiniteness of a hermitian matrix, within :func:`psd_allowance`."""
+    """Positive semidefiniteness of a hermitian matrix, within :func:`rank_cutoff`."""
     vals, _ = hermitian_eig(m, tol)
-    return vals.size == 0 or float(vals[-1]) >= -psd_allowance(vals, tol)
+    return vals.size == 0 or float(vals[-1]) >= -rank_cutoff(vals, tol)
 
 
 def psd_factor(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
     """(vals, cols): the eigenvalues of a hermitian m above :func:`rank_cutoff`,
     descending, and their eigencolumns scaled by sqrt, so cols @ cols* ≈ m.
-    Raises :class:`NotCompletelyPositive` unless m is PSD within
-    :func:`psd_allowance` with a positive eigenvalue."""
+    Raises :class:`NotCompletelyPositive` unless m is PSD within the same
+    cutoff with a positive eigenvalue."""
     vals, vecs = hermitian_eig(m, tol)
     if not vals.size or vals[0] <= 0.0:
         raise NotCompletelyPositive("not PSD: no positive eigenvalue")
-    allowance = psd_allowance(vals, tol)
-    if vals[-1] < -allowance:
-        raise NotCompletelyPositive(f"not PSD: eigenvalue {vals[-1]:.3e} below -{allowance:.3e}")
-    keep = vals > rank_cutoff(vals, tol)
+    cutoff = rank_cutoff(vals, tol)
+    if vals[-1] < -cutoff:
+        raise NotCompletelyPositive(f"not PSD: eigenvalue {vals[-1]:.3e} below -{cutoff:.3e}")
+    keep = vals > cutoff
     return vals[keep], vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
-    """Trace out one tensor factor of a matrix on a bipartite space.
-
-    ``dims`` declares the factor sizes (first is the slow index, matching
-    ``numpy.kron`` order); ``side`` names the factor that is traced out.
-    """
-    arr = as_matrix(m)
-    d1, d2 = dims
-    if d1 <= 0 or d2 <= 0 or arr.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"matrix of shape {arr.shape} does not match factors {dims}")
-    four = arr.reshape(d1, d2, d1, d2)
-    if side == "first":
-        return np.trace(four, axis1=0, axis2=2)
-    if side == "second":
-        return np.trace(four, axis1=1, axis2=3)
-    raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-
-
-def phase_fixed(m, eq_abs: float = DEFAULT_TOLERANCE.eq_abs) -> np.ndarray:
+def phase_fixed(m, cutoff: float = DEFAULT_TOLERANCE.cutoff) -> np.ndarray:
     """Rotate a matrix, or each matrix of a d×n×n stack, by a global phase so
-    its first entry of modulus above ``eq_abs`` (row-major scan) becomes real
+    its first entry of modulus above ``cutoff`` (row-major scan) becomes real
     positive; a matrix with no such entry is left as it is."""
     arr = np.asarray(m, dtype=complex)
     flat = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])  # one row per matrix, or none
-    above = np.abs(flat) > eq_abs
+    above = np.abs(flat) > cutoff
     found = above.any(axis=1)[:, None]
     z = np.where(found, flat[np.arange(len(flat)), np.argmax(above, axis=1)][:, None], 1.0)
     # hypot, not np.abs: on arrays np.abs rounds differently from abs() of one
     # entry, and the canonical Kraus bytes must not move
     turn = np.conj(z) / np.hypot(z.real, z.imag)
     return np.where(found, flat * turn, flat).reshape(arr.shape)
+
+
+def projection_eigenbasis(p, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, np.ndarray]:
+    """(rank, cols) of an orthogonal projection p: its eigencolumns, each
+    phase-fixed on its own, with the first ``rank`` (eigenvalue above ½)
+    spanning the range."""
+    vals, vecs = hermitian_eig(p, tol)
+    # each eigencolumn phase-fixed on its own, as a stack of 1×n rows
+    return int(np.count_nonzero(vals > 0.5)), phase_fixed(vecs.T[:, None], tol.cutoff)[:, 0].T

@@ -22,6 +22,7 @@ import numpy as np
 from .channels import Channel
 from .numerics import (
     DEFAULT_TOLERANCE,
+    STRUCT_TOL,
     NumericalFailure,
     Tolerance,
     dagger,
@@ -29,6 +30,7 @@ from .numerics import (
     max_abs,
     numerical_rank,
     phase_fixed,
+    projection_eigenbasis,
     rank_cutoff,
     unvec,
     vec,
@@ -46,10 +48,6 @@ __all__ = [
 
 # eigenvalues this close to the unit circle count as peripheral
 PERIPHERAL_BAND = 1e-8
-
-# structural checks (closure, cycling, the root's branch cut) use a looser
-# cutoff than entrywise equality: they sit behind an eigensolve
-_STRUCT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +87,7 @@ def _eigenspace(t: np.ndarray, mu: complex, tol: Tolerance) -> np.ndarray:
     # k×n×n stack, Hilbert-Schmidt orthonormal and phase-fixed, spanning
     # {x : τ(x) = μx}: the singular values of T − μI at or below rank_cutoff
     _, s, vh = np.linalg.svd(t - mu * np.eye(len(t)))
-    return phase_fixed(unvec(np.conj(vh[s <= rank_cutoff(s, tol)])), tol.eq_abs)
+    return phase_fixed(unvec(np.conj(vh[s <= rank_cutoff(s, tol)])), tol.cutoff)
 
 
 def _generic_element(basis: np.ndarray) -> np.ndarray:
@@ -115,9 +113,9 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         raise NumericalFailure("unital channel lost its fixed space — broken input")
     q = vec(basis)
     off_span = np.eye(n * n) - q.T @ np.conj(q)  # projector onto the span's complement
-    if max_abs(vec(dagger(basis)) @ off_span.T) > _STRUCT_TOL:
+    if max_abs(vec(dagger(basis)) @ off_span.T) > STRUCT_TOL:
         raise NumericalFailure("fixed-point space is not adjoint-closed within tolerance")
-    if max_abs(vec(basis[:, None] @ basis[None, :]) @ off_span.T) > _STRUCT_TOL:
+    if max_abs(vec(basis[:, None] @ basis[None, :]) @ off_span.T) > STRUCT_TOL:
         raise NumericalFailure("fixed-point space is not product-closed within tolerance")
     return list(basis)
 
@@ -134,7 +132,7 @@ def invariant_projection(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     # split the spectrum at its largest gap; both sides are nonempty
     cut = int(np.argmax(vals[:-1] - vals[1:])) + 1
     e = vecs[:, :cut] @ dagger(vecs[:, :cut])
-    if max_abs(ch.apply(e) - e) > max(tol.eq_abs, 1e-10):
+    if max_abs(ch.apply(e) - e) > max(tol.cutoff, 1e-10):
         raise NumericalFailure("non-ergodic channel yielded no verified invariant projection")
     return e
 
@@ -174,10 +172,10 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
 
 def _unitary_root(m: np.ndarray, p: int) -> np.ndarray:
     # principal p-th root of a unitary m in an orthonormal eigenbasis q of m; the
-    # cut sits _STRUCT_TOL below −1, so a cluster at −1 split by rounding has one root
+    # cut sits STRUCT_TOL below −1, so a cluster at −1 split by rounding has one root
     _, q = np.linalg.eigh(_hermitian_mix(m))
     eigs = np.sum(np.conj(q) * (m @ q), axis=0)  # diagonal of q* m q
-    phases = np.angle(np.exp(-1j * _STRUCT_TOL) * eigs) + _STRUCT_TOL
+    phases = np.angle(np.exp(-1j * STRUCT_TOL) * eigs) + STRUCT_TOL
     return (q * np.exp(1j * phases / p)) @ dagger(q)
 
 
@@ -199,7 +197,7 @@ def _verify_family(ch: Channel, projections, tol: Tolerance) -> bool:
         e.sum(axis=0) - np.eye(ch.dim),
         image - np.roll(e, -1, axis=0),
     )
-    return max(max_abs(x) for x in defects) <= max(tol.eq_abs, 1e-10)
+    return max(max_abs(x) for x in defects) <= max(tol.cutoff, 1e-10)
 
 
 def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -234,29 +232,24 @@ def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERAN
     """
     _require_doubly_stochastic(ch)
     p = fam.period
-    bases = []
-    ranks = []
-    for e in fam.projections:
-        vals, vecs = hermitian_eig(e, tol)
-        r = int(np.count_nonzero(vals > 0.5))
-        # each eigencolumn phase-fixed on its own, as a stack of 1×n rows
-        bases.append(phase_fixed(vecs[:, :r].T[:, None], tol.eq_abs)[:, 0].T)
-        ranks.append(r)
+    found = [projection_eigenbasis(e, tol) for e in fam.projections]
+    ranks = [r for r, _ in found]
     if len(set(ranks)) != 1:
         raise ValueError(f"cyclic projections have unequal ranks {ranks}")
+    bases = [cols[:, :r] for r, cols in found]
 
     n = ch.dim
     alpha = np.zeros((n, n), dtype=complex)
     for k in range(p):
         alpha += bases[(k + 1) % p] @ dagger(bases[k])
-    if max_abs(alpha @ dagger(alpha) - np.eye(n)) > _STRUCT_TOL:
+    if max_abs(alpha @ dagger(alpha) - np.eye(n)) > STRUCT_TOL:
         raise NumericalFailure("cycling map failed to be unitary")
     for k in range(p):
-        if max_abs(alpha @ fam.projections[k] @ dagger(alpha) - fam.projections[(k + 1) % p]) > _STRUCT_TOL:
+        if max_abs(alpha @ fam.projections[k] @ dagger(alpha) - fam.projections[(k + 1) % p]) > STRUCT_TOL:
             raise NumericalFailure("cycling map does not shift the projections")
 
     residual = Channel.from_kraus(ch.kraus.ops @ dagger(alpha), tol)
     for e in fam.projections:
-        if max_abs(residual.apply(e) - e) > max(tol.eq_abs, 1e-9):
+        if max_abs(residual.apply(e) - e) > max(tol.cutoff, 1e-9):
             raise NumericalFailure("residual channel does not fix the cyclic projections")
     return alpha, residual

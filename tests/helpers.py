@@ -8,8 +8,40 @@ produced by explicit projection/mixture constructions.
 
 import numpy as np
 
-from qbirkhoff import Channel, KrausFamily
-from qbirkhoff.numerics import dagger, partial_trace, vec
+from qbirkhoff import Channel, KrausFamily, embed_classical
+from qbirkhoff.numerics import dagger, vec
+
+
+def partial_trace(m, dims, side):
+    """Trace out one tensor factor of a matrix on a bipartite space.
+
+    ``dims`` declares the factor sizes (first is the slow index, matching
+    ``numpy.kron`` order); ``side`` names the factor that is traced out.
+    """
+    arr = np.asarray(m, dtype=complex)
+    d1, d2 = dims
+    if d1 <= 0 or d2 <= 0 or arr.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"matrix of shape {arr.shape} does not match factors {dims}")
+    four = arr.reshape(d1, d2, d1, d2)
+    if side == "first":
+        return np.trace(four, axis1=0, axis2=2)
+    if side == "second":
+        return np.trace(four, axis1=1, axis2=3)
+    raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+
+
+def unitary_channel(u):
+    return Channel.from_kraus([np.asarray(u, dtype=complex)])
+
+
+def swap_channel():
+    """Conjugation by the 2×2 basis swap."""
+    return unitary_channel(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def cycle_embed_channel(n=3):
+    """Embedding of the n-cycle permutation: diagonals rotate, off-diagonals die."""
+    return embed_classical(np.roll(np.eye(n), 1, axis=0))
 
 
 def haar_unitary(n, rng):

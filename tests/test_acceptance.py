@@ -28,17 +28,16 @@ from qbirkhoff import (
 from qbirkhoff.birkhoff import birkhoff_decompose
 from qbirkhoff.catalog import (
     build_example,
-    cycle_embed_channel,
     depolarizing_channel,
     diagonal_pair_family,
     identity_channel,
     spin_triple_family,
-    swap_channel,
     weyl_mixture_channel,
 )
 from qbirkhoff.numerics import dagger, max_abs
 
 import helpers
+from helpers import cycle_embed_channel, swap_channel
 
 
 def report(capfd, num, ok, detail):

@@ -117,7 +117,7 @@ def test_decompose_long_augmenting_paths():
 
 
 def test_decompose_without_perfect_matching():
-    # accepted as doubly stochastic within eq_abs = 1e-9, but once the
+    # accepted as doubly stochastic within the tolerance 1e-9, but once the
     # identity is peeled the stray entry cannot be matched
     s = np.eye(3)
     s[0, 1] = 1e-10

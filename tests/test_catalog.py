@@ -9,7 +9,6 @@ from qbirkhoff.catalog import (
     EXAMPLE_NAMES,
     build_example,
     build_family,
-    cycle_embed_channel,
     diagonal_pair_family,
     spin_triple_family,
     weyl_basis,
@@ -18,6 +17,8 @@ from qbirkhoff.catalog import (
 )
 from qbirkhoff.channels import NotCompletelyPositive, dumps_channel
 from qbirkhoff.numerics import Tolerance, dagger, max_abs
+
+from helpers import cycle_embed_channel
 
 
 def test_every_named_example_is_doubly_stochastic():
@@ -133,7 +134,7 @@ def test_tolerance_reaches_builtin_construction():
     # |z| = 1 + 1e-7 leaves the multiplier matrix an eigenvalue of -1e-7
     with pytest.raises(NotCompletelyPositive, match="not PSD"):
         build_example("ex2.8", z=1.0000001)
-    loose = Tolerance(rank_rel=1e-3, psd_abs=1e-3, eq_abs=1e-3)
+    loose = Tolerance(1e-3)
     ch = build_example("ex2.8", z=1.0000001, tol=loose)
     assert ch.dim == 2 and ch.kraus.index == 1
 

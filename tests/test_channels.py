@@ -23,9 +23,10 @@ from qbirkhoff.channels import (
     matrix_to_pairs,
     superoperator_from_kraus,
 )
-from qbirkhoff.numerics import dagger, max_abs, partial_trace, vec
+from qbirkhoff.numerics import dagger, max_abs, vec
 
 import helpers
+from helpers import partial_trace
 
 
 def basis_units(n):

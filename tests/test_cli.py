@@ -11,6 +11,7 @@ import pytest
 from qbirkhoff.cli import _tolerance, build_parser, main
 from qbirkhoff import dumps_channel
 from qbirkhoff.channels import matrix_to_pairs
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance
 from qbirkhoff.catalog import BUILTINS, EXAMPLE_NAMES, build_example
 
 
@@ -196,10 +197,10 @@ def test_certificate_antiunitary_must_be_a_json_boolean(tmp_path, capsys, flag, 
         assert out == "" and "antiunitary" in err
 
 
-def test_tol_sets_the_three_tolerance_fields():
+def test_tol_sets_the_tolerance():
     args = build_parser().parse_args(["analyze", "ex2.4", "--tol", "1e-6"])
-    tol = _tolerance(args)
-    assert (tol.rank_rel, tol.psd_abs, tol.eq_abs) == (1e-6, 1e-6, 1e-6)
+    assert _tolerance(args) == Tolerance(1e-6)
+    assert _tolerance(build_parser().parse_args(["analyze", "ex2.4"])) == DEFAULT_TOLERANCE
 
 
 def test_conjugacy_detects_invariant_mismatch(capsys):

@@ -17,7 +17,7 @@ from qbirkhoff import (
 )
 from qbirkhoff.catalog import diagonal_pair_family, spin_triple_family
 from qbirkhoff.conjugacy import certificate_from_dict, certificate_to_dict
-from qbirkhoff.numerics import NumericalFailure, dagger, max_abs
+from qbirkhoff.numerics import NumericalFailure, Tolerance, dagger, max_abs
 
 import helpers
 
@@ -151,6 +151,18 @@ def test_block_projection_trace_preserving_boundary():
     p, is_proj = choi_block_projection(fam)
     assert not is_proj
     assert max_abs(p @ p - p) < 1e-12
+
+
+def test_block_projection_flag_follows_the_tolerance():
+    # unit defects of 2e-8, between the default 1e-9 and 1e-6
+    fam = KrausFamily.from_ops([(1.0 + 1e-8) * np.eye(2)])
+    loose = Tolerance(1e-6)
+    assert choi_block_projection(fam, loose)[1]
+    assert not choi_block_projection(fam)[1]
+    w, u = choi_block_intertwiner(fam, fam, loose)
+    assert max_abs(u - np.eye(2)) < 1e-7
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        choi_block_intertwiner(fam, fam)
 
 
 def test_intertwiner_trivial():

@@ -184,7 +184,7 @@ def test_decompose_unitary_mixtures_valid_or_numerical_failure():
             try:
                 dec = decompose_extremal(ch, kind=kind)
             except NumericalFailure as exc:
-                assert "eq_abs" in str(exc)
+                assert "tolerance" in str(exc)
                 continue
             assert len(dec.terms) <= ch.index
             helpers.check_decomposition(ch, dec, kind)
@@ -193,7 +193,7 @@ def test_decompose_unitary_mixtures_valid_or_numerical_failure():
 @pytest.mark.parametrize("seed", [192, 389, 607, 1021, 1276])
 def test_decompose_knife_edge_unitary_mixtures(seed):
     # knife-edge inputs: a split that scales a certificate by 1/μ (μ small)
-    # pushes its residual past eq_abs; a walk step keeps scale 1
+    # pushes its residual past the tolerance; a walk step keeps scale 1
     ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(seed))
     dec = decompose_extremal(ch)
     assert dec.complete and len(dec.terms) <= ch.index
@@ -215,7 +215,7 @@ def test_decompose_cp_former_failures(seed):
 @pytest.mark.parametrize("kind", [CP, CP_PHI])
 def test_decompose_hermitizes_the_remainder(kind):
     # the remainder's coefficient matrix is hermitian by construction, but the
-    # 1/(1−w) factor amplified its rounding past hermitize's eq_abs check here
+    # 1/(1−w) factor amplified its rounding past hermitize's tolerance check here
     ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(4727))
     dec = decompose_extremal(ch, kind=kind)
     assert len(dec.terms) <= ch.index
@@ -225,7 +225,7 @@ def test_decompose_hermitizes_the_remainder(kind):
 @pytest.mark.xfail(strict=True, raises=NumericalFailure, reason="ROADMAP item 2")
 def test_decompose_cp_last_known_failure():
     # the last remainder has mass about 2e-7, so normalizing it amplifies a
-    # rounding-level unit defect past eq_abs; a fix shows up as an XPASS
+    # rounding-level unit defect past the tolerance; a fix shows up as an XPASS
     ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(1276))
     dec = decompose_extremal(ch, kind=CP)
     helpers.check_decomposition(ch, dec, CP)

@@ -76,7 +76,7 @@ def test_rank_and_null_thin(rows, cols, rank):
     tol = DEFAULT_TOLERANCE
     got_rank, x = _rank_and_null(m, tol)
     s = np.linalg.svd(m, compute_uv=False)
-    assert got_rank == int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    assert got_rank == int(np.count_nonzero(s > tol.cutoff * s[0]))
     assert got_rank == (min(rows, cols) if rank is None else rank)
     assert abs(np.linalg.norm(x) - 1.0) < 1e-12
     again = _rank_and_null(m, tol)[1]

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qbirkhoff.channels import kraus_from_choi
+from qbirkhoff.channels import KrausFamily, kraus_from_choi
 from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
     NotCompletelyPositive,
@@ -14,9 +16,7 @@ from qbirkhoff.numerics import (
     max_abs,
     numerical_rank,
     operator_norm,
-    partial_trace,
     phase_fixed,
-    psd_allowance,
     psd_factor,
     rank_cutoff,
     unvec,
@@ -24,6 +24,7 @@ from qbirkhoff.numerics import (
 )
 
 import helpers
+from helpers import partial_trace
 
 
 def random_complex(rng, shape):
@@ -31,15 +32,34 @@ def random_complex(rng, shape):
 
 
 def test_tolerance_fields_validated():
-    with pytest.raises(ValueError):
-        Tolerance(rank_rel=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(psd_abs=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(eq_abs=1.5)
-    t = Tolerance()
-    assert t.rank_rel == 1e-9 and t.psd_abs == 1e-9 and t.eq_abs == 1e-9
+    for bad in (0.0, -1e-9, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            Tolerance(bad)
+    assert Tolerance().cutoff == 1e-9
     assert DEFAULT_TOLERANCE == Tolerance()
+
+
+def test_one_tolerance_value_moves_every_cutoff():
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["cutoff"]
+    tol = Tolerance(1e-6)
+    c = rank_cutoff([1.0], tol)
+    assert c == 1e-6
+    # the PSD allowance and the rank drop are the same scaled cutoff
+    vals, _ = psd_factor(np.diag([1.0, 0.5 * c, -0.99 * c]), tol)
+    assert vals.tolist() == [1.0]
+    with pytest.raises(NotCompletelyPositive):
+        psd_factor(np.diag([1.0, -1.01 * c]), tol)
+    assert is_psd(np.diag([1.0, -0.99 * c]), tol) and not is_psd(np.diag([1.0, -0.99 * c]))
+    assert numerical_rank(np.diag([1.0, 0.5 * c]), tol) == 1
+    assert numerical_rank(np.diag([1.0, 0.5 * c])) == 2
+    # equality: the hermiticity check of an eigensolve, and the unit flags
+    skew = np.array([[1.0, 0.5 * c], [0.0, 1.0]])
+    hermitian_eig(skew, tol)
+    with pytest.raises(ValueError, match="not hermitian"):
+        hermitian_eig(skew)
+    fam = KrausFamily.from_ops([(1.0 + 0.25 * c) * np.eye(2)])
+    assert fam.validate(tol) == (True, True)
+    assert fam.validate() == (False, False)
 
 
 def test_vec_is_column_stacking(rng):
@@ -89,7 +109,7 @@ def test_numerical_rank_unitary_invariant(rng):
 
 
 def test_rank_cutoff_floors_at_one():
-    rel = DEFAULT_TOLERANCE.rank_rel
+    rel = DEFAULT_TOLERANCE.cutoff
     assert rank_cutoff(np.array([1e-3, 1e-12])) == rel
     assert rank_cutoff(np.array([0.0])) == rel
     assert rank_cutoff(np.array([-5.0, 2.0])) == 5.0 * rel
@@ -111,11 +131,11 @@ def test_psd_factor_rebuilds_psd_input(rng):
 
 
 def test_psd_factor_drops_the_gap_and_rejects_non_psd():
-    rel = DEFAULT_TOLERANCE.rank_rel
-    # 0.8·rank_rel lies above rank_rel·largest (largest 0.5) but not above rank_rel
+    rel = DEFAULT_TOLERANCE.cutoff
+    # 0.8·cutoff lies above cutoff·largest (largest 0.5) but not above cutoff
     vals, cols = psd_factor(np.diag([0.5, 0.8 * rel, 0.0]))
     assert vals.tolist() == [0.5] and cols.shape == (3, 1)
-    edge = psd_allowance(np.array([1.0]))
+    edge = rank_cutoff(np.array([1.0]))
     psd_factor(np.diag([1.0, -0.99 * edge]))
     with pytest.raises(NotCompletelyPositive):
         psd_factor(np.diag([1.0, -1.01 * edge]))
@@ -124,11 +144,11 @@ def test_psd_factor_drops_the_gap_and_rejects_non_psd():
 
 
 def test_kraus_from_choi_drops_an_operator_in_the_gap(rng):
-    # Choi matrix with top eigenvalue 0.5 < 1 and a second one at 0.8·rank_rel:
+    # Choi matrix with top eigenvalue 0.5 < 1 and a second one at 0.8·cutoff:
     # the floored cutoff counts the second as zero, so one operator is left
     q = np.linalg.qr(random_complex(rng, (4, 2)))[0]
     choi = 0.5 * np.outer(q[:, 0], np.conj(q[:, 0]))
-    choi += 0.8 * DEFAULT_TOLERANCE.rank_rel * np.outer(q[:, 1], np.conj(q[:, 1]))
+    choi += 0.8 * DEFAULT_TOLERANCE.cutoff * np.outer(q[:, 1], np.conj(q[:, 1]))
     fam = kraus_from_choi(choi)
     assert fam.index == 1
     kept = np.outer(vec(fam.ops[0]), np.conj(vec(fam.ops[0])))
@@ -164,9 +184,9 @@ def test_is_psd_boundary():
 def test_hermitize_rejects_large_skew():
     m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        hermitize(m, eq_abs=1e-9)
+        hermitize(m, cutoff=1e-9)
     soft = np.eye(2) + 1e-12 * np.array([[0, 1], [0, 0]])
-    out = hermitize(soft, eq_abs=1e-9)
+    out = hermitize(soft, cutoff=1e-9)
     assert max_abs(out - dagger(out)) <= 1e-9
 
 

@@ -13,16 +13,15 @@ from qbirkhoff import (
 from qbirkhoff.birkhoff import embed_classical
 from qbirkhoff.catalog import (
     build_example,
-    cycle_embed_channel,
     depolarizing_channel,
     identity_channel,
-    swap_channel,
     weyl_mixture_channel,
 )
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, vec
 from qbirkhoff.spectral import _unitary_root, _verify_family
 
 import helpers
+from helpers import cycle_embed_channel, swap_channel
 
 
 def test_identity_channel_is_maximally_non_ergodic():
