@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel, KrausFamily
-from .faces import M2CanonicalForm, SchurSpec, m2_index2_channel, schur_channel
+from .faces import M2CanonicalForm, SchurSpec, m2_index2_channel, m3_matrix, schur_channel
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "weyl_shift_clock_family",
     "weyl_mixture_channel",
     "BUILTINS",
-    "EXAMPLE_NAMES",
     "build_family",
     "build_example",
 ]
@@ -61,15 +60,7 @@ def triple_multiplier_channel(
     z1: complex, z2: complex, z3: complex, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Channel:
     """M₃ multiplier channel of the face fixing all three diagonal units."""
-    spec = SchurSpec.from_matrix(
-        [
-            [1.0, z1, z3],
-            [np.conj(z1), 1.0, z2],
-            [np.conj(z3), np.conj(z2), 1.0],
-        ],
-        tol,
-    )
-    return schur_channel(spec, tol)
+    return schur_channel(SchurSpec.from_matrix(m3_matrix(z1, z2, z3), tol), tol)
 
 
 def spin_triple_family() -> KrausFamily:
@@ -144,12 +135,10 @@ BUILTINS = {
     ),
 }
 
-EXAMPLE_NAMES = tuple(BUILTINS)
-
 
 def _build(name: str, tol: Tolerance, params: dict) -> Channel | KrausFamily:
     if name not in BUILTINS:
-        raise KeyError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+        raise KeyError(f"unknown example {name!r}; known: {', '.join(BUILTINS)}")
     builder, declared = BUILTINS[name]
     unknown = [key for key in params if key not in declared]
     if unknown:

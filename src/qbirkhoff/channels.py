@@ -214,9 +214,11 @@ class Channel:
     def superoperator(self) -> np.ndarray:
         return superoperator_from_kraus(self.kraus)
 
+    @cached_property
     def real_superoperator(self) -> np.ndarray:
-        """The real form: real and unitarily similar to T, since τ(x*) = τ(x)*.
-        That symmetry also lets it read only the rows and columns of E_jj, E_jk."""
+        """The real form, built once: read-only, real and unitarily similar to T,
+        since τ(x*) = τ(x)*.  That symmetry also lets it read only the rows and
+        columns of E_jj, E_jk."""
         t, n = self.superoperator(), self.dim
         j, k = np.triu_indices(n, 1)
         diag = np.arange(n) * (n + 1)
@@ -228,13 +230,14 @@ class Channel:
         r[:n, :n] *= 0.5
         r[:n, n:] *= np.sqrt(0.5)
         r[n:, :n] *= np.sqrt(0.5)
+        r.flags.writeable = False
         return r
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of τ from the real form, solved once: read-only complex128,
         with exact conjugate pairs and real ones as x + 0.0j."""
-        vals = np.linalg.eigvals(self.real_superoperator()).astype(complex)
+        vals = np.linalg.eigvals(self.real_superoperator).astype(complex)
         vals.flags.writeable = False
         return vals
 

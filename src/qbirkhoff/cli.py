@@ -4,8 +4,7 @@ Machine-readable JSON goes to stdout, human commentary to stderr, so the
 commands compose in pipelines (``example`` emits channel files that
 ``analyze``, ``decompose`` and ``classify`` read back, from a path or "-").
 
-Exit codes: 0 ok, 1 invalid input, 2 CP/numerical failure, 3 decomposition
-incomplete at the depth bound.
+Exit codes: 0 ok, 1 invalid input, 2 CP/numerical failure.
 """
 
 from __future__ import annotations
@@ -179,16 +178,11 @@ def cmd_decompose(args) -> int:
     tol = _tolerance(args)
     ch = _load_channel(args, tol)
     kind = CP_PHI if args.kind == "CP_phi" else CP
-    dec = decompose_extremal(ch, kind=kind, max_depth=args.max_depth, tol=tol)
+    dec = decompose_extremal(ch, kind=kind, tol=tol)
     _emit([{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms])
     err = dec.reconstruction_error(ch)
-    _say(
-        args,
-        f"{len(dec.terms)} extremal terms, depth {dec.depth}, "
-        f"reconstruction error {err:.2e}"
-        + ("" if dec.complete else " — INCOMPLETE at depth bound"),
-    )
-    return 0 if dec.complete else 3
+    _say(args, f"{len(dec.terms)} extremal terms, depth {dec.depth}, reconstruction error {err:.2e}")
+    return 0
 
 
 def cmd_conjugacy(args) -> int:
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="convex decomposition into extremal channels")
     p.add_argument("channel")
     p.add_argument("--kind", choices=("CP", "CP_phi"), default="CP_phi")
-    p.add_argument("--max-depth", type=int, default=64)
     common(p)
     example_params(p)
     p.set_defaults(func=cmd_decompose)

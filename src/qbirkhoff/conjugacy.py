@@ -38,7 +38,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "DataMatrix",
     "ConjugacyCertificate",
     "data_matrix",
     "spectrum_invariant",
@@ -62,14 +61,6 @@ def _family(obj) -> KrausFamily:
 
 
 @dataclass(frozen=True, eq=False)
-class DataMatrix:
-    """Gram matrix D_ij = φ(v_i v_j*) at a state φ; hermitian PSD."""
-
-    matrix: np.ndarray
-    state_tag: str = "normalized trace"
-
-
-@dataclass(frozen=True, eq=False)
 class ConjugacyCertificate:
     u: np.ndarray
     g: np.ndarray
@@ -77,13 +68,13 @@ class ConjugacyCertificate:
     antiunitary: bool = False
 
 
-def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> DataMatrix:
-    """Basic data matrix of a channel at a state (default: normalized trace)."""
+def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Basic data matrix D_ij = φ(v_i v_j*) of a channel at a state φ (default:
+    normalized trace): the d×d Gram matrix, hermitian PSD."""
     fam = _family(ch)
     n = fam.dim
     if state is None:
         rho = np.eye(n) / n
-        tag = "normalized trace"
     else:
         rho = as_matrix(state)
         if rho.shape != (n, n):
@@ -94,15 +85,14 @@ def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> DataMatri
             raise ValueError("state is not positive semidefinite")
         if abs(np.trace(rho) - 1.0) > tol.cutoff:
             raise ValueError("state does not have unit trace")
-        tag = "custom state"
     mat = np.tensordot(fam.products(), rho.T, axes=2)  # tr(ρ v_i v_j*)
     # Gram structure forces hermitian PSD; symmetrize away roundoff
-    return DataMatrix(matrix=(mat + dagger(mat)) / 2.0, state_tag=tag)
+    return (mat + dagger(mat)) / 2.0
 
 
-def spectrum_invariant(dm: DataMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Descending eigenvalues — invariant under every certified conjugacy."""
-    vals, _ = hermitian_eig(dm.matrix, tol)
+def spectrum_invariant(dm, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Descending eigenvalues of a data matrix — invariant under every certified conjugacy."""
+    vals, _ = hermitian_eig(dm, tol)
     return vals
 
 
@@ -113,9 +103,9 @@ def spectra_match(spec_a, spec_b) -> bool:
     return a.size == b.size and bool(np.max(np.abs(a - b)) <= _SPECTRA_MATCH)
 
 
-def conjugate_data_test(dm: DataMatrix, dm2: DataMatrix, tol: Tolerance = DEFAULT_TOLERANCE):
-    """A unitary g with g D g* = D' when the spectra match, else None."""
-    a, b = as_matrix(dm.matrix), as_matrix(dm2.matrix)
+def conjugate_data_test(dm, dm2, tol: Tolerance = DEFAULT_TOLERANCE):
+    """A unitary g with g D g* = D' for two data matrices when the spectra match, else None."""
+    a, b = as_matrix(dm), as_matrix(dm2)
     if a.shape != b.shape:
         return None
     vals_a, vecs_a = hermitian_eig(a, tol)
@@ -171,7 +161,13 @@ def _eigenbasis(p: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
 
 def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     """Unitary W with W* P W = P' for the two block projections, and the
-    induced unitary u on C^n defined by u: v'_j* f -> Σ_k v_k* W_kj f."""
+    induced unitary u on C^n defined by u: v'_j* f -> Σ_k v_k* W_kj f.
+
+    The residuals grow with the families' unit defects (‖uu* − I‖ is twice one
+    defect for two copies of (1+ε)·I), so the post-checks allow the sum of both
+    families' measured defects, floored at ``STRUCT_TOL``: a family accepted at a
+    loose ``tol`` is not refused by them.
+    """
     fam, fam2 = _family(k), _family(k2)
     if fam.dim != fam2.dim or fam.index != fam2.index:
         raise ValueError("intertwiner needs equal dimension and index")
@@ -181,10 +177,11 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
         if not is_projection:
             raise ValueError(f"{name} family is not doubly stochastic")
         blocks.append(p)
+    allowance = max(STRUCT_TOL, sum(fam.unit_defects() + fam2.unit_defects()))
     n, d = fam.dim, fam.index
     p, p2 = blocks
     w_full = _eigenbasis(p, n, tol) @ dagger(_eigenbasis(p2, n, tol))
-    if max_abs(dagger(w_full) @ p @ w_full - p2) > STRUCT_TOL:
+    if max_abs(dagger(w_full) @ p @ w_full - p2) > allowance:
         raise NumericalFailure("intertwiner failed to conjugate the block projections")
 
     # m[j] = Σ_k v_k* W_kj, with W_kj the (k, j) block of W
@@ -192,9 +189,9 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     m = m.transpose(1, 0, 2)
     ops2 = fam2.ops
     u = (m @ ops2).sum(axis=0)
-    if max_abs(u @ dagger(u) - np.eye(n)) > STRUCT_TOL:
+    if max_abs(u @ dagger(u) - np.eye(n)) > allowance:
         raise NumericalFailure("induced vector map failed to be unitary")
-    if max_abs(u @ dagger(ops2) - m) > STRUCT_TOL:
+    if max_abs(u @ dagger(ops2) - m) > allowance:
         raise NumericalFailure("induced vector map violates its defining relation")
     return w_full, u
 

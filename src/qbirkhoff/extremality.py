@@ -6,7 +6,8 @@ stochastic maps the products and the reversed products v_j* v_i must be
 jointly independent (Choi / Landau-Streater criteria).  A failed test is
 witnessed by a hermitian coefficient matrix; walking along witnesses reaches
 an extremal channel in the face, and peeling off its largest multiple leaves
-a remainder of smaller index, so index-many peels decompose the channel.
+a remainder.  Every walk step and every peel lowers the index, so a walk takes
+at most index − 1 steps and a decomposition has at most index-many terms.
 """
 
 from __future__ import annotations
@@ -190,11 +191,11 @@ def _ops(rows: np.ndarray, family: KrausFamily) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExtremalDecomposition:
-    """Convex combination Σ w_k τ_k, heaviest first; extremal terms when complete."""
+    """Convex combination Σ w_k τ_k of extremal channels, heaviest first;
+    ``depth`` is the longest certificate walk."""
 
     terms: tuple
     depth: int
-    complete: bool
 
     def total_weight(self) -> float:
         return float(sum(w for w, _ in self.terms))
@@ -216,10 +217,18 @@ def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance) -
     return Channel(fam, True, in_dev <= tol.cutoff)
 
 
+def _step(coeff: np.ndarray, rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance):
+    # the one step of walks and peels: rows' = b @ rows with bᵀ·conj(b) = coeff, whose
+    # zero eigenvalue drops the index; a step that keeps it would never end
+    out = _mix_family(coeff, tol) @ rows
+    if len(out) >= len(rows):
+        raise NumericalFailure(f"a decomposition step kept the index at {len(rows)}")
+    return out, _derived(out, family, kind, tol)
+
+
 def decompose_extremal(
     ch: Channel,
     kind: str = CP_PHI,
-    max_depth: int = 64,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> ExtremalDecomposition:
     """Greedy peeling into at most ``ch.index`` extremal channels of ``kind``
@@ -228,25 +237,25 @@ def decompose_extremal(
     A certificate walk from the remainder τ reaches an extremal ε with
     coefficient matrix C in τ's Kraus coordinates; w = 1/λ_max(C) keeps
     τ − wε completely positive, and (τ − wε)/(1−w) has smaller index.
-    ``depth`` is the longest walk; one stopped at ``max_depth`` steps peels
-    its channel as it is and flags the result incomplete.
+    Each walk step lowers the index too, so ``depth``, the longest walk, is
+    below ``ch.index``; a step that keeps the index raises
+    :class:`NumericalFailure`.
     """
     if kind not in (CP, CP_PHI):
         raise ValueError(f"unknown extremality kind {kind!r}")
     test = landau_streater_test if kind == CP_PHI else choi_extremal_test
     # the test's own preconditions vet ch (unital, and TP for CP_phi)
-    terms, complete, deepest, mass, tau = [], True, 0, 1.0, ch
-    for _ in range(ch.index):
+    terms, deepest, mass, tau = [], 0, 1.0, ch
+    while True:
         # walk: step to the singular one of I ∓ λ (λ has norm 1), rows in τ's coordinates
         rows, steps = np.eye(tau.index), 0
         extremal, cert = test(tau, tol)
-        while not extremal and steps < max_depth:
+        while not extremal:
             vals, _ = hermitian_eig(cert.lam, tol)
             lam = cert.lam if vals[0] >= -vals[-1] else -cert.lam
-            rows = _mix_family(np.eye(len(rows)) - lam, tol) @ rows
-            extremal, cert = test(_derived(rows, tau.kraus, kind, tol), tol)
+            rows, walked = _step(np.eye(len(rows)) - lam, rows, tau.kraus, kind, tol)
+            extremal, cert = test(walked, tol)
             steps += 1
-        complete = complete and extremal
         deepest = max(deepest, steps)
         w = 1.0 / operator_norm(rows) ** 2 if steps else 1.0
         terms.append((mass * w, Channel.from_kraus(_ops(rows, tau.kraus), tol)))
@@ -254,9 +263,7 @@ def decompose_extremal(
             break
         # hermitian by construction; the 1/(1−w) factor amplifies its rounding
         rest = hermitize((np.eye(tau.index) - w * rows.T @ np.conj(rows)) / (1.0 - w))
-        tau = _derived(_mix_family(rest, tol), tau.kraus, kind, tol)
+        _, tau = _step(rest, np.eye(tau.index), tau.kraus, kind, tol)
         mass *= 1.0 - w
-    else:
-        raise NumericalFailure(f"peeling left a remainder after {ch.index} terms")
     terms.sort(key=lambda t: -t[0])
-    return ExtremalDecomposition(terms=tuple(terms), depth=deepest, complete=complete)
+    return ExtremalDecomposition(terms=tuple(terms), depth=deepest)

@@ -1,7 +1,8 @@
 """Ergodic classification of doubly stochastic channels.
 
-The spectrum of τ, and the fixed-space dimension, come from its real form R
-(``Channel.spectrum``, solved once per channel, and the rank of R − I).
+The spectrum of τ, and the fixed-space dimension, come from its real form R,
+built once per channel (``Channel.real_superoperator``): ``Channel.spectrum``
+solves it once, and the fixed space is the kernel of R − I.
 Eigenoperators τ(x) = μx are the kernel of the complex superoperator T − μI
 at the one rank cutoff: μ = 1 gives the fixed-point
 *-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the period p read
@@ -153,7 +154,7 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     _require_doubly_stochastic(ch)
     n = ch.dim
     eigs = _sorted_eigs(ch.spectrum)
-    fixed_dim = n * n - numerical_rank(ch.real_superoperator() - np.eye(n * n), tol)
+    fixed_dim = n * n - numerical_rank(ch.real_superoperator - np.eye(n * n), tol)
     ergodic = fixed_dim == 1
     peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
     period = _snap_period(peripheral, n) if ergodic else None

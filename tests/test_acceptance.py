@@ -112,7 +112,7 @@ def test_criterion_3_weyl_pair(capfd):
         and not extremal
         and fwd < 1e-9
         and rev < 1e-9
-        and dec.complete
+        and all(landau_streater_test(leaf)[0] for _, leaf in dec.terms)
         and weights_ok
         and mixed.strongly_mixing
     )
@@ -166,21 +166,21 @@ def test_criterion_4_ls_choi_consistency(capfd):
 
 def test_criterion_5_qubit_decomposition(capfd):
     gen = np.random.default_rng(4500)
-    incomplete = 0
+    non_extremal = 0
     non_unitary_leaves = 0
     worst_err = 0.0
     for _ in range(200):
         ch = helpers.random_ds_channel(2, gen)
         dec = decompose_extremal(ch)
-        if not dec.complete:
-            incomplete += 1
+        if not all(landau_streater_test(leaf)[0] for _, leaf in dec.terms):
+            non_extremal += 1
         if any(leaf.kraus.index != 1 for _, leaf in dec.terms):
             non_unitary_leaves += 1
         worst_err = max(worst_err, dec.reconstruction_error(ch))
-    ok = incomplete == 0 and non_unitary_leaves == 0 and worst_err < 1e-7
+    ok = non_extremal == 0 and non_unitary_leaves == 0 and worst_err < 1e-7
     report(
         capfd, 5, ok,
-        f"200 random M2 channels: incomplete={incomplete}, "
+        f"200 random M2 channels: non-extremal decompositions={non_extremal}, "
         f"non-unitary leaves={non_unitary_leaves}, worst reconstruction={worst_err:.2e}",
     )
 

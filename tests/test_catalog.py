@@ -6,7 +6,6 @@ import pytest
 
 from qbirkhoff.catalog import (
     BUILTINS,
-    EXAMPLE_NAMES,
     build_example,
     build_family,
     diagonal_pair_family,
@@ -22,7 +21,7 @@ from helpers import cycle_embed_channel
 
 
 def test_every_named_example_is_doubly_stochastic():
-    for name in EXAMPLE_NAMES:
+    for name in BUILTINS:
         ch = build_example(name)
         unital, tp = ch.kraus.validate()
         if name == "m2":
@@ -114,7 +113,7 @@ def test_parameterized_examples():
     assert ch.dim == 2
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+@pytest.mark.parametrize("name", list(BUILTINS))
 def test_every_builtin_takes_each_declared_parameter_at_its_default(name):
     plain = dumps_channel(build_example(name))
     for key, (_, default) in BUILTINS[name][1].items():

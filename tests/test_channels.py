@@ -86,7 +86,7 @@ def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
             unital = helpers.random_unitary_mixture(n, d, gen)
             ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
             for ch in (unital, Channel.from_kraus(ops)):
-                r, t = ch.real_superoperator(), ch.superoperator()
+                r, t = ch.real_superoperator, ch.superoperator()
                 assert r.dtype == np.float64
                 scale = max(1.0, np.linalg.norm(t, 2))
                 oracle = helpers.real_form_by_apply(ch)
@@ -101,7 +101,7 @@ def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
                     k = int(np.argmin(np.abs(np.array(left) - mu)))
                     assert abs(left.pop(k) - mu) < 1e-8 * scale
         exact = Channel(KrausFamily.from_ops([np.eye(n)]), True, True)
-        assert np.array_equal(exact.real_superoperator(), np.eye(n * n))
+        assert np.array_equal(exact.real_superoperator, np.eye(n * n))
 
 
 def test_index_is_gauge_invariant(rng):
@@ -199,10 +199,9 @@ ARRAY_HOLDERS = {
     "Channel": lambda: Channel.from_kraus([_EYE]),
     "DependencyCertificate": lambda: qbirkhoff.DependencyCertificate(np.diag([1.0, -1.0]), "CP"),
     "ExtremalDecomposition": lambda: qbirkhoff.ExtremalDecomposition(
-        ((1.0, Channel.from_kraus([_EYE])),), 0, True
+        ((1.0, Channel.from_kraus([_EYE])),), 0
     ),
     "DSMatrix": lambda: qbirkhoff.DSMatrix.from_matrix(np.eye(2)),
-    "DataMatrix": lambda: qbirkhoff.DataMatrix(_EYE),
     "ConjugacyCertificate": lambda: qbirkhoff.ConjugacyCertificate(_EYE, _EYE, _EYE),
     "SchurSpec": lambda: qbirkhoff.SchurSpec.from_matrix(np.ones((2, 2))),
     "SpectralClassification": lambda: qbirkhoff.SpectralClassification(

@@ -12,7 +12,7 @@ from qbirkhoff.cli import _tolerance, build_parser, main
 from qbirkhoff import dumps_channel
 from qbirkhoff.channels import matrix_to_pairs
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance
-from qbirkhoff.catalog import BUILTINS, EXAMPLE_NAMES, build_example
+from qbirkhoff.catalog import BUILTINS, build_example
 
 
 def run_cli(capsys, *argv):
@@ -130,11 +130,10 @@ def test_decompose_weyl_pair(capsys):
     assert all(len(t["channel"]["kraus"]) == 1 for t in terms)
 
 
-def test_decompose_depth_exhaustion_is_exit_3(capsys):
-    code, out, _ = run_cli(
-        capsys, "decompose", "ex2.12", "--m", "2", "--max-depth", "0", "--json"
-    )
-    assert code == 3
+def test_decompose_max_depth_is_an_unknown_flag(capsys):
+    # every walk ends by the index bound, so there is no depth knob to set
+    code, out, _ = run_cli(capsys, "decompose", "ex2.12", "--max-depth", "0", "--json")
+    assert code == 1 and out == ""
 
 
 def test_decompose_extremal_input_single_term(capsys):
@@ -374,7 +373,7 @@ def test_each_channel_argument_gets_the_flags_it_declares(capsys):
     assert len(json.loads(out)["spectrum_b"]) == 3  # one value per Kraus operator: m = 3
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+@pytest.mark.parametrize("name", list(BUILTINS))
 def test_generated_flags_at_their_defaults(capsys, name):
     flags = []
     for key, (_, default) in BUILTINS[name][1].items():

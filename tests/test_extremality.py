@@ -11,6 +11,7 @@ from qbirkhoff import (
     hermitize_certificate,
     landau_streater_test,
 )
+from qbirkhoff import extremality
 from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
 from qbirkhoff.catalog import build_example
 from qbirkhoff.numerics import (
@@ -141,7 +142,7 @@ def test_ls_extremal_transfers_to_adjoint_and_choi(rng):
 def test_decompose_weyl_pair_exactly():
     ch = build_example("ex2.12", m=2)
     dec = decompose_extremal(ch)
-    assert dec.complete and dec.depth == 1
+    assert dec.depth == 1
     assert len(dec.terms) == 2
     for weight, leaf in dec.terms:
         assert abs(weight - 0.5) < 1e-10
@@ -155,7 +156,6 @@ def test_decompose_properties_on_random_channels(rng):
         for _ in range(count):
             ch = helpers.random_ds_channel(n, rng)
             dec = decompose_extremal(ch)
-            assert dec.complete
             assert abs(dec.total_weight() - 1.0) < 1e-10
             assert dec.reconstruction_error(ch) < 1e-7
             for _, leaf in dec.terms:
@@ -165,14 +165,20 @@ def test_decompose_properties_on_random_channels(rng):
             helpers.check_decomposition(ch, dec, CP_PHI)
 
 
-def test_decompose_depth_bound_keeps_the_mixture(rng):
-    # a walk stopped at max_depth peels its channel as it is
-    ch = helpers.random_ds_channel(3, rng)
-    dec = decompose_extremal(ch, max_depth=1)
-    assert not dec.complete and dec.depth == 1
-    assert len(dec.terms) <= ch.index
-    assert abs(dec.total_weight() - 1.0) < 1e-10
-    assert dec.reconstruction_error(ch) < 1e-9
+def test_decompose_step_that_keeps_the_index_raises(monkeypatch, rng):
+    # every walk step and peel must lower the index, which bounds both loops; a
+    # factor padded with zero rows keeps it, and the guard stops at the first step
+    mix_family, calls = extremality._mix_family, []
+
+    def padded(coeff, tol):
+        calls.append(len(coeff))
+        b = mix_family(coeff, tol)
+        return np.vstack([b, np.zeros((len(coeff) - len(b), len(coeff)))])
+
+    monkeypatch.setattr(extremality, "_mix_family", padded)
+    with pytest.raises(NumericalFailure, match="kept the index at 9"):
+        decompose_extremal(helpers.random_ds_channel(3, rng))
+    assert calls == [9]
 
 
 def test_decompose_unitary_mixtures_valid_or_numerical_failure():
@@ -196,7 +202,7 @@ def test_decompose_knife_edge_unitary_mixtures(seed):
     # pushes its residual past the tolerance; a walk step keeps scale 1
     ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(seed))
     dec = decompose_extremal(ch)
-    assert dec.complete and len(dec.terms) <= ch.index
+    assert len(dec.terms) <= ch.index
     helpers.check_decomposition(ch, dec, CP_PHI)
 
 
@@ -234,7 +240,6 @@ def test_decompose_cp_last_known_failure():
 def test_decompose_in_cp_class(rng):
     ch = helpers.random_unitary_mixture(2, 2, rng)
     dec = decompose_extremal(ch, kind=CP)
-    assert dec.complete
     for _, leaf in dec.terms:
         ok, _ = choi_extremal_test(leaf)
         assert ok
@@ -244,9 +249,9 @@ def test_decompose_in_cp_class(rng):
 def test_extremal_input_decomposes_to_single_term():
     ch = build_example("ex2.4")
     dec = decompose_extremal(ch)
-    assert dec.complete and len(dec.terms) == 1
+    assert len(dec.terms) == 1
     weight, leaf = dec.terms[0]
-    assert abs(weight - 1.0) < 1e-12
+    assert abs(weight - 1.0) < 1e-12 and landau_streater_test(leaf)[0]
     assert max_abs(leaf.choi() - ch.choi()) < 1e-12
 
 

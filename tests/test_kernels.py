@@ -46,7 +46,7 @@ def test_pair_kernels_match_per_pair_loops(n, d):
     ]
     for state in (None, random_state(n, rng)):
         rho = np.eye(n) / n if state is None else state
-        checks.append((data_matrix(fam, state=state).matrix, helpers.data_matrix_by_loop(fam, rho)))
+        checks.append((data_matrix(fam, state=state), helpers.data_matrix_by_loop(fam, rho)))
     for got, expect in checks:
         assert got.shape == expect.shape
         assert max_abs(got - expect) < 1e-12 * scale
