@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, loads_json
+from .channels import Channel, float_array, loads_json
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ds_matrix_to_dict",
     "ds_matrix_from_dict",
     "loads_ds_matrix",
-    "load_ds_matrix",
     "decomposition_to_dicts",
 ]
 
@@ -174,9 +173,9 @@ def ds_matrix_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError('matrix file must be an object with "n" and "rows"')
     n = data["n"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:  # not isinstance: JSON true is a bool, an int subclass
         raise ValueError(f'"n" must be a positive integer, got {n!r}')
-    arr = np.asarray(data["rows"], dtype=float)
+    arr = float_array(data["rows"], 2, '"rows"')
     if arr.shape != (n, n):
         raise ValueError(f'"rows" of shape {arr.shape} does not match "n" = {n}')
     return DSMatrix.from_matrix(arr, tol)
@@ -184,11 +183,6 @@ def ds_matrix_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
 
 def loads_ds_matrix(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
     return ds_matrix_from_dict(loads_json(text), tol)
-
-
-def load_ds_matrix(path, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return loads_ds_matrix(fh.read(), tol)
 
 
 def decomposition_to_dicts(dec: PermutationDecomposition) -> list:

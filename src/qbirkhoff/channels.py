@@ -50,11 +50,6 @@ __all__ = [
     "channel_to_dict",
     "family_from_dict",
     "loads_json",
-    "channel_from_dict",
-    "dumps_channel",
-    "loads_channel",
-    "load_channel",
-    "save_channel",
 ]
 
 
@@ -257,7 +252,8 @@ def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 # Channel files are UTF-8 JSON {"dim": n, "kraus": [op, ...]} with each op an
 # n×n row-major array of [re, im] pairs.  Floats are written with Python's
 # shortest round-trip repr (full double precision); NaN/Inf are rejected on
-# read and never written.
+# read and never written.  Text is parsed by ``loads_json`` and every array
+# is decoded by ``float_array``, so a malformed file is a ``ValueError``.
 
 
 def matrix_to_pairs(m) -> list:
@@ -266,14 +262,32 @@ def matrix_to_pairs(m) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def matrix_from_pairs(rows) -> np.ndarray:
+def float_array(value, axes: int, what: str) -> np.ndarray:
+    """The one decode rule of the file formats: ``value`` as a float array with
+    ``axes`` axes and finite entries.  A value that does not convert (a ragged
+    list, an object or null entry, a bare number) is ``ValueError``, never
+    ``TypeError``."""
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed complex matrix: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"expected rows of [re, im] pairs, got shape {arr.shape}")
-    return as_matrix(arr[:, :, 0] + 1j * arr[:, :, 1])
+        raise ValueError(f"{what} is not an array of numbers: {exc}") from exc
+    if arr.ndim != axes:
+        raise ValueError(f"{what} of shape {arr.shape} does not have {axes} axes")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite or null entries")
+    return arr
+
+
+def _from_pairs(value, axes: int, what: str) -> np.ndarray:
+    # a complex array with ``axes`` axes from nested [re, im] pairs
+    arr = float_array(value, axes + 1, what)
+    if arr.shape[-1] != 2:
+        raise ValueError(f"{what} of shape {arr.shape} is not made of [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def matrix_from_pairs(rows) -> np.ndarray:
+    return _from_pairs(rows, 2, "complex matrix")
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -285,16 +299,12 @@ def family_from_dict(data) -> KrausFamily:
     if not isinstance(data, dict) or "dim" not in data or "kraus" not in data:
         raise ValueError('channel file must be an object with "dim" and "kraus"')
     n = data["dim"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:  # not isinstance: JSON true is a bool, an int subclass
         raise ValueError(f'"dim" must be a positive integer, got {n!r}')
-    fam = KrausFamily.from_ops([matrix_from_pairs(rows) for rows in data["kraus"]])
+    fam = KrausFamily.from_ops(_from_pairs(data["kraus"], 3, '"kraus"'))
     if fam.dim != n:
         raise ValueError(f'Kraus operators of size {fam.dim} do not match "dim" {n}')
     return fam
-
-
-def channel_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
-    return Channel.from_kraus(family_from_dict(data), tol)
 
 
 def loads_json(text: str):
@@ -304,22 +314,3 @@ def loads_json(text: str):
         raise ValueError(f"non-finite number {token!r} in JSON input")
 
     return json.loads(text, parse_constant=reject)
-
-
-def dumps_channel(ch: Channel) -> str:
-    return json.dumps(channel_to_dict(ch), indent=2, allow_nan=False)
-
-
-def loads_channel(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
-    return channel_from_dict(loads_json(text), tol)
-
-
-def load_channel(path, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
-    with open(path, encoding="utf-8") as fh:
-        return loads_channel(fh.read(), tol)
-
-
-def save_channel(ch: Channel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_channel(ch))
-        fh.write("\n")

@@ -60,6 +60,7 @@ def _say(args, text: str):
 
 
 def _emit(payload):
+    # the one JSON writer: every subcommand's stdout
     json.dump(payload, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
@@ -90,6 +91,7 @@ def _builtin_params(args, sources) -> list:
 
 
 def _read_text(source: str) -> str:
+    # the one reader of channel and matrix files, and of stdin
     if source == "-":
         return sys.stdin.read()
     with open(source, encoding="utf-8") as fh:
@@ -335,7 +337,7 @@ def main(argv=None) -> int:
     except (NotCompletelyPositive, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # a malformed file is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ at most index − 1 steps and a decomposition has at most index-many terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,25 +116,22 @@ def _sign_fixed(h: np.ndarray, cutoff: float) -> np.ndarray:
 
 def hermitize_certificate(
     nullvec,
-    family: KrausFamily,
+    m,
     kind: str = CP,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> DependencyCertificate:
-    """Turn a null vector of the (stacked) product matrix into a certificate.
+    """Turn a null vector of the product matrix (kind CP) or the stacked matrix
+    (kind CP_phi) ``m``, with d² columns, into a d×d certificate.
 
     The certificate space is closed under adjoints, so the hermitian part
     (λ+λ*)/2 — or, when that vanishes, (λ−λ*)/(2i) — is again a certificate;
-    the result is normalized to operator norm 1.  Raises
-    :class:`NumericalFailure` when no hermitian direction survives.
+    the result is normalized to operator norm 1 and its residual max|m vec(λ)|
+    checked.  Raises :class:`NumericalFailure` when no hermitian direction survives.
     """
-    m = stacked_matrix(family) if kind == CP_PHI else product_matrix(family)
-    return _hermitized(nullvec, m, family.index, kind, tol)
-
-
-def _hermitized(nullvec, m, d: int, kind: str, tol: Tolerance) -> DependencyCertificate:
     arr = np.asarray(nullvec, dtype=complex)
-    if arr.size != d * d:
-        raise ValueError(f"null vector of size {arr.size} does not reshape to {d}×{d}")
+    if arr.size != m.shape[1]:
+        raise ValueError(f"null vector of size {arr.size} does not match the {m.shape[1]} columns")
+    d = math.isqrt(arr.size)
     lam = arr.reshape(d, d)
     herm = (lam + dagger(lam)) / 2.0
     anti = (lam - dagger(lam)) / 2.0j
@@ -148,12 +146,12 @@ def _hermitized(nullvec, m, d: int, kind: str, tol: Tolerance) -> DependencyCert
     raise NumericalFailure("no hermitian certificate survives within tolerance")
 
 
-def _verdict(m, d: int, kind: str, tol: Tolerance):
-    # (extremal, certificate) for m's d² columns; certificate residuals are max|m vec(λ)|
+def _verdict(m, kind: str, tol: Tolerance):
+    # (extremal, certificate) for m's d² columns
     rank, nullvec = _rank_and_null(m, tol)
-    if rank == d * d:
+    if rank == m.shape[1]:
         return True, None
-    return False, _hermitized(nullvec, m, d, kind, tol)
+    return False, hermitize_certificate(nullvec, m, kind, tol)
 
 
 def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -165,7 +163,7 @@ def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """
     if not ch.unital:
         raise ValueError("extremality in the unital cone needs a unital channel")
-    return _verdict(product_matrix(ch.kraus), ch.index, CP, tol)
+    return _verdict(product_matrix(ch.kraus), CP, tol)
 
 
 def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -176,7 +174,7 @@ def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
         raise ValueError("extremality test needs a unital channel")
     if not ch.trace_preserving:
         raise ValueError("the doubly stochastic test needs a trace-preserving channel")
-    return _verdict(stacked_matrix(ch.kraus), ch.index, CP_PHI, tol)
+    return _verdict(stacked_matrix(ch.kraus), CP_PHI, tol)
 
 
 def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:

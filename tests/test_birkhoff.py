@@ -14,7 +14,6 @@ from qbirkhoff.birkhoff import (
     decomposition_to_dicts,
     ds_matrix_from_dict,
     ds_matrix_to_dict,
-    load_ds_matrix,
     loads_ds_matrix,
 )
 from qbirkhoff.numerics import max_abs
@@ -171,4 +170,4 @@ def test_matrix_file_roundtrip(rng, tmp_path):
     ds = DSMatrix.from_matrix(helpers.random_ds_matrix(4, rng))
     path = tmp_path / "ds.json"
     path.write_text(json.dumps(ds_matrix_to_dict(ds)), encoding="utf-8")
-    assert np.array_equal(load_ds_matrix(path).matrix, ds.matrix)
+    assert np.array_equal(loads_ds_matrix(path.read_text(encoding="utf-8")).matrix, ds.matrix)

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from qbirkhoff.catalog import (
     weyl_mixture_channel,
     weyl_shift_clock_family,
 )
-from qbirkhoff.channels import NotCompletelyPositive, dumps_channel
+from qbirkhoff.channels import NotCompletelyPositive, channel_to_dict
 from qbirkhoff.numerics import Tolerance, dagger, max_abs
 
 from helpers import cycle_embed_channel
@@ -115,9 +116,9 @@ def test_parameterized_examples():
 
 @pytest.mark.parametrize("name", list(BUILTINS))
 def test_every_builtin_takes_each_declared_parameter_at_its_default(name):
-    plain = dumps_channel(build_example(name))
+    plain = json.dumps(channel_to_dict(build_example(name)))
     for key, (_, default) in BUILTINS[name][1].items():
-        assert dumps_channel(build_example(name, **{key: default})) == plain, key
+        assert json.dumps(channel_to_dict(build_example(name, **{key: default}))) == plain, key
         assert build_family(name, **{key: default}).dim == build_example(name).dim
 
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from qbirkhoff.cli import _tolerance, build_parser, main
-from qbirkhoff import dumps_channel
-from qbirkhoff.channels import matrix_to_pairs
+from qbirkhoff.channels import channel_to_dict, matrix_to_pairs
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance
 from qbirkhoff.catalog import BUILTINS, build_example
 
@@ -73,7 +72,7 @@ def test_analyze_byte_stable(capsys):
 
 
 def test_analyze_channel_file_and_stdin(tmp_path, capsys, monkeypatch):
-    text = dumps_channel(build_example("identity", n=2))
+    text = json.dumps(channel_to_dict(build_example("identity", n=2)))
     path = tmp_path / "identity.json"
     path.write_text(text)
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
@@ -95,11 +94,40 @@ def test_invalid_json_is_exit_1(tmp_path, capsys):
 
 
 def test_nan_rejected_as_invalid_input(tmp_path, capsys):
-    text = dumps_channel(build_example("identity", n=2)).replace("1.0", "NaN", 1)
+    text = json.dumps(channel_to_dict(build_example("identity", n=2))).replace("1.0", "NaN", 1)
     path = tmp_path / "nan.json"
     path.write_text(text)
     code, _, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 1
+
+
+_ANALYZE, _BIRKHOFF = ("analyze", "--json"), ("birkhoff", "--json")
+_CERTIFICATE = ("conjugacy", "ex2.4", "ex2.4", "--json", "--certificate")
+
+# argv before the file path, and the file's JSON value
+MALFORMED_FILES = {
+    "kraus-number": (_ANALYZE, {"dim": 1, "kraus": 5}),
+    "kraus-null": (_ANALYZE, {"dim": 1, "kraus": None}),
+    "rows-object-entry": (_BIRKHOFF, {"n": 1, "rows": [[{}]]}),
+    "dim-boolean": (_ANALYZE, {"dim": True, "kraus": [[[[1.0, 0.0]]]]}),
+    "n-boolean": (_BIRKHOFF, {"n": True, "rows": [[1.0]]}),
+    "ragged-operator": (_ANALYZE, {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]}),
+    "kraus-string-entries": (_ANALYZE, {"dim": 1, "kraus": [[[["one", "zero"]]]]}),
+    "rows-string-entries": (_BIRKHOFF, {"n": 1, "rows": [["one"]]}),
+    "certificate-numbers": (_CERTIFICATE, {"u": 5, "g": 5, "w": 5}),
+    "certificate-object-entry": (_CERTIFICATE, {"u": [[{}]], "g": None, "w": 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_file_is_one_error_line_and_exit_1(tmp_path, capsys, case):
+    argv, doc = MALFORMED_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_numerical_failures_are_exit_2(capsys, monkeypatch):
@@ -361,7 +389,7 @@ def test_flag_no_channel_argument_takes_is_exit_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "--z1" in err and "ex2.10 takes --x1 --x2 --x3" in err
     path = tmp_path / "identity.json"
-    path.write_text(dumps_channel(build_example("identity")))
+    path.write_text(json.dumps(channel_to_dict(build_example("identity"))))
     code, out, err = run_cli(capsys, "analyze", str(path), "--n", "3", "--json")
     assert code == 1 and out == ""
     assert "--n" in err

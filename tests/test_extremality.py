@@ -83,17 +83,18 @@ def test_weyl_pair_certificate_is_frozen_diagonal():
 
 
 def test_hermitize_certificate_matches_the_tests(rng):
-    # the public wrapper rebuilds the test's matrix and gives the same certificate
+    # the routine the tests call, on the matrix they build, gives their certificate
     cases = ((CP, choi_extremal_test, product_matrix), (CP_PHI, landau_streater_test, stacked_matrix))
     for kind, test, matrix in cases:
         for ch in (build_example("ex2.12", m=2), helpers.random_unitary_mixture(2, 4, rng)):
             _, cert = test(ch)
-            _, nullvec = _rank_and_null(matrix(ch.kraus), DEFAULT_TOLERANCE)
-            again = hermitize_certificate(nullvec, ch.kraus, kind)
+            m = matrix(ch.kraus)
+            _, nullvec = _rank_and_null(m, DEFAULT_TOLERANCE)
+            again = hermitize_certificate(nullvec, m, kind)
             assert again.kind == cert.kind == kind
             assert np.array_equal(again.lam, cert.lam)
             with pytest.raises(ValueError):
-                hermitize_certificate(nullvec[:-1], ch.kraus, kind)
+                hermitize_certificate(nullvec[:-1], m, kind)
 
 
 def test_certificates_have_unit_norm_and_small_residual(ds_corpus):
