@@ -127,8 +127,10 @@ def choi_from_kraus(k) -> np.ndarray:
     w = vec(KrausFamily.from_ops(k).ops)  # row k is vec(v_k)
     # summing outer products in Kraus order, not a BLAS product: with a
     # degenerate spectrum, last-bit changes here pick another eigh basis and
-    # so other canonical Kraus operators
-    return (w[:, :, None] * np.conj(w)[:, None, :]).sum(axis=0)
+    # so other canonical Kraus operators.  Entries whose products overflow give
+    # a non-finite Choi matrix, which its readers refuse, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (w[:, :, None] * np.conj(w)[:, None, :]).sum(axis=0)
 
 
 def superoperator_from_kraus(k) -> np.ndarray:
@@ -264,12 +266,16 @@ def matrix_to_pairs(m) -> list:
 
 def float_array(value, axes: int, what: str) -> np.ndarray:
     """The one decode rule of the file formats: ``value`` as a float array with
-    ``axes`` axes and finite entries.  A value that does not convert (a ragged
-    list, an object or null entry, a bare number) is ``ValueError``, never
-    ``TypeError``."""
+    ``axes`` axes and finite entries.  Its leaves must be JSON numbers, int or
+    float, of any size a float holds; a value that does not convert (a ragged
+    list, a bool, string, object or null entry, a bare number) is
+    ``ValueError``, never ``TypeError``."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        leaves = np.asarray(value, dtype=object)
+        if not set(map(type, leaves.ravel())) <= {int, float}:
+            raise TypeError("entries must be JSON numbers")
+        arr = leaves.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} is not an array of numbers: {exc}") from exc
     if arr.ndim != axes:
         raise ValueError(f"{what} of shape {arr.shape} does not have {axes} axes")

@@ -146,35 +146,46 @@ def hermitize_certificate(
     raise NumericalFailure("no hermitian certificate survives within tolerance")
 
 
-def _verdict(m, kind: str, tol: Tolerance):
-    # (extremal, certificate) for m's d² columns
+def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
+    # (extremal, certificate) of the kind's rank test.  Its rank is at most n² (CP) or
+    # 2n² − 1 (CP_phi), so any j = isqrt(bound) + 1 operators are dependent: past j the
+    # first j give the certificate, zero outside their block, and the verdict is by counting
+    n2, d = family.dim**2, family.index
+    sub = KrausFamily(family.ops[: math.isqrt(2 * n2 - 1 if kind == CP_PHI else n2) + 1])
+    m = (stacked_matrix if kind == CP_PHI else product_matrix)(sub)
     rank, nullvec = _rank_and_null(m, tol)
     if rank == m.shape[1]:
         return True, None
-    return False, hermitize_certificate(nullvec, m, kind, tol)
+    lam = np.zeros((d, d), dtype=complex)
+    lam[: sub.index, : sub.index] = hermitize_certificate(nullvec, m, kind, tol).lam
+    return False, DependencyCertificate(lam, kind)
 
 
 def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Extremality in the unital CP cone: are the products v_i v_j* independent?
 
-    Returns ``(extremal, certificate)``; a rank-deficient product matrix gives a kind-CP
+    Returns ``(extremal, certificate)``.  A rank-deficient product matrix gives a kind-CP
     certificate from its last right singular vector when n ≥ d, else from the least-covered
-    coordinate vector minus its projection onto the row space.
+    coordinate vector minus its projection onto the row space.  Past d = n + 1 operators the
+    products are dependent by counting (rank ≤ n²): the certificate is that of the first
+    n + 1 canonical operators, zero outside its leading block.
     """
     if not ch.unital:
         raise ValueError("extremality in the unital cone needs a unital channel")
-    return _verdict(product_matrix(ch.kraus), CP, tol)
+    return _verdict(ch.kraus, CP, tol)
 
 
 def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Extremality among doubly stochastic maps via the stacked bi-independence
     test; refuses channels that are not trace-preserving.  Its kind-CP_phi certificate
-    follows the rule of :func:`choi_extremal_test` on the 2n²×d² stacked matrix."""
+    follows the rule of :func:`choi_extremal_test` on the 2n²×d² stacked matrix, whose
+    rank is at most 2n² − 1 (the trace rows of both halves agree): past
+    j = isqrt(2n² − 1) + 1 operators it comes from the first j."""
     if not ch.unital:
         raise ValueError("extremality test needs a unital channel")
     if not ch.trace_preserving:
         raise ValueError("the doubly stochastic test needs a trace-preserving channel")
-    return _verdict(stacked_matrix(ch.kraus), CP_PHI, tol)
+    return _verdict(ch.kraus, CP_PHI, tol)
 
 
 def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -205,23 +216,39 @@ class ExtremalDecomposition:
         return frobenius_norm(self.mixture_choi() - ch.choi())
 
 
-def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance) -> Channel:
-    # rows @ family, flagged, not canonicalized: the input was vetted, so a defect is rounding
-    fam = KrausFamily(_ops(rows, family))
-    out_dev, in_dev = fam.unit_defects()
-    dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
-    if dev > tol.cutoff:
-        raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > tolerance {tol.cutoff}")
-    return Channel(fam, True, in_dev <= tol.cutoff)
+def _inverse_sqrt(h: np.ndarray, tol: Tolerance) -> np.ndarray:
+    vals, vecs = hermitian_eig(h, tol)
+    return (vecs / np.sqrt(vals)) @ dagger(vecs)
 
 
-def _step(coeff: np.ndarray, rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance):
+def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance, mass: float) -> Channel:
+    # rows @ family, flagged, not canonicalized: the input was vetted, so a defect is rounding.
+    # One that moves the mixture by mass × defect ≤ the tolerance is scaled away by operator
+    # Sinkhorn steps, ops ← S^{-1/2}·ops with S = Σ v v*, then for CP_phi ops ← ops·T^{-1/2}
+    # with T = Σ v* v; the left factor keeps the products' independence exactly
+    ops, last = _ops(rows, family), math.inf
+    while True:
+        fam = KrausFamily(ops)
+        out_dev, in_dev = fam.unit_defects()
+        dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
+        if dev <= tol.cutoff:
+            return Channel(fam, True, in_dev <= tol.cutoff)
+        if mass * dev > tol.cutoff or dev >= last:
+            raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > tolerance {tol.cutoff}")
+        ops = _inverse_sqrt(np.tensordot(ops, np.conj(ops), axes=([0, 2], [0, 2])), tol) @ ops
+        if kind == CP_PHI:
+            ops = ops @ _inverse_sqrt(np.tensordot(np.conj(ops), ops, axes=([0, 1], [0, 1])), tol)
+        last = dev
+
+
+def _step(coeff: np.ndarray, rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance, mass: float):
     # the one step of walks and peels: rows' = b @ rows with bᵀ·conj(b) = coeff, whose
-    # zero eigenvalue drops the index; a step that keeps it would never end
+    # zero eigenvalue drops the index; a step that keeps it would never end.  ``mass``
+    # bounds the weight the derived channel carries in the decomposition
     out = _mix_family(coeff, tol) @ rows
     if len(out) >= len(rows):
         raise NumericalFailure(f"a decomposition step kept the index at {len(rows)}")
-    return out, _derived(out, family, kind, tol)
+    return out, _derived(out, family, kind, tol, mass)
 
 
 def decompose_extremal(
@@ -251,7 +278,7 @@ def decompose_extremal(
         while not extremal:
             vals, _ = hermitian_eig(cert.lam, tol)
             lam = cert.lam if vals[0] >= -vals[-1] else -cert.lam
-            rows, walked = _step(np.eye(len(rows)) - lam, rows, tau.kraus, kind, tol)
+            rows, walked = _step(np.eye(len(rows)) - lam, rows, tau.kraus, kind, tol, mass)
             extremal, cert = test(walked, tol)
             steps += 1
         deepest = max(deepest, steps)
@@ -261,7 +288,7 @@ def decompose_extremal(
             break
         # hermitian by construction; the 1/(1−w) factor amplifies its rounding
         rest = hermitize((np.eye(tau.index) - w * rows.T @ np.conj(rows)) / (1.0 - w))
-        _, tau = _step(rest, np.eye(tau.index), tau.kraus, kind, tol)
         mass *= 1.0 - w
+        _, tau = _step(rest, np.eye(tau.index), tau.kraus, kind, tol, mass)
     terms.sort(key=lambda t: -t[0])
     return ExtremalDecomposition(terms=tuple(terms), depth=deepest)

@@ -244,6 +244,12 @@ def test_matrix_pairs_roundtrip_and_malformed_input():
         [[[1.0, 0.0, 0.0]]],  # triples, not pairs
         [[1.0, 0.0]],  # bare numbers, not pairs
         [[["1", "x"]]],  # not numbers
+        [[["1", "0"]]],  # numeric strings
+        [[[True, False]]],  # booleans, which numpy would read as 1 and 0
+        [[[1.0, None]]],  # null
+        [[[10**400, 0]]],  # an integer no float holds
     ):
         with pytest.raises(ValueError):
             matrix_from_pairs(bad)
+    # JSON integers are numbers, also past 2^64 where numpy holds them as objects
+    assert np.array_equal(matrix_from_pairs([[[2**70, -1]]]), np.array([[2.0**70 - 1j]]))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,13 @@ MALFORMED_FILES = {
     "rows-string-entries": (_BIRKHOFF, {"n": 1, "rows": [["one"]]}),
     "certificate-numbers": (_CERTIFICATE, {"u": 5, "g": 5, "w": 5}),
     "certificate-object-entry": (_CERTIFICATE, {"u": [[{}]], "g": None, "w": 1}),
+    "kraus-numeric-strings": (_ANALYZE, {"dim": 1, "kraus": [[[["1", "0"]]]]}),
+    "kraus-booleans": (_ANALYZE, {"dim": 1, "kraus": [[[[True, False]]]]}),
+    "rows-numeric-string": (_BIRKHOFF, {"n": 1, "rows": [["1.0"]]}),
+    "kraus-integer-past-float": (_ANALYZE, {"dim": 1, "kraus": [[[[10**400, 0]]]]}),
+    # finite entries whose products overflow: one error line, no numpy warning first
+    "kraus-square-overflows": (_ANALYZE, {"dim": 1, "kraus": [[[[1e308, 0.0]]]]}),
+    "rows-sum-overflows": (_BIRKHOFF, {"n": 2, "rows": [[1e308, 1e308], [1e308, 1e308]]}),
 }
 
 
@@ -124,7 +132,10 @@ def test_malformed_file_is_one_error_line_and_exit_1(tmp_path, capsys, case):
     argv, doc = MALFORMED_FILES[case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, *argv, str(path))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, str(path))
+    assert not seen
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err

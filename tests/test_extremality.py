@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,19 +84,45 @@ def test_weyl_pair_certificate_is_frozen_diagonal():
     assert fwd < 1e-9 and rev < 1e-9
 
 
+def subfamily_size(n, kind):
+    # the least j with j² above the rank bound: n² (CP) or 2n² − 1 (CP_phi)
+    return n + 1 if kind == CP else math.isqrt(2 * n * n - 1) + 1
+
+
 def test_hermitize_certificate_matches_the_tests(rng):
-    # the routine the tests call, on the matrix they build, gives their certificate
+    # the routine the tests call, on the matrix of the first j operators (all of them up
+    # to index j), gives the leading j×j block of their certificate, which is zero outside it
     cases = ((CP, choi_extremal_test, product_matrix), (CP_PHI, landau_streater_test, stacked_matrix))
     for kind, test, matrix in cases:
         for ch in (build_example("ex2.12", m=2), helpers.random_unitary_mixture(2, 4, rng)):
             _, cert = test(ch)
-            m = matrix(ch.kraus)
+            j = min(ch.index, subfamily_size(ch.dim, kind))
+            m = matrix(KrausFamily.from_ops(ch.kraus.ops[:j]))
             _, nullvec = _rank_and_null(m, DEFAULT_TOLERANCE)
             again = hermitize_certificate(nullvec, m, kind)
             assert again.kind == cert.kind == kind
-            assert np.array_equal(again.lam, cert.lam)
+            assert np.array_equal(again.lam, cert.lam[:j, :j])
+            assert not np.any(cert.lam[j:]) and not np.any(cert.lam[:, j:])
             with pytest.raises(ValueError):
                 hermitize_certificate(nullvec[:-1], m, kind)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_full_rank_certificates_come_from_the_leading_operators(n):
+    # index n² is past both counting bounds: the verdict is the oracle's, and the
+    # certificate of the first j operators is one of the whole family
+    ch = helpers.random_ds_channel(n, np.random.default_rng(100 + n))
+    assert ch.index == n * n
+    for kind, test in ((CP, choi_extremal_test), (CP_PHI, landau_streater_test)):
+        ok, cert = test(ch)
+        products = helpers.pair_vectors(ch.kraus, reversed_too=kind == CP_PHI)
+        assert not ok and helpers.dilation_rank(products) < ch.index**2
+        assert np.array_equal(cert.lam, dagger(cert.lam))
+        assert abs(operator_norm(cert.lam) - 1.0) < 1e-12
+        fwd, rev = cert.residuals(ch.kraus)
+        assert fwd < 1e-8 and (kind == CP or rev < 1e-8)
+        j = subfamily_size(n, kind)
+        assert not np.any(cert.lam[j:]) and not np.any(cert.lam[:, j:])
 
 
 def test_certificates_have_unit_norm_and_small_residual(ds_corpus):
@@ -229,10 +257,37 @@ def test_decompose_hermitizes_the_remainder(kind):
     helpers.check_decomposition(ch, dec, kind)
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalFailure, reason="ROADMAP item 2")
+@pytest.mark.parametrize("kind", [CP, CP_PHI])
+@pytest.mark.parametrize("seed", [3290, 4048, 4949])
+def test_decompose_repairs_a_light_unit_defect(seed, kind):
+    # a derived channel here has a unit defect of 1.5e-9 to 2.7e-9 (3290 with CP_phi,
+    # 4048 and 4949 with CP), but it carries so little mass that one operator Sinkhorn
+    # step mends it within the reconstruction bound
+    ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(seed))
+    dec = decompose_extremal(ch, kind=kind)
+    assert len(dec.terms) <= ch.index
+    helpers.check_decomposition(ch, dec, kind)
+
+
+@pytest.mark.parametrize("kind", [CP, CP_PHI])
+def test_derived_repairs_only_what_the_mass_bounds(kind, rng):
+    # rows off the identity by 1e-6 give unit defects of about 1e-6: repaired at a
+    # mass that keeps mass × defect within the tolerance, a NumericalFailure above it
+    fam = helpers.random_unitary_mixture(3, 2, rng).kraus
+    rows = np.diag([1.0 + 1e-6, 1.0 - 1e-6])
+    assert min(KrausFamily(extremality._ops(rows, fam)).unit_defects()) > 1e-7
+    with pytest.raises(NumericalFailure, match="tolerance"):
+        extremality._derived(rows, fam, kind, DEFAULT_TOLERANCE, 1e-2)
+    repaired = extremality._derived(rows, fam, kind, DEFAULT_TOLERANCE, 1e-5)
+    out_dev, in_dev = repaired.kraus.unit_defects()
+    assert repaired.unital and out_dev <= 1e-9
+    assert kind == CP or (repaired.trace_preserving and in_dev <= 1e-9)
+
+
 def test_decompose_cp_last_known_failure():
-    # the last remainder has mass about 2e-7, so normalizing it amplifies a
-    # rounding-level unit defect past the tolerance; a fix shows up as an XPASS
+    # the last remainder of the full-family rule had mass about 2e-7, and normalizing it
+    # amplified a rounding-level unit defect past the tolerance; the first-j certificates
+    # take another route, and the repair would cover this mass either way
     ch = helpers.random_unitary_mixture(2, 4, np.random.default_rng(1276))
     dec = decompose_extremal(ch, kind=CP)
     helpers.check_decomposition(ch, dec, CP)
