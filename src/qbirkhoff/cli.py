@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,10 +61,45 @@ def _say(args, text: str):
         print(text, file=sys.stderr)
 
 
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple, pad: str) -> str:
+    # json.dumps(indent=2) of a nonempty array of this shape at indent pad, leaves as %s
+    if not shape:
+        return "%s"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([_layout(shape[1:], inner)] * shape[0]) + pad + "]"
+
+
+def _render(o, pad: str = "\n") -> str:
+    # Exact float and int (not bool, not numpy scalars) print as float.__repr__
+    # and int.__repr__, as in the stdlib encoder, whose finite reprs hold no "n";
+    # a rectangular nest of lists with leaves all of one of them fills one template.
+    if type(o) in (float, int) and "n" not in (text := type(o).__repr__(o)):
+        return text
+    inner = pad + "  "
+    if isinstance(o, dict) and o:
+        items = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(o) is list and o:
+        level, shape = o, (len(o),)
+        while (kinds := set(map(type, level))) == {list} and len(sizes := set(map(len, level))) == 1:
+            shape += tuple(sizes)
+            level = list(itertools.chain.from_iterable(level))
+        if kinds == {float} or kinds == {int}:
+            text = _layout(shape, pad) % tuple(map(kinds.pop().__repr__, level))
+            if "n" not in text:  # inf or nan: json.dumps below raises for it
+                return text
+    if isinstance(o, (list, tuple)) and o:
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in o]) + pad + "]"
+    return json.dumps(o, allow_nan=False)
+
+
 def _emit(payload):
-    # the one JSON writer: every subcommand's stdout
-    json.dump(payload, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    """The one JSON writer, every subcommand's stdout: exactly ``json.dumps(payload,
+    indent=2, allow_nan=False)`` and a newline (dict keys are strings), in one write.
+    Rendering comes first, so a payload that does not encode (a non-finite float is
+    ``ValueError``) leaves stdout empty."""
+    sys.stdout.write(_render(payload) + "\n")
 
 
 # every builtin parameter, in table order, with its flag's type and help
@@ -182,8 +219,9 @@ def cmd_decompose(args) -> int:
     kind = CP_PHI if args.kind == "CP_phi" else CP
     dec = decompose_extremal(ch, kind=kind, tol=tol)
     _emit([{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms])
-    err = dec.reconstruction_error(ch)
-    _say(args, f"{len(dec.terms)} extremal terms, depth {dec.depth}, reconstruction error {err:.2e}")
+    if not args.json:  # the error is for the stderr line only, which --json mutes
+        err = dec.reconstruction_error(ch)
+        _say(args, f"{len(dec.terms)} extremal terms, depth {dec.depth}, reconstruction error {err:.2e}")
     return 0
 
 
@@ -222,12 +260,13 @@ def cmd_birkhoff(args) -> int:
     ds = loads_ds_matrix(_read_text(args.matrix), tol)
     dec = birkhoff_decompose(ds, tol)
     _emit(decomposition_to_dicts(dec))
-    err = float(np.max(np.abs(dec.mixture() - ds.matrix)))
-    _say(
-        args,
-        f"{len(dec.terms)} permutation terms, weight sum {dec.total_weight():.12f}, "
-        f"reconstruction error {err:.2e}",
-    )
+    if not args.json:  # as in cmd_decompose: the error is for the stderr line only
+        err = float(np.max(np.abs(dec.mixture() - ds.matrix)))
+        _say(
+            args,
+            f"{len(dec.terms)} permutation terms, weight sum {dec.total_weight():.12f}, "
+            f"reconstruction error {err:.2e}",
+        )
     return 0
 
 

@@ -6,6 +6,8 @@ recomputed from Gram matrices, and random doubly stochastic objects are
 produced by explicit projection/mixture constructions.
 """
 
+import copy
+
 import numpy as np
 
 from qbirkhoff import Channel, KrausFamily, embed_classical
@@ -304,4 +306,89 @@ def permutation_mixture_by_loop(dec):
     out = np.zeros((dec.n, dec.n))
     for w, perm in dec.terms:
         out[np.arange(dec.n), list(perm)] += w
+    return out
+
+
+# --- JSON payloads -----------------------------------------------------------
+
+# leaves whose text the stdlib encoder fixes: signed zero, the smallest
+# subnormal, the largest finite float, and integers past every machine width
+_FLOAT_EDGES = (-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7)
+_INT_EDGES = (0, -1, 2**53 + 1, 2**64 + 1, -(2**70))
+_OTHER_LEAVES = (None, True, False, "\u00e9\u2211 \"q\"\\\n", "")
+
+
+def _json_leaf(rng, kind):
+    if kind == "float":
+        if rng.random() < 0.3:
+            return _FLOAT_EDGES[rng.integers(len(_FLOAT_EDGES))]
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == "int":
+        if rng.random() < 0.3:
+            return _INT_EDGES[rng.integers(len(_INT_EDGES))]
+        return int(rng.integers(-1000, 1000))
+    if kind == "float64":
+        return np.float64(_json_leaf(rng, "float"))
+    return _OTHER_LEAVES[rng.integers(len(_OTHER_LEAVES))]
+
+
+def _json_array(rng, shape, leaf):
+    if not shape:
+        return leaf()
+    return [_json_array(rng, shape[1:], leaf) for _ in range(shape[0])]
+
+
+def random_json_payload(rng, depth=3):
+    """A random JSON value built the way the CLI's payloads are: rectangular
+    float and int arrays (the shape of ``matrix_to_pairs`` output and of
+    permutations) inside dicts and lists, at every indent depth up to
+    ``depth``, beside what such an array must not be taken for: ragged,
+    empty and mixed lists, and bool, None, string and numpy float leaves."""
+    roll = rng.integers(7 if depth > 0 else 2)
+    if roll == 0:
+        return _json_leaf(rng, ("float", "int", "float64", "other")[rng.integers(4)])
+    if roll == 1:  # rectangular, one leaf kind; a zero extent makes it empty
+        shape = tuple(rng.integers(0 if rng.random() < 0.1 else 1, 4, size=rng.integers(1, 4)))
+        kind = ("float", "int", "float64", "other")[rng.integers(4)]
+        return _json_array(rng, shape, lambda: _json_leaf(rng, kind))
+    if roll == 2:  # ragged: equal depth, unequal lengths
+        rows = [rng.integers(1, 4) for _ in range(rng.integers(2, 4))]
+        rows[0] += 1
+        return [[_json_leaf(rng, "float") for _ in range(r)] for r in rows]
+    if roll == 3:  # mixed leaf kinds, or a list beside a leaf
+        kinds = ("float", "int", "other")
+        mixed = [_json_leaf(rng, kinds[i % 3]) for i in range(rng.integers(2, 5))]
+        return mixed if rng.random() < 0.5 else [mixed[:1], mixed[-1]]
+    if roll == 4:
+        return {}
+    if roll == 5:
+        keys = ("weight", "lambda", "\u00e9", "a b", "")
+        return {k: random_json_payload(rng, depth - 1) for k in keys[: rng.integers(1, 6)]}
+    return [random_json_payload(rng, depth - 1) for _ in range(rng.integers(0, 4))]
+
+
+def _float_paths(o, path=()):
+    if isinstance(o, dict):
+        items = o.items()
+    elif isinstance(o, list):
+        items = enumerate(o)
+    else:
+        return [path] if isinstance(o, float) else []
+    return [p for k, v in items for p in _float_paths(v, path + (k,))]
+
+
+def plant(payload, value, rng):
+    """A copy of ``payload`` with one float leaf, drawn at random, replaced by
+    ``value``; None when the payload holds no float leaf."""
+    paths = _float_paths(payload)
+    if not paths:
+        return None
+    path = paths[rng.integers(len(paths))]
+    if not path:
+        return value
+    out = copy.deepcopy(payload)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return out

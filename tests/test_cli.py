@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
+import qbirkhoff.cli as cli
+from qbirkhoff.birkhoff import PermutationDecomposition
 from qbirkhoff.cli import _tolerance, build_parser, main
+from qbirkhoff.extremality import ExtremalDecomposition
 from qbirkhoff.channels import channel_to_dict, matrix_to_pairs
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance
 from qbirkhoff.catalog import BUILTINS, build_example
@@ -431,3 +436,134 @@ def test_tol_reaches_builtin_construction(capsys, command):
     code, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
     assert code == 0
     assert json.loads(out)["dim"] == 2
+
+
+def dumps(payload) -> str:
+    """The stdout contract of every subcommand, by the stdlib encoder."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def emitted(capsys, payload) -> str:
+    cli._emit(payload)
+    return capsys.readouterr().out
+
+
+EMIT_EDGE_CASES = [
+    [], {}, [[]], [[], []], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]], [[1.0], 2.0],
+    [True, False], [[True, False]], [1, 2.0], [[1, 2], [3.0, 4.0]],
+    [np.float64(0.5), np.float64(-1.5)], [[np.float64(0.25)]], np.float64(2.0),
+    2**64 + 1, [[2**70, -3]], -0.0, [-0.0, 5e-324, 1e308, -1e308], 5e-324,
+    "\u00e9\u2211 \"q\"", None, [None], (1.0, 2.0), {"k": (), "\u00e9": [[]]},
+    {"a": [[[1.0, 2.0]], [[3.0, 4.0]]], "b": {"c": [[0, 1], [1, 0]], "d": [True]}},
+]
+
+
+@pytest.mark.parametrize("payload", EMIT_EDGE_CASES, ids=repr)
+def test_emit_edge_cases_are_the_stdlib_bytes(capsys, payload):
+    assert emitted(capsys, payload) == dumps(payload)
+
+
+def test_emit_random_payloads_are_the_stdlib_bytes(capsys):
+    rng = np.random.default_rng(1717)
+    for _ in range(400):
+        payload = helpers.random_json_payload(rng, depth=4)
+        assert emitted(capsys, payload) == dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_emit_refuses_a_non_finite_float_anywhere_and_writes_nothing(capsys, bad):
+    rng = np.random.default_rng(1718)
+    planted = [bad, [bad], [[1.0, bad]], {"k": [[0.5, 0.5], [bad, 0.0]]}, [1, bad], [True, bad]]
+    while len(planted) < 60:
+        payload = helpers.plant(helpers.random_json_payload(rng, depth=4), bad, rng)
+        if payload is not None:
+            planted.append(payload)
+    for payload in planted:
+        with pytest.raises(ValueError):
+            cli._emit(payload)
+        assert capsys.readouterr().out == ""
+
+
+def _corpus_argvs(paths, ds_files):
+    for path in paths:
+        yield from (["analyze", path], ["classify", path], ["decompose", path])
+    yield from (["conjugacy", a, b] for a, b in zip(paths, paths[1:]))
+    yield from (["birkhoff", path] for path in ds_files)
+
+
+def _builtin_argvs():
+    for name in BUILTINS:
+        yield from ([cmd, name] for cmd in ("analyze", "classify", "decompose", "example"))
+        yield ["conjugacy", name, name]
+    yield from (["analyze", *argv] for argv in PARAMETRIC_BUILTINS)
+    yield ["decompose", "depolarizing", "--n", "3", "--kind", "CP"]
+
+
+def test_every_subcommand_prints_the_stdlib_bytes_of_its_payload(
+    tmp_path, capsys, monkeypatch, ds_corpus
+):
+    """On the builtins, the random corpus and random doubly stochastic
+    matrices, stdout is json.dumps(payload, indent=2) and a newline."""
+    payloads, emit = [], cli._emit
+
+    def record(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    paths = []
+    for k, ch in enumerate(ds_corpus):
+        paths.append(str(tmp_path / f"channel{k}.json"))
+        Path(paths[-1]).write_text(json.dumps(channel_to_dict(ch)))
+    rng = np.random.default_rng(1719)
+    ds_files = []
+    for n in (1, 2, 5, 9):
+        for rows in (helpers.random_ds_matrix(n, rng), helpers.sinkhorn_ds_matrix(n, rng)):
+            ds_files.append(str(tmp_path / f"ds{len(ds_files)}.json"))
+            Path(ds_files[-1]).write_text(json.dumps({"n": n, "rows": rows.tolist()}))
+    succeeded = set()
+    for argv in [*_builtin_argvs(), *_corpus_argvs(paths, ds_files)]:
+        payloads.clear()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert out == "".join(map(dumps, payloads)), argv
+        assert len(payloads) == (code == 0), argv
+        if code == 0:
+            succeeded.add(argv[0])
+    assert succeeded == {"analyze", "classify", "decompose", "conjugacy", "birkhoff", "example"}
+
+
+def test_unencodable_payload_leaves_stdout_empty(capsys, monkeypatch):
+    # the parser binds cmd_analyze once; patch what it calls
+    monkeypatch.setattr(cli, "spectrum_invariant", lambda data: [float("nan")])
+    code, out, err = run_cli(capsys, "analyze", "ex2.4", "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_birkhoff_json_skips_the_stderr_only_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"n": 2, "rows": [[0.25, 0.75], [0.75, 0.25]]}))
+    calls = []
+    mixture = PermutationDecomposition.mixture
+    monkeypatch.setattr(PermutationDecomposition, "mixture", lambda dec: calls.append(1) or mixture(dec))
+    code, out, err = run_cli(capsys, "birkhoff", str(path), "--json")
+    assert code == 0 and err == "" and calls == []
+    assert len(json.loads(out)) == 2
+    code, quiet_out, err = run_cli(capsys, "birkhoff", str(path))
+    assert code == 0 and quiet_out == out and len(calls) == 1
+    assert err == (
+        "2 permutation terms, weight sum 1.000000000000, reconstruction error 0.00e+00\n"
+    )
+
+
+def test_decompose_json_skips_the_stderr_only_error(capsys, monkeypatch):
+    calls = []
+    error = ExtremalDecomposition.reconstruction_error
+    monkeypatch.setattr(
+        ExtremalDecomposition, "reconstruction_error", lambda dec, ch: calls.append(1) or error(dec, ch)
+    )
+    code, out, err = run_cli(capsys, "decompose", "ex2.12", "--json")
+    assert code == 0 and err == "" and calls == []
+    code, quiet_out, err = run_cli(capsys, "decompose", "ex2.12")
+    assert code == 0 and quiet_out == out and len(calls) == 1
+    assert re.fullmatch(r"2 extremal terms, depth 1, reconstruction error \d\.\d\de-1\d\n", err)
