@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, float_array, loads_json
-from .numerics import DEFAULT_TOLERANCE, Tolerance
+from .numerics import DEFAULT_TOLERANCE, Tolerance, as_matrix
 
 __all__ = [
     "DSMatrix",
@@ -35,11 +35,9 @@ _MASS_FLOOR = 1e-13
 
 
 def _as_real_square(s) -> np.ndarray:
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = as_matrix(s, float)
+    if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square real matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
     return arr
 
 

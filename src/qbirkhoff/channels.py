@@ -29,6 +29,7 @@ from .numerics import (
     Tolerance,
     as_matrix,
     dagger,
+    hermitian_pair_map,
     max_abs,
     phase_fixed,
     psd_factor,
@@ -43,7 +44,6 @@ __all__ = [
     "choi_from_kraus",
     "kraus_from_choi",
     "superoperator_from_kraus",
-    "apply_kraus",
     "adjoint_channel",
     "matrix_to_pairs",
     "matrix_from_pairs",
@@ -116,12 +116,6 @@ class KrausFamily:
         return KrausFamily.from_ops(dagger(self.ops))
 
 
-def apply_kraus(ops, x) -> np.ndarray:
-    """sum_k v_k x v_k* for a Kraus family or a sequence of operators."""
-    a = KrausFamily.from_ops(ops).ops
-    return (a @ as_matrix(x) @ dagger(a)).sum(axis=0)
-
-
 def choi_from_kraus(k) -> np.ndarray:
     """n²×n² Choi matrix; block (i,j) equals the channel applied to e_ij."""
     w = vec(KrausFamily.from_ops(k).ops)  # row k is vec(v_k)
@@ -155,13 +149,16 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     The columns of :func:`~qbirkhoff.numerics.psd_factor` become operators
     unvec(sqrt(eig) * eigenvector), ordered by descending eigenvalue with a
     deterministic tie-break, each phase-fixed.  Raises
-    :class:`NotCompletelyPositive` when the Choi matrix is not PSD.
+    :class:`NotCompletelyPositive` when the Choi matrix is not PSD, and
+    ``ValueError`` when it is zero (the zero map, or products that underflow).
     """
     c = as_matrix(choi)
     n2 = c.shape[0]
     n = int(round(np.sqrt(n2)))
     if n * n != n2 or c.shape != (n2, n2):
         raise ValueError(f"Choi matrix of shape {c.shape} is not n² by n²")
+    if not np.any(c):
+        raise ValueError("the Choi matrix is zero: the zero map has no Kraus operators")
     vals, cols = psd_factor(c, tol)
     ops = phase_fixed(unvec(cols.T, n), tol.cutoff)
     order = sorted(range(len(ops)), key=lambda k: _canonical_sort_key(float(vals[k]), ops[k]))
@@ -203,7 +200,8 @@ class Channel:
         x = as_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise ValueError(f"operand of shape {x.shape} does not act on M_{self.dim}")
-        return apply_kraus(self.kraus, x)
+        a = self.kraus.ops
+        return (a @ x @ dagger(a)).sum(axis=0)
 
     def choi(self) -> np.ndarray:
         return choi_from_kraus(self.kraus)
@@ -214,19 +212,10 @@ class Channel:
     @cached_property
     def real_superoperator(self) -> np.ndarray:
         """The real form, built once: read-only, real and unitarily similar to T,
-        since τ(x*) = τ(x)*.  That symmetry also lets it read only the rows and
-        columns of E_jj, E_jk."""
-        t, n = self.superoperator(), self.dim
-        j, k = np.triu_indices(n, 1)
-        diag = np.arange(n) * (n + 1)
-        rows = np.concatenate((diag, k * n + j))  # vec indices of E_jj and E_jk
-        g, h = t[rows[:, None], rows], t[rows[:, None], np.concatenate((diag, j * n + k))]
-        plus, minus = g + h, g - h
-        r = np.block([[plus.real, -minus.imag[:, n:]], [plus.imag[n:], minus.real[n:, n:]]])
-        # each block scaled once, so the identity maps to I exactly
-        r[:n, :n] *= 0.5
-        r[:n, n:] *= np.sqrt(0.5)
-        r[n:, :n] *= np.sqrt(0.5)
+        since τ(x*) = τ(x)*: the hermitian pair map of p_ij = τ(E_ij), a view of T
+        (τ(E_ij)[r, s] is T[s·n + r, j·n + i])."""
+        n = self.dim
+        r = hermitian_pair_map(self.superoperator().reshape(n, n, n, n).transpose(3, 2, 1, 0))
         r.flags.writeable = False
         return r
 

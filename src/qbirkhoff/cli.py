@@ -195,12 +195,9 @@ def cmd_analyze(args) -> int:
     flags.append("unital" if ch.unital else "not unital")
     flags.append("trace-preserving" if ch.trace_preserving else "not trace-preserving")
     _say(args, f"channel on M_{ch.dim}, index {ch.index} ({', '.join(flags)})")
-    if "choi_extremal" in report:
-        verdict = "extremal" if report["choi_extremal"]["extremal"] else "not extremal"
-        _say(args, f"unital cone: {verdict}")
-    if "landau_streater" in report:
-        verdict = "extremal" if report["landau_streater"]["extremal"] else "not extremal"
-        _say(args, f"doubly stochastic set: {verdict}")
+    for key, label in (("choi_extremal", "unital cone"), ("landau_streater", "doubly stochastic set")):
+        if key in report:
+            _say(args, f"{label}: {'extremal' if report[key]['extremal'] else 'not extremal'}")
     if "spectral" in report:
         sp = report["spectral"]
         _say(

@@ -79,9 +79,7 @@ def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarra
         rho = as_matrix(state)
         if rho.shape != (n, n):
             raise ValueError(f"state of shape {rho.shape} does not match dimension {n}")
-        if max_abs(rho - dagger(rho)) > tol.cutoff:
-            raise ValueError("state is not hermitian")
-        if not is_psd(rho, tol):
+        if not is_psd(rho, tol):  # which rejects a state that is not hermitian
             raise ValueError("state is not positive semidefinite")
         if abs(np.trace(rho) - 1.0) > tol.cutoff:
             raise ValueError("state does not have unit trace")

@@ -3,10 +3,11 @@
 A unital channel is extremal among unital CP maps exactly when the products
 v_i v_j* of a minimal Kraus family are linearly independent; among doubly
 stochastic maps the products and the reversed products v_j* v_i must be
-jointly independent (Choi / Landau-Streater criteria).  A failed test is
-witnessed by a hermitian coefficient matrix; walking along witnesses reaches
-an extremal channel in the face, and peeling off its largest multiple leaves
-a remainder.  Every walk step and every peel lowers the index, so a walk takes
+jointly independent (Choi / Landau-Streater criteria).  The tests are real
+ranks in hermitian coordinates, and a failed one is witnessed by the hermitian
+coefficient matrix of a null vector; walking along witnesses reaches an
+extremal channel in the face, and peeling off its largest multiple leaves a
+remainder.  Every walk step and every peel lowers the index, so a walk takes
 at most index − 1 steps and a decomposition has at most index-many terms.
 """
 
@@ -25,12 +26,13 @@ from .numerics import (
     dagger,
     frobenius_norm,
     hermitian_eig,
+    hermitian_from_coordinates,
+    hermitian_pair_map,
     hermitize,
     max_abs,
     operator_norm,
     psd_factor,
     rank_cutoff,
-    vec,
 )
 
 __all__ = [
@@ -60,7 +62,7 @@ class DependencyCertificate:
     kind CP:      sum_ij λ_ij v_i v_j* = 0
     kind CP_phi:  additionally sum_ij λ_ij v_j* v_i = 0
 
-    Normalized to operator norm 1 with a deterministic overall sign.
+    Operator norm 1, first hermitian coordinate above the cutoff positive.
     """
 
     lam: np.ndarray
@@ -78,19 +80,14 @@ def _reversed_products(family: KrausFamily) -> np.ndarray:
     return family.adjoint().products().swapaxes(0, 1)
 
 
-def _columns(pairs: np.ndarray) -> np.ndarray:
-    # n²×d² matrix whose column i·d+j is vec(pairs[i, j])
-    return vec(pairs).reshape(len(pairs) ** 2, -1).T
-
-
 def product_matrix(family: KrausFamily) -> np.ndarray:
-    """n²×d² matrix whose column i·d+j is vec(v_i v_j*)."""
-    return _columns(family.products())
+    """Real n²×d² matrix of λ ↦ Σ λ_ij v_i v_j* in hermitian coordinates."""
+    return hermitian_pair_map(family.products())
 
 
 def stacked_matrix(family: KrausFamily) -> np.ndarray:
-    """2n²×d² matrix: column i·d+j is vec(v_i v_j*) over vec(v_j* v_i)."""
-    return np.vstack([_columns(family.products()), _columns(_reversed_products(family))])
+    """Real 2n²×d²: the product matrix over that of λ ↦ Σ λ_ij v_j* v_i."""
+    return np.vstack([hermitian_pair_map(family.products()), hermitian_pair_map(_reversed_products(family))])
 
 
 def _rank_and_null(m, tol: Tolerance):
@@ -106,44 +103,25 @@ def _rank_and_null(m, tol: Tolerance):
     return rank, x / np.linalg.norm(x)
 
 
-def _sign_fixed(h: np.ndarray, cutoff: float) -> np.ndarray:
-    for z in h.ravel(order="C"):
-        for part in (z.real, z.imag):
-            if abs(part) > cutoff:
-                return h if part > 0.0 else -h
-    return h
-
-
 def hermitize_certificate(
     nullvec,
     m,
     kind: str = CP,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> DependencyCertificate:
-    """Turn a null vector of the product matrix (kind CP) or the stacked matrix
-    (kind CP_phi) ``m``, with d² columns, into a d×d certificate.
-
-    The certificate space is closed under adjoints, so the hermitian part
-    (λ+λ*)/2 — or, when that vanishes, (λ−λ*)/(2i) — is again a certificate;
-    the result is normalized to operator norm 1 and its residual max|m vec(λ)|
-    checked.  Raises :class:`NumericalFailure` when no hermitian direction survives.
-    """
-    arr = np.asarray(nullvec, dtype=complex)
-    if arr.size != m.shape[1]:
-        raise ValueError(f"null vector of size {arr.size} does not match the {m.shape[1]} columns")
-    d = math.isqrt(arr.size)
-    lam = arr.reshape(d, d)
-    herm = (lam + dagger(lam)) / 2.0
-    anti = (lam - dagger(lam)) / 2.0j
-    candidates = [herm, anti] if operator_norm(herm) > tol.cutoff else [anti]
-    for part in candidates:
-        nrm = operator_norm(part)
-        if nrm <= tol.cutoff:
-            continue
-        h = _sign_fixed(part / nrm, tol.cutoff)
-        if max_abs(m @ h.reshape(-1)) <= _CERT_RESIDUAL:
-            return DependencyCertificate(h, kind)
-    raise NumericalFailure("no hermitian certificate survives within tolerance")
+    """The d×d certificate λ = Σ x_a B_a of a null vector x of the product matrix
+    (kind CP) or the stacked matrix (kind CP_phi) ``m``: hermitian by construction,
+    scaled to operator norm 1 with its first coordinate above ``tol.cutoff``
+    positive.  A residual max|m x| above 1e-8 raises :class:`NumericalFailure`."""
+    x = np.asarray(nullvec, dtype=float)
+    if x.size != m.shape[1]:
+        raise ValueError(f"null vector of size {x.size} does not match the {m.shape[1]} columns")
+    x = x / operator_norm(hermitian_from_coordinates(x))
+    x = x if x[np.argmax(np.abs(x) > tol.cutoff)] > 0.0 else -x
+    residual = max_abs(m @ x)
+    if residual > _CERT_RESIDUAL:
+        raise NumericalFailure(f"certificate residual {residual:.2e} above {_CERT_RESIDUAL}")
+    return DependencyCertificate(hermitian_from_coordinates(x), kind)
 
 
 def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
@@ -164,11 +142,9 @@ def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
 def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Extremality in the unital CP cone: are the products v_i v_j* independent?
 
-    Returns ``(extremal, certificate)``.  A rank-deficient product matrix gives a kind-CP
-    certificate from its last right singular vector when n ≥ d, else from the least-covered
-    coordinate vector minus its projection onto the row space.  Past d = n + 1 operators the
-    products are dependent by counting (rank ≤ n²): the certificate is that of the first
-    n + 1 canonical operators, zero outside its leading block.
+    Returns ``(extremal, certificate)``, the certificate from a null vector of the product
+    matrix.  Past d = n + 1 operators the products are dependent by counting (rank ≤ n²):
+    the certificate is that of the first n + 1, zero outside its leading block.
     """
     if not ch.unital:
         raise ValueError("extremality in the unital cone needs a unital channel")

@@ -25,9 +25,8 @@ from .numerics import (
     NotCompletelyPositive,
     NumericalFailure,
     Tolerance,
-    as_matrix,
-    dagger,
     hermitian_eig,
+    hermitize,
     max_abs,
     psd_factor,
 )
@@ -60,14 +59,10 @@ class SchurSpec:
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "SchurSpec":
-        arr = as_matrix(m)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"multiplier matrix must be square, got {arr.shape}")
-        if max_abs(arr - dagger(arr)) > tol.cutoff:
-            raise ValueError("multiplier matrix is not hermitian")
+        arr = hermitize(m, tol.cutoff)
         if max_abs(np.diag(arr) - 1.0) > tol.cutoff:
             raise ValueError("multiplier matrix must have unit diagonal")
-        return cls((arr + dagger(arr)) / 2.0)
+        return cls(arr)
 
     @property
     def size(self) -> int:

@@ -6,6 +6,7 @@ single cutoff apply everywhere.  :class:`Tolerance` holds that one value:
 :func:`rank_cutoff` scales it by the largest magnitude (floored at 1) for both
 the rank drop and the PSD allowance, :func:`psd_factor` is the one PSD square
 root, and equality tests compare entrywise against the value itself.
+:func:`hermitian_pair_map` is the one real map in hermitian coordinates.
 
 Fixed cutoffs do not move with the tolerance: :data:`STRUCT_TOL` guards the
 structural checks that follow an eigensolve, and other modules keep their own
@@ -16,6 +17,7 @@ peripheral band, 1e-8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = [
     "psd_factor",
     "phase_fixed",
     "projection_eigenbasis",
+    "hermitian_pair_map",
+    "hermitian_from_coordinates",
 ]
 
 
@@ -203,3 +207,45 @@ def projection_eigenbasis(p, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, n
     vals, vecs = hermitian_eig(p, tol)
     # each eigencolumn phase-fixed on its own, as a stack of 1×n rows
     return int(np.count_nonzero(vals > 0.5)), phase_fixed(vecs.T[:, None], tol.cutoff)[:, 0].T
+
+
+# hermitian coordinates: in the orthonormal basis E_jj, then (E_jk + E_kj)/√2,
+# then i(E_jk − E_kj)/√2 for j < k in ``np.triu_indices`` order
+_SQRT_HALF = np.sqrt(0.5)
+
+
+@lru_cache(maxsize=None)
+def _basis_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    j, k = np.triu_indices(n, 1)  # (rows, cols) the basis reads: diagonal, then j < k
+    return np.concatenate((np.arange(n), j)), np.concatenate((np.arange(n), k))
+
+
+def hermitian_pair_map(pairs) -> np.ndarray:
+    """Real n²×d² matrix of λ ↦ Σ λ_ij p_ij, hermitian d×d to hermitian n×n in
+    basis coordinates, for a d×d×n×n pair array p with p_ji = p_ij* (any
+    strides).  Each block is scaled once, so identity pairs map to I exactly."""
+    p = np.asarray(pairs)
+    d, n = p.shape[0], p.shape[-1]
+    (ci, ck), (ri, rk) = _basis_positions(d), _basis_positions(n)
+    g, h = p[ci, ck, ri[:, None], rk[:, None]], p[ck, ci, ri[:, None], rk[:, None]]
+    plus, minus = g + h, g - h
+    r, top, left = np.empty((n * n, d * d)), len(ri), len(ci)
+    r[:top, :left], r[:top, left:] = plus.real, -minus.imag[:, d:]
+    r[top:, :left], r[top:, left:] = plus.imag[n:], minus.real[n:, d:]
+    r[:n, :d] *= 0.5
+    r[:n, d:] *= _SQRT_HALF
+    r[n:, :d] *= _SQRT_HALF
+    return r
+
+
+def hermitian_from_coordinates(x) -> np.ndarray:
+    """The d×d matrix Σ x_a B_a of d² real coordinates x: real diagonal, and
+    each entry below it the exact conjugate of its mirror."""
+    x = np.asarray(x, dtype=float)
+    d = int(round(np.sqrt(x.size)))
+    (i, k), m = _basis_positions(d), d * (d + 1) // 2
+    lam = np.zeros((d, d), dtype=complex)
+    lam.real[i, k] = lam.real[k, i] = np.concatenate((x[:d], x[d:m] * _SQRT_HALF))
+    lam.imag[i[d:], k[d:]] = x[m:] * _SQRT_HALF
+    lam.imag[k[d:], i[d:]] = -lam.imag[i[d:], k[d:]]
+    return lam

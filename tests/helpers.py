@@ -7,6 +7,7 @@ produced by explicit projection/mixture constructions.
 """
 
 import copy
+import math
 
 import numpy as np
 
@@ -154,19 +155,29 @@ def super_by_apply(ch):
     return np.column_stack(cols)
 
 
-def real_form_by_apply(ch):
-    """tr(B_a τ(B_b)) over the hermitian basis E_jj, then (E_jk + E_kj)/√2,
-    then i(E_jk − E_kj)/√2 for j < k, from the channel's action."""
-    n = ch.dim
+def hermitian_basis(n):
+    """The orthonormal hermitian basis of M_n: E_jj, then (E_jk + E_kj)/√2,
+    then i(E_jk − E_kj)/√2, for j < k in row-major order."""
     units = np.eye(n * n).reshape(n, n, n, n)  # units[j, k] = E_jk
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    basis = (
+    return (
         [units[j, j] for j in range(n)]
         + [(units[j, k] + units[k, j]) / np.sqrt(2) for j, k in pairs]
         + [1j * (units[j, k] - units[k, j]) / np.sqrt(2) for j, k in pairs]
     )
+
+
+def real_form_by_apply(ch):
+    """tr(B_a τ(B_b)) over :func:`hermitian_basis`, from the channel's action."""
+    basis = hermitian_basis(ch.dim)
     images = [ch.apply(b) for b in basis]
     return np.array([[np.trace(a @ im) for im in images] for a in basis])
+
+
+def subfamily_size(n, kind):
+    """The least j with j² above the rank bound of the kind's test: n² ("CP")
+    or 2n² − 1 ("CP_phi"), so that any j operators are dependent."""
+    return n + 1 if kind == "CP" else math.isqrt(2 * n * n - 1) + 1
 
 
 def _gram_rank(vectors, rel=1e-9):
@@ -281,6 +292,34 @@ def stacked_columns_by_loop(family):
             cols[: n * n, i * d + j] = _column_stack(ops[i] @ dagger(ops[j]))
             cols[n * n :, i * d + j] = _column_stack(dagger(ops[j]) @ ops[i])
     return cols
+
+
+def _coordinates_by_loop(family, pair):
+    # column c: tr(B_r* X) over the output basis, X = Σ_ij (B_c)_ij pair(v_i, v_j)
+    ops = family.ops
+    d, n = len(ops), ops[0].shape[0]
+    cols = []
+    for b in hermitian_basis(d):
+        x = np.zeros((n, n), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                x += b[i, j] * pair(ops[i], ops[j])
+        cols.append([np.trace(dagger(c) @ x) for c in hermitian_basis(n)])
+    return np.array(cols).T
+
+
+def product_coordinates_by_loop(family):
+    """n²×d² matrix of λ ↦ Σ λ_ij v_i v_j* in hermitian coordinates, one basis
+    element and one pair at a time (complex; its imaginary part is rounding)."""
+    return _coordinates_by_loop(family, lambda a, b: a @ dagger(b))
+
+
+def stacked_coordinates_by_loop(family):
+    """2n²×d²: the product coordinates over those of λ ↦ Σ λ_ij v_j* v_i."""
+    return np.vstack([
+        product_coordinates_by_loop(family),
+        _coordinates_by_loop(family, lambda a, b: dagger(b) @ a),
+    ])
 
 
 def block_matrix_by_loop(family):

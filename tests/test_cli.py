@@ -129,6 +129,13 @@ MALFORMED_FILES = {
     # finite entries whose products overflow: one error line, no numpy warning first
     "kraus-square-overflows": (_ANALYZE, {"dim": 1, "kraus": [[[[1e308, 0.0]]]]}),
     "rows-sum-overflows": (_BIRKHOFF, {"n": 2, "rows": [[1e308, 1e308], [1e308, 1e308]]}),
+    # the zero map has a zero Choi matrix and no Kraus family, and so does a
+    # family whose products all underflow to zero
+    "kraus-zero-map": (_ANALYZE, {"dim": 2, "kraus": [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]}),
+    "kraus-products-underflow": (
+        _ANALYZE,
+        {"dim": 2, "kraus": [[[[1e-170, 0], [0, 0]], [[0, 0], [1e-170, 1e-170]]]]},
+    ),
 }
 
 

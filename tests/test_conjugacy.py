@@ -52,6 +52,10 @@ def test_data_matrix_with_custom_state(rng):
         data_matrix(fam, state=np.diag([0.9, 0.3, -0.1, -0.1]))
     with pytest.raises(ValueError):
         data_matrix(fam, state=np.diag([1.0, 1.0, 0.0, 0.0]))
+    off = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    off[0, 1] = 1e-3  # PSD-looking, but not hermitian
+    with pytest.raises(ValueError, match="not hermitian"):
+        data_matrix(fam, state=off)
 
 
 def test_trivial_certificate():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
     dagger,
+    hermitian_pair_map,
     max_abs,
     numerical_rank,
     operator_norm,
@@ -84,11 +83,6 @@ def test_weyl_pair_certificate_is_frozen_diagonal():
     assert fwd < 1e-9 and rev < 1e-9
 
 
-def subfamily_size(n, kind):
-    # the least j with j² above the rank bound: n² (CP) or 2n² − 1 (CP_phi)
-    return n + 1 if kind == CP else math.isqrt(2 * n * n - 1) + 1
-
-
 def test_hermitize_certificate_matches_the_tests(rng):
     # the routine the tests call, on the matrix of the first j operators (all of them up
     # to index j), gives the leading j×j block of their certificate, which is zero outside it
@@ -96,7 +90,7 @@ def test_hermitize_certificate_matches_the_tests(rng):
     for kind, test, matrix in cases:
         for ch in (build_example("ex2.12", m=2), helpers.random_unitary_mixture(2, 4, rng)):
             _, cert = test(ch)
-            j = min(ch.index, subfamily_size(ch.dim, kind))
+            j = min(ch.index, helpers.subfamily_size(ch.dim, kind))
             m = matrix(KrausFamily.from_ops(ch.kraus.ops[:j]))
             _, nullvec = _rank_and_null(m, DEFAULT_TOLERANCE)
             again = hermitize_certificate(nullvec, m, kind)
@@ -121,21 +115,26 @@ def test_full_rank_certificates_come_from_the_leading_operators(n):
         assert abs(operator_norm(cert.lam) - 1.0) < 1e-12
         fwd, rev = cert.residuals(ch.kraus)
         assert fwd < 1e-8 and (kind == CP or rev < 1e-8)
-        j = subfamily_size(n, kind)
+        j = helpers.subfamily_size(n, kind)
         assert not np.any(cert.lam[j:]) and not np.any(cert.lam[:, j:])
 
 
 def test_certificates_have_unit_norm_and_small_residual(ds_corpus):
-    seen = 0
-    for ch in ds_corpus:
-        ok, cert = landau_streater_test(ch)
-        if ok:
-            continue
-        seen += 1
-        assert abs(operator_norm(cert.lam) - 1.0) < 1e-8
-        fwd, rev = cert.residuals(ch.kraus)
-        assert fwd < 1e-8 and rev < 1e-8
-    assert seen > 0  # random channels are never extremal
+    for kind, test in ((CP, choi_extremal_test), (CP_PHI, landau_streater_test)):
+        seen = 0
+        for ch in ds_corpus:
+            ok, cert = test(ch)
+            if ok:
+                continue
+            seen += 1
+            assert np.array_equal(cert.lam, dagger(cert.lam))
+            assert abs(operator_norm(cert.lam) - 1.0) < 1e-8
+            # the sign rule: the first hermitian coordinate above the cutoff is positive
+            coords = hermitian_pair_map(cert.lam[None, None])[:, 0]
+            assert coords[np.argmax(np.abs(coords) > 1e-9)] > 0.0
+            fwd, rev = cert.residuals(ch.kraus)
+            assert fwd < 1e-8 and (kind == CP or rev < 1e-8)
+        assert seen > 0  # random channels are never extremal
 
 
 def test_choi_implies_landau_streater(ds_corpus, rng):

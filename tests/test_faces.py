@@ -43,6 +43,10 @@ def test_schur_rejects_outside_the_face():
         schur_channel(SchurSpec.from_matrix(bad))
     with pytest.raises(ValueError):
         SchurSpec.from_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal != 1
+    with pytest.raises(ValueError, match="not hermitian"):
+        SchurSpec.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        SchurSpec.from_matrix(np.ones((2, 3)))
 
 
 def test_qubit_multiplier_dichotomy():

@@ -2,7 +2,11 @@
 
 Rank tests cannot see an i <-> j transposition of the pair array; these
 compare every column, block and entry with one explicit product per pair.
-The rank kernel of the extremality tests is checked against the full SVD.
+The real product and stacked matrices are checked against the map applied to
+each hermitian basis element, and against the complex matrices of
+vec(v_i v_j*) columns, whose ranks and singular values they keep.  The rank
+kernel of the extremality tests is checked against the full SVD, on real and
+complex matrices.
 """
 
 import numpy as np
@@ -10,7 +14,14 @@ import pytest
 
 from qbirkhoff import KrausFamily, choi_block_projection, data_matrix
 from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
-from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs
+from qbirkhoff.numerics import (
+    DEFAULT_TOLERANCE,
+    dagger,
+    hermitian_from_coordinates,
+    hermitian_pair_map,
+    max_abs,
+    numerical_rank,
+)
 
 import helpers
 
@@ -40,8 +51,8 @@ def test_pair_kernels_match_per_pair_loops(n, d):
         for j in range(d):
             assert max_abs(pairs[i, j] - fam.ops[i] @ dagger(fam.ops[j])) < 1e-12 * scale
     checks = [
-        (product_matrix(fam), helpers.product_columns_by_loop(fam)),
-        (stacked_matrix(fam), helpers.stacked_columns_by_loop(fam)),
+        (product_matrix(fam), helpers.product_coordinates_by_loop(fam)),
+        (stacked_matrix(fam), helpers.stacked_coordinates_by_loop(fam)),
         (choi_block_projection(fam)[0], helpers.block_matrix_by_loop(fam)),
     ]
     for state in (None, random_state(n, rng)):
@@ -50,6 +61,41 @@ def test_pair_kernels_match_per_pair_loops(n, d):
     for got, expect in checks:
         assert got.shape == expect.shape
         assert max_abs(got - expect) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_real_matrices_keep_the_complex_ranks(n, stacked):
+    # the complex matrix in the orthonormal hermitian bases is the real one, so
+    # the ranks agree and the singular values agree to rounding, past the bound too
+    rng = np.random.default_rng(7200 + 10 * n + stacked)
+    real_of, complex_of = (
+        (stacked_matrix, helpers.stacked_columns_by_loop)
+        if stacked
+        else (product_matrix, helpers.product_columns_by_loop)
+    )
+    for d in range(1, helpers.subfamily_size(n, "CP_phi" if stacked else "CP") + 2):
+        fam = random_family(n, d, rng)
+        real, cplx = real_of(fam), complex_of(fam)
+        assert real.dtype == float and real.shape == cplx.shape
+        assert numerical_rank(real) == numerical_rank(cplx)
+        s_real = np.linalg.svd(real, compute_uv=False)
+        s_cplx = np.linalg.svd(cplx, compute_uv=False)
+        assert np.max(np.abs(s_real - s_cplx)) <= 1e-12 * s_cplx[0]
+
+
+def test_hermitian_coordinates_round_trip():
+    # coordinates -> Σ x_a B_a is exactly hermitian, and reading it back through the
+    # pair map of one pair (d = 1) returns the coordinates
+    rng = np.random.default_rng(7300)
+    for d in range(1, 6):
+        x = rng.normal(size=d * d)
+        lam = hermitian_from_coordinates(x)
+        assert np.array_equal(lam, dagger(lam)) and not np.any(np.diag(lam).imag)
+        expect = sum(a * b for a, b in zip(x, helpers.hermitian_basis(d)))
+        assert max_abs(lam - expect) < 1e-15
+        assert max_abs(hermitian_pair_map(lam[None, None])[:, 0] - x) < 1e-15
+    assert np.array_equal(hermitian_pair_map(np.eye(9).reshape(3, 3, 3, 3)), np.eye(9))
 
 
 # (rows, columns, rank of the factor product; None for a full random matrix)
@@ -67,25 +113,29 @@ RANK_SHAPES = [
 
 @pytest.mark.parametrize("rows, cols, rank", RANK_SHAPES)
 def test_rank_and_null_thin(rows, cols, rank):
+    # the rank tests pass real matrices; the kernel serves complex ones alike
     rng = np.random.default_rng(7100 + rows + cols)
+    for real in (False, True):
 
-    def gaussian(r, c):
-        return rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+        def gaussian(r, c):
+            return rng.normal(size=(r, c)) + (0.0 if real else 1j * rng.normal(size=(r, c)))
 
-    m = gaussian(rows, cols) if rank is None else gaussian(rows, rank) @ gaussian(rank, cols)
-    tol = DEFAULT_TOLERANCE
-    got_rank, x = _rank_and_null(m, tol)
-    s = np.linalg.svd(m, compute_uv=False)
-    assert got_rank == int(np.count_nonzero(s > tol.cutoff * s[0]))
-    assert got_rank == (min(rows, cols) if rank is None else rank)
-    assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-    again = _rank_and_null(m, tol)[1]
-    assert np.array_equal(x, again)
-    if rows < cols:  # short by counting: an exact null vector
-        assert np.linalg.norm(m @ x) <= 1e-12 * s[0]
-        if rank is None:  # full row rank: the rule read off the null-space projector
-            proj = np.eye(cols) - np.linalg.pinv(m) @ m
-            k = int(np.argmax(np.diag(proj).real))
-            assert max_abs(x - proj[:, k] / np.linalg.norm(proj[:, k])) < 1e-10
-    else:
-        assert np.array_equal(x, np.conj(np.linalg.svd(m)[2][-1]))
+        m = gaussian(rows, cols) if rank is None else gaussian(rows, rank) @ gaussian(rank, cols)
+        assert np.isrealobj(m) == real
+        tol = DEFAULT_TOLERANCE
+        got_rank, x = _rank_and_null(m, tol)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert got_rank == int(np.count_nonzero(s > tol.cutoff * s[0]))
+        assert got_rank == (min(rows, cols) if rank is None else rank)
+        assert np.isrealobj(x) == real
+        assert abs(np.linalg.norm(x) - 1.0) < 1e-12
+        again = _rank_and_null(m, tol)[1]
+        assert np.array_equal(x, again)
+        if rows < cols:  # short by counting: an exact null vector
+            assert np.linalg.norm(m @ x) <= 1e-12 * s[0]
+            if rank is None:  # full row rank: the rule read off the null-space projector
+                proj = np.eye(cols) - np.linalg.pinv(m) @ m
+                k = int(np.argmax(np.diag(proj).real))
+                assert max_abs(x - proj[:, k] / np.linalg.norm(proj[:, k])) < 1e-10
+        else:
+            assert np.array_equal(x, np.conj(np.linalg.svd(m)[2][-1]))
