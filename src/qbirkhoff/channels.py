@@ -8,11 +8,12 @@ convention:
     real form     = U* superoperator U, with U's columns the vec of the hermitian
                     basis {E_jj; (E_jk + E_kj)/√2, i(E_jk − E_kj)/√2 : j < k}
 
-A ``Channel`` always carries a canonical minimal Kraus family obtained from
-the Choi eigendecomposition: the same Choi matrix always gives the same
-operators.  Inside a degenerate eigenspace the basis is whatever ``eigh``
-returns, so two Kraus families of one channel can still canonicalize to
-different operators there (ROADMAP item 3).
+A ``Channel`` always carries a canonical minimal Kraus family: the Choi
+eigenvectors of eigenvalue above the rank cutoff, scaled by its square root,
+read off the d×d Gram matrix of a Kraus input or the eigh of a Choi matrix.
+Inside a degenerate eigenspace the basis is whatever ``eigh`` returns, so two
+Kraus families of one channel can still canonicalize to different operators
+there (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .numerics import (
     max_abs,
     phase_fixed,
     psd_factor,
+    rank_cutoff,
     unvec,
     vec,
 )
@@ -119,9 +122,9 @@ class KrausFamily:
 def choi_from_kraus(k) -> np.ndarray:
     """n²×n² Choi matrix; block (i,j) equals the channel applied to e_ij."""
     w = vec(KrausFamily.from_ops(k).ops)  # row k is vec(v_k)
-    # summing outer products in Kraus order, not a BLAS product: with a
-    # degenerate spectrum, last-bit changes here pick another eigh basis and
-    # so other canonical Kraus operators.  Entries whose products overflow give
+    # summing outer products in Kraus order, not a BLAS product: in a
+    # degenerate spectrum, last-bit changes here would make ``from_choi`` of
+    # this matrix pick another eigh basis.  Entries whose products overflow give
     # a non-finite Choi matrix, which its readers refuse, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         return (w[:, :, None] * np.conj(w)[:, None, :]).sum(axis=0)
@@ -135,12 +138,22 @@ def superoperator_from_kraus(k) -> np.ndarray:
     return t.sum(axis=0).reshape(n * n, n * n)
 
 
-def _canonical_sort_key(eigval: float, op: np.ndarray):
-    # descending eigenvalue, ties broken by the rounded entry sequence
-    entries = tuple(
-        (round(float(z.real), 12), round(float(z.imag), 12)) for z in op.ravel(order="C")
-    )
-    return (-round(eigval, 12), entries)
+def _entry_key(op: np.ndarray) -> tuple:
+    return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in op.ravel(order="C"))
+
+
+def _canonical_family(vals: np.ndarray, ops: np.ndarray, tol: Tolerance) -> KrausFamily:
+    # the kept eigenvalues' sqrt-scaled operators, phase-fixed, by descending rounded
+    # eigenvalue; only operators whose rounded eigenvalues tie, by rounded entries
+    if not len(vals):
+        raise ValueError("the map is zero within the rank cutoff: it has no Kraus operators")
+    ops = phase_fixed(ops, tol.cutoff)
+    keys = [-round(float(v), 12) for v in vals]
+    order = []
+    for _, tied in groupby(sorted(range(len(ops)), key=keys.__getitem__), key=keys.__getitem__):
+        tied = list(tied)
+        order += tied if len(tied) == 1 else sorted(tied, key=lambda k: _entry_key(ops[k]))
+    return KrausFamily(ops[order])
 
 
 def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
@@ -150,7 +163,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     unvec(sqrt(eig) * eigenvector), ordered by descending eigenvalue with a
     deterministic tie-break, each phase-fixed.  Raises
     :class:`NotCompletelyPositive` when the Choi matrix is not PSD, and
-    ``ValueError`` when it is zero (the zero map, or products that underflow).
+    ``ValueError`` when it is zero within the rank cutoff.
     """
     c = as_matrix(choi)
     n2 = c.shape[0]
@@ -160,9 +173,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     if not np.any(c):
         raise ValueError("the Choi matrix is zero: the zero map has no Kraus operators")
     vals, cols = psd_factor(c, tol)
-    ops = phase_fixed(unvec(cols.T, n), tol.cutoff)
-    order = sorted(range(len(ops)), key=lambda k: _canonical_sort_key(float(vals[k]), ops[k]))
-    return KrausFamily(ops[order])
+    return _canonical_family(vals, unvec(cols.T, n), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,13 +191,25 @@ class Channel:
 
     @classmethod
     def from_kraus(cls, ops, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
-        return cls.from_choi(choi_from_kraus(ops), tol)
+        """From the d×d Gram matrix G = conj(W) Wᵀ, W's rows vec(v_k): it has the
+        nonzero spectrum of Choi = Wᵀ conj(W), and G u = λ u gives the Choi
+        eigenvector Wᵀ u = vec(Σ_k u_k v_k) of norm √λ."""
+        a = KrausFamily.from_ops(ops).ops
+        w = a.reshape(len(a), -1)  # any flattening of the v_k gives the same G
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.conj(w) @ w.T
+        if not np.any(g) or not np.all(np.isfinite(g)):
+            raise ValueError("the Kraus products are zero or overflow: no finite nonzero map")
+        vals, vecs = np.linalg.eigh(g)  # G is hermitian to rounding: eigh reads one triangle
+        keep = vals > rank_cutoff(vals, tol)
+        mixed = np.tensordot(vecs[:, keep].T, a, axes=1)  # Σ_k u_k v_k for each kept u
+        canon = _canonical_family(vals[keep][::-1], mixed[::-1], tol)
+        return cls(canon, *canon.validate(tol))
 
     @classmethod
     def from_choi(cls, choi, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
         canon = kraus_from_choi(choi, tol)
-        unital, tp = canon.validate(tol)
-        return cls(canon, unital, tp)
+        return cls(canon, *canon.validate(tol))
 
     @property
     def dim(self) -> int:

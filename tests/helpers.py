@@ -108,6 +108,12 @@ def random_periodic_channel(n, p, d, rng):
     return Channel.from_kraus(KrausFamily.from_ops(ops))
 
 
+def gauge_mixed(ops, u):
+    """The Kraus family Σ_j u_kj v_j, k = 1..rows of u: the same channel when
+    u has orthonormal columns."""
+    return np.tensordot(u, np.asarray(ops), axes=1)
+
+
 def block_sum_channel(a, b):
     """Channel on M_{n+m} with Kraus operators v_k ⊕ w_k, for a and b of equal
     index: doubly stochastic when both are, and never ergodic (each block's
@@ -338,6 +344,18 @@ def data_matrix_by_loop(family, rho):
     ops = family.ops
     d = len(ops)
     return np.array([[np.trace(rho @ ops[i] @ dagger(ops[j])) for j in range(d)] for i in range(d)])
+
+
+def canonical_order_by_full_key(vals, ops):
+    """Indices of ``ops`` sorted by one full key per operator: descending
+    eigenvalue rounded to 12 places, then the row-major (re, im) entries each
+    rounded to 12 places."""
+
+    def key(k):
+        entries = tuple((round(z.real, 12), round(z.imag, 12)) for z in ops[k].ravel().tolist())
+        return -round(float(vals[k]), 12), entries
+
+    return sorted(range(len(ops)), key=key)
 
 
 def permutation_mixture_by_loop(dec):

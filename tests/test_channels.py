@@ -12,7 +12,9 @@ from qbirkhoff import (
     channel_to_dict,
     family_from_dict,
 )
+from qbirkhoff.catalog import depolarizing_channel, identity_channel
 from qbirkhoff.channels import (
+    _canonical_family,
     choi_from_kraus,
     kraus_from_choi,
     loads_json,
@@ -20,7 +22,8 @@ from qbirkhoff.channels import (
     matrix_to_pairs,
     superoperator_from_kraus,
 )
-from qbirkhoff.numerics import dagger, max_abs, vec
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, phase_fixed, vec
+from qbirkhoff.spectral import classify
 
 import helpers
 from helpers import partial_trace
@@ -105,12 +108,120 @@ def test_index_is_gauge_invariant(rng):
     for _ in range(10):
         n = int(rng.integers(2, 4))
         ch = helpers.random_unitary_mixture(n, 3, rng)
-        g = helpers.haar_unitary(ch.kraus.index, rng)
-        mixed = [
-            sum(g[k, j] * ch.kraus.ops[j] for j in range(ch.kraus.index))
-            for k in range(ch.kraus.index)
-        ]
+        mixed = helpers.gauge_mixed(ch.kraus.ops, helpers.haar_unitary(ch.kraus.index, rng))
         assert Channel.from_kraus(KrausFamily.from_ops(mixed)).index == ch.kraus.index
+
+
+def _raw_families(gen):
+    """Seeded Kraus families on M_n, n = 1..4, none canonical: Gaussian, trace
+    preserving and unitary mixtures with d = 1, d = n² − 1 and d = n², and each
+    Gaussian one stacked with a gauge-mixed copy of itself, each scaled by 1/√2,
+    so d > n²."""
+    for n in range(1, 5):
+        for d in sorted({1, max(1, n * n - 1), n * n}):
+            ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+            vals, vecs = np.linalg.eigh(np.tensordot(np.conj(ops), ops, axes=([0, 1], [0, 1])))
+            p = gen.dirichlet(np.ones(d))
+            yield ops
+            yield ops @ (vecs / np.sqrt(vals)) @ dagger(vecs)  # Σ v* v = I
+            yield np.stack([np.sqrt(w) * helpers.haar_unitary(n, gen) for w in p])
+            mixed = helpers.gauge_mixed(ops, helpers.haar_unitary(d, gen))
+            yield np.concatenate([ops, mixed]) / np.sqrt(2)
+
+
+def _simple_spectrum(ch, gap=1e-4):
+    # the canonical operators are orthogonal with squared norms the eigenvalues
+    vals = np.linalg.norm(ch.kraus.ops, axis=(1, 2)) ** 2
+    return len(vals) < 2 or np.min(-np.diff(vals)) > gap * vals[0]
+
+
+def _assert_same_channel(a, b, same_ops):
+    c = choi_from_kraus(a.kraus)
+    scale = max(1.0, max_abs(c))
+    assert a.index == b.index
+    assert (a.unital, a.trace_preserving) == (b.unital, b.trace_preserving)
+    assert max_abs(choi_from_kraus(b.kraus) - c) < 1e-12 * scale
+    if same_ops:
+        assert max_abs(a.kraus.ops - b.kraus.ops) < 1e-12 * scale
+
+
+def test_from_kraus_agrees_with_the_choi_route():
+    gen = np.random.default_rng(1901)
+    seen = set()
+    for ops in _raw_families(gen):
+        ch = Channel.from_kraus(ops)
+        ref = Channel.from_choi(choi_from_kraus(ops))
+        assert max_abs(choi_from_kraus(ops) - ch.choi()) < 1e-12 * max(1.0, max_abs(ch.choi()))
+        _assert_same_channel(ch, ref, _simple_spectrum(ref))
+        n2, d = ch.dim**2, len(ops)
+        seen.add((d > n2) - (d < n2))
+    assert seen == {-1, 0, 1}
+
+
+def test_from_kraus_is_kraus_gauge_invariant():
+    gen = np.random.default_rng(1902)
+    for ops in _raw_families(gen):
+        ch = Channel.from_kraus(ops)
+        d, n = ops.shape[:2]
+        mixed = Channel.from_kraus(helpers.gauge_mixed(ops, helpers.haar_unitary(d, gen)))
+        zeros = np.zeros((int(gen.integers(1, 4)), n, n))
+        padded = Channel.from_kraus(np.concatenate([ops, zeros]))
+        for other in (mixed, padded):
+            _assert_same_channel(ch, other, _simple_spectrum(ch))
+
+
+def test_from_kraus_builds_no_choi_matrix(monkeypatch):
+    gen = np.random.default_rng(1903)
+    families = list(_raw_families(gen))
+    expected = [Channel.from_kraus(ops) for ops in families]
+
+    def refuse(*_):
+        raise AssertionError("the Choi route was taken")
+
+    monkeypatch.setattr(qbirkhoff.channels, "choi_from_kraus", refuse)
+    monkeypatch.setattr(qbirkhoff.channels, "kraus_from_choi", refuse)
+    for ops, ch in zip(families, expected):
+        again = Channel.from_kraus(ops)
+        assert np.array_equal(again.kraus.ops, ch.kraus.ops)
+        assert (again.unital, again.trace_preserving) == (ch.unital, ch.trace_preserving)
+
+
+def test_identity_canonicalizes_to_exactly_the_identity():
+    for n in range(1, 7):
+        ch = identity_channel(n)
+        assert np.array_equal(ch.kraus.ops, np.eye(n)[None])
+        eigs = classify(ch).eigenvalues
+        assert len(eigs) == n * n and np.all(eigs == 1.0 + 0.0j)
+
+
+def test_canonical_order_matches_the_full_key_sort():
+    gen = np.random.default_rng(1904)
+    cases = []
+    for n in (2, 3, 4):  # one eigenvalue: the entries alone decide the order
+        ops = depolarizing_channel(n).kraus.ops
+        cases.append((np.full(len(ops), 1.0 / n), ops[gen.permutation(len(ops))]))
+    for _ in range(60):
+        n, d = int(gen.integers(1, 5)), int(gen.integers(1, 9))
+        ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+        ops[gen.integers(d)] = ops[0]  # entries that tie exactly
+        ops[gen.integers(d)] = ops[0] + 1e-14  # and after rounding
+        vals = gen.choice([1.0, 0.5, 0.5 + 1e-14, 0.25, gen.uniform()], size=d)
+        cases.append((vals, ops))
+    for vals, ops in cases:
+        fixed = phase_fixed(ops, DEFAULT_TOLERANCE.cutoff)
+        got = _canonical_family(vals, ops, DEFAULT_TOLERANCE).ops
+        assert np.array_equal(got, fixed[helpers.canonical_order_by_full_key(vals, fixed)])
+
+
+def test_zero_within_the_cutoff_has_no_kraus_family():
+    for canonicalize, arg in (
+        (Channel.from_kraus, [[[1e-6]]]),
+        (Channel.from_kraus, 1e-160 * np.ones((2, 2, 2))),  # products are subnormal
+        (kraus_from_choi, [[1e-12]]),
+    ):
+        with pytest.raises(ValueError) as info:
+            canonicalize(arg)
+        assert type(info.value) is ValueError  # not NotCompletelyPositive (exit 2)
 
 
 def test_choi_psd_iff_kraus_extraction_succeeds(rng):

@@ -136,6 +136,8 @@ MALFORMED_FILES = {
         _ANALYZE,
         {"dim": 2, "kraus": [[[[1e-170, 0], [0, 0]], [[0, 0], [1e-170, 1e-170]]]]},
     ),
+    # a nonzero map whose Choi eigenvalues all lie within the rank cutoff
+    "kraus-within-cutoff": (_ANALYZE, {"dim": 1, "kraus": [[[[1e-6, 0]]]]}),
 }
 
 
