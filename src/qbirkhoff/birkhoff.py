@@ -8,6 +8,7 @@ quantum side as a channel acting on diagonals.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,22 +91,54 @@ class PermutationDecomposition:
         return out
 
 
-def _augment(support, row, match_row, match_col) -> bool:
-    # breadth-first from the free ``row``, columns in increasing order: deterministic
+def _flip(c, r, parent, resid, match_row, match_col, matched) -> None:
+    # match free column c to row r, then walk the parents back to the free start
+    # row; each row that moves writes its matched value back and reads the new one
+    parent[c] = r
+    while c >= 0:
+        r = parent[c]
+        cells = resid[r]
+        old = match_row[r]
+        if old >= 0:
+            cells[old] = matched[r]
+        matched[r] = cells[c]
+        match_row[r], match_col[c] = c, r
+        c = old
+
+
+def _augment(row, resid, support, free, match_row, match_col, matched) -> bool:
+    # Breadth-first from the free ``row``, columns in increasing order, checking each
+    # row for a free column (the lowest in the sorted ``free``) before queueing it:
+    # plain BFS flips the same path, only after expanding the rows queued before.
     parent = {}
+    cells = resid[row]
+    for end in free:
+        if cells[end] > 0.0:
+            free.remove(end)
+            _flip(end, row, parent, resid, match_row, match_col, matched)
+            return True
     queue = [row]
-    for r in queue:
-        for c in support[r]:
+    for q in queue:
+        for c in support[q]:
             if c not in parent:
-                parent[c] = r
-                if match_col[c] < 0:
-                    while c >= 0:
-                        r = parent[c]
-                        match_col[c] = r
-                        c, match_row[r] = match_row[r], c
-                    return True
-                queue.append(match_col[c])
+                parent[c] = q
+                r = match_col[c]
+                cells = resid[r]
+                for end in free:
+                    if cells[end] > 0.0:
+                        free.remove(end)
+                        _flip(end, r, parent, resid, match_row, match_col, matched)
+                        return True
+                queue.append(r)
     return False
+
+
+def _mass(resid, match_row, matched) -> float:
+    # write the matched values back, then sum the residual as one n×n float64 array
+    for r, c in enumerate(match_row):
+        if c >= 0:
+            resid[r][c] = matched[r]
+    return float(np.asarray(resid).sum())
 
 
 def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDecomposition:
@@ -114,37 +147,49 @@ def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDeco
     Each round subtracts the minimum entry of a perfect matching on the
     support and clamps only the matched entries.  The matching persists
     across rounds: only rows whose entry vanished are re-matched, by
-    iterative augmenting paths (Hopcroft & Karp 1973), so each round costs
-    O(n²) per vanished entry, with no recursion limit.  ``ValueError`` when the
-    residual has no perfect matching: the input was only near doubly stochastic.
+    iterative breadth-first augmenting paths (Hopcroft & Karp 1973) that look
+    one row ahead for a free column, and the matched values live in a list,
+    so a round costs O(n + path length) and no recursion.  The residual is
+    summed for the stopping rule only once its nonzero entries, each at least
+    the clamp, no longer outweigh the floor by count alone.  ``ValueError``
+    when the residual has no perfect matching: the input was only near doubly
+    stochastic.
     """
     ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
     n = ds.n
+    clamp = float(_CLAMP_FACTOR * n)
     resid = ds.matrix.copy()
-    clamp = _CLAMP_FACTOR * n
     resid[resid < clamp] = 0.0
 
-    rows = np.arange(n)
     support = [np.flatnonzero(row).tolist() for row in resid]
+    left = sum(map(len, support))
+    resid = resid.tolist()
+    free = list(range(n))  # unmatched columns, sorted
+    freed = list(range(n))  # unmatched rows, sorted
     match_row = [-1] * n
     match_col = [-1] * n
+    matched = [0.0] * n  # resid[r][match_row[r]]; the list holds a stale positive value there
     terms = []
-    while float(resid.sum()) > n * _MASS_FLOOR:
-        for r in range(n):
-            if match_row[r] < 0 and not _augment(support, r, match_row, match_col):
+    # each of the ``left`` nonzero entries is at least the clamp
+    while left * clamp > n * _MASS_FLOOR or _mass(resid, match_row, matched) > n * _MASS_FLOOR:
+        for r in freed:
+            if not _augment(r, resid, support, free, match_row, match_col, matched):
+                mass = _mass(resid, match_row, matched)
                 raise ValueError(
-                    f"the residual's support has no perfect matching, with mass {resid.sum():.3e}"
+                    f"the residual's support has no perfect matching, with mass {mass:.3e}"
                     f" left: the input is doubly stochastic only to within the tolerance {tol.cutoff}"
                 )
-        cols = np.array(match_row)
-        weight = float(resid[rows, cols].min())
-        resid[rows, cols] -= weight
+        weight = min(matched)
+        matched = [x - weight for x in matched]
         terms.append((weight, tuple(match_row)))
-        for r in (resid[rows, cols] < clamp).nonzero()[0].tolist():
+        freed = [r for r, x in enumerate(matched) if x < clamp]
+        for r in freed:
             c = match_row[r]
-            resid[r, c] = 0.0
+            resid[r][c] = 0.0
             support[r].remove(c)
             match_row[r] = match_col[c] = -1
+            insort(free, c)
+        left -= len(freed)
     return PermutationDecomposition(terms=tuple(terms), n=n)
 
 

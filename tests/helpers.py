@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from qbirkhoff import Channel, KrausFamily, embed_classical
-from qbirkhoff.numerics import dagger, vec
+from qbirkhoff.birkhoff import _CLAMP_FACTOR, _MASS_FLOOR, DSMatrix, PermutationDecomposition
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, vec
 
 
 def partial_trace(m, dims, side):
@@ -356,6 +357,58 @@ def canonical_order_by_full_key(vals, ops):
         return -round(float(vals[k]), 12), entries
 
     return sorted(range(len(ops)), key=key)
+
+
+def _augment_by_plain_bfs(support, row, match_row, match_col) -> bool:
+    # breadth-first from the free ``row``, columns in increasing order: deterministic
+    parent = {}
+    queue = [row]
+    for r in queue:
+        for c in support[r]:
+            if c not in parent:
+                parent[c] = r
+                if match_col[c] < 0:
+                    while c >= 0:
+                        r = parent[c]
+                        match_col[c] = r
+                        c, match_row[r] = match_row[r], c
+                    return True
+                queue.append(match_col[c])
+    return False
+
+
+def birkhoff_by_plain_bfs(s, tol=DEFAULT_TOLERANCE):
+    """The greedy Birkhoff decomposition on a numpy residual: each round sums the
+    whole residual, re-matches every unmatched row by plain breadth-first search
+    and subtracts the weight through fancy indexing."""
+    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
+    n = ds.n
+    resid = ds.matrix.copy()
+    clamp = _CLAMP_FACTOR * n
+    resid[resid < clamp] = 0.0
+
+    rows = np.arange(n)
+    support = [np.flatnonzero(row).tolist() for row in resid]
+    match_row = [-1] * n
+    match_col = [-1] * n
+    terms = []
+    while float(resid.sum()) > n * _MASS_FLOOR:
+        for r in range(n):
+            if match_row[r] < 0 and not _augment_by_plain_bfs(support, r, match_row, match_col):
+                raise ValueError(
+                    f"the residual's support has no perfect matching, with mass {resid.sum():.3e}"
+                    f" left: the input is doubly stochastic only to within the tolerance {tol.cutoff}"
+                )
+        cols = np.array(match_row)
+        weight = float(resid[rows, cols].min())
+        resid[rows, cols] -= weight
+        terms.append((weight, tuple(match_row)))
+        for r in (resid[rows, cols] < clamp).nonzero()[0].tolist():
+            c = match_row[r]
+            resid[r, c] = 0.0
+            support[r].remove(c)
+            match_row[r] = match_col[c] = -1
+    return PermutationDecomposition(terms=tuple(terms), n=n)
 
 
 def permutation_mixture_by_loop(dec):

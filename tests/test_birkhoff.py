@@ -11,6 +11,8 @@ from qbirkhoff import (
     is_doubly_stochastic,
 )
 from qbirkhoff.birkhoff import (
+    _CLAMP_FACTOR,
+    _MASS_FLOOR,
     decomposition_to_dicts,
     ds_matrix_from_dict,
     ds_matrix_to_dict,
@@ -93,6 +95,30 @@ def test_decompose_at_benchmark_sizes(kind, n, rng):
     assert birkhoff_decompose(s).terms == dec.terms
 
 
+def assert_same_as_plain_bfs(s):
+    """The reference's terms, tuple-equal with bitwise-equal weights, or its
+    exact ``ValueError`` message; returns the one or the other."""
+    try:
+        want = helpers.birkhoff_by_plain_bfs(s).terms
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            birkhoff_decompose(s)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = birkhoff_decompose(s).terms
+    assert got == want
+    assert [(type(w), w.hex()) for w, _ in got] == [(type(w), w.hex()) for w, _ in want]
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 20, 25, 30, 60])
+def test_decompose_matches_plain_bfs(n):
+    gen = np.random.default_rng(7400 + n)
+    assert len(assert_same_as_plain_bfs(helpers.sinkhorn_ds_matrix(n, gen))) == (n - 1) ** 2 + 1
+    for k in (1, 3, n, 2 * n):
+        assert_same_as_plain_bfs(helpers.random_ds_matrix(n, gen, k=k))
+
+
 def test_decompose_sparse_mixtures_clamp_round_off():
     # sums of few permutations leave round-off on matched entries; clamped,
     # it never becomes a term of its own
@@ -103,6 +129,7 @@ def test_decompose_sparse_mixtures_clamp_round_off():
         dec = birkhoff_decompose(s)
         assert min(w for w, _ in dec.terms) >= 64 * n * np.finfo(float).eps
         assert max_abs(dec.mixture() - s) < 1e-9
+        assert_same_as_plain_bfs(s)
 
 
 def test_decompose_long_augmenting_paths():
@@ -113,6 +140,7 @@ def test_decompose_long_augmenting_paths():
     dec = birkhoff_decompose(s)
     assert len(dec.terms) == 2
     assert max_abs(dec.mixture() - s) < 1e-12
+    assert_same_as_plain_bfs(s)
 
 
 def test_decompose_without_perfect_matching():
@@ -123,6 +151,49 @@ def test_decompose_without_perfect_matching():
     assert is_doubly_stochastic(s)
     with pytest.raises(ValueError, match="no perfect matching, with mass 1.000e-10 left"):
         birkhoff_decompose(s)
+
+
+# stray entries on np.eye(3), which n·_MASS_FLOOR = 3e-13 weighs once the identity is peeled
+@pytest.mark.parametrize(
+    "strays, outcome",
+    [
+        ({(0, 1): 1.4e-13, (1, 2): 1.5e-13}, 1),  # 2.9e-13 left: stop
+        ({(0, 1): 1e-13, (1, 2): 1e-13, (2, 0): 1e-13}, 1),  # 3e-13 left, summed to the floor
+        ({(0, 1): 1e-13, (1, 2): 1e-13, (2, 0): 1.1e-13}, 2),  # 3.1e-13 on a 3-cycle: one more term
+        ({(0, 1): 1e-13, (0, 2): 1e-13, (1, 2): 1.1e-13}, "mass 3.100e-13 left"),  # no matching
+    ],
+)
+def test_decompose_at_the_stopping_boundary(strays, outcome):
+    s = np.eye(3)
+    for (r, c), x in strays.items():
+        s[r, c] = x
+    assert is_doubly_stochastic(s)
+    assert len(strays) * _CLAMP_FACTOR < _MASS_FLOOR  # too few entries to outweigh the floor
+    got = assert_same_as_plain_bfs(s)
+    if isinstance(outcome, int):
+        assert len(got) == outcome
+    else:
+        assert outcome in got
+
+
+def test_decompose_without_perfect_matching_past_the_count():
+    # nine stray entries, enough to outweigh the floor by count alone, and
+    # row 3 has none once the identity is peeled
+    s = np.eye(4)
+    s[:3] += 1e-10 * (1.0 - np.eye(4)[:3])
+    assert is_doubly_stochastic(s)
+    assert 9 * _CLAMP_FACTOR > _MASS_FLOOR
+    assert "no perfect matching, with mass 9.000e-10 left" in assert_same_as_plain_bfs(s)
+
+
+def test_decompose_without_perfect_matching_counts_held_rows():
+    # row 2 stays matched through two rounds that take 1 off its entry, so the
+    # reported mass holds that entry's current 1e-10, not the value it was matched at
+    s = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    s[2, 2] += 1e-10
+    s[0, 2] = 1e-10
+    assert is_doubly_stochastic(s)
+    assert "no perfect matching, with mass 2.000e-10 left" in assert_same_as_plain_bfs(s)
 
 
 def test_decompose_rejects_non_ds():
