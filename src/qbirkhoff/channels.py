@@ -30,7 +30,9 @@ from .numerics import (
     NotCompletelyPositive,
     Tolerance,
     as_matrix,
+    block_views,
     dagger,
+    diagonal_blocks,
     hermitian_pair_map,
     max_abs,
     phase_fixed,
@@ -133,9 +135,10 @@ def choi_from_kraus(k) -> np.ndarray:
 def superoperator_from_kraus(k) -> np.ndarray:
     """n²×n² matrix sum_k conj(v_k) (x) v_k."""
     a = KrausFamily.from_ops(k).ops
-    n = a.shape[1]
-    t = np.conj(a)[:, :, None, :, None] * a[:, None, :, None, :]
-    return t.sum(axis=0).reshape(n * n, n * n)
+    d, n = a.shape[:2]
+    # one product; an entry whose terms are all exact zeros stays an exact zero
+    t = np.conj(a).transpose(1, 2, 0).reshape(n * n, d) @ a.reshape(d, n * n)
+    return t.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def _entry_key(op: np.ndarray) -> tuple:
@@ -243,10 +246,17 @@ class Channel:
         return r
 
     @cached_property
+    def real_blocks(self) -> list:
+        """The real form's :func:`~qbirkhoff.numerics.diagonal_blocks`, found once."""
+        return diagonal_blocks(self.real_superoperator)
+
+    @cached_property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of τ from the real form, solved once: read-only complex128,
-        with exact conjugate pairs and real ones as x + 0.0j."""
-        vals = np.linalg.eigvals(self.real_superoperator).astype(complex)
+        """Eigenvalues of τ from the real form, solved once per diagonal block
+        and concatenated in block order: read-only complex128, with exact
+        conjugate pairs and real ones as x + 0.0j."""
+        blocks = block_views(self.real_superoperator, self.real_blocks)
+        vals = np.concatenate([np.linalg.eigvals(b) for b in blocks]).astype(complex)
         vals.flags.writeable = False
         return vals
 

@@ -6,7 +6,8 @@ single cutoff apply everywhere.  :class:`Tolerance` holds that one value:
 :func:`rank_cutoff` scales it by the largest magnitude (floored at 1) for both
 the rank drop and the PSD allowance, :func:`psd_factor` is the one PSD square
 root, and equality tests compare entrywise against the value itself.
-:func:`hermitian_pair_map` is the one real map in hermitian coordinates.
+:func:`hermitian_pair_map` is the one real map in hermitian coordinates, and
+:func:`diagonal_blocks` the one split of a square matrix by its exact zeros.
 
 Fixed cutoffs do not move with the tolerance: :data:`STRUCT_TOL` guards the
 structural checks that follow an eigensolve, and other modules keep their own
@@ -37,6 +38,8 @@ __all__ = [
     "hermitize",
     "hermitian_eig",
     "rank_cutoff",
+    "diagonal_blocks",
+    "block_views",
     "numerical_rank",
     "is_psd",
     "psd_factor",
@@ -154,13 +157,42 @@ def rank_cutoff(values, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     return tol.cutoff * max(1.0, max_abs(values))
 
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+def diagonal_blocks(m) -> list:
+    """Index arrays of the connected components of a square m's exact nonzero
+    pattern (m[i, j] != 0 joins i and j), by first index.  Permuted by them, m
+    is block diagonal, so its eigenvalues and singular values are the blocks'."""
+    link = (m != 0) | (m.T != 0)
+    blocks, rest = [], np.arange(len(m))
+    while rest.size:
+        seen = link[rest[0]]
+        seen[rest[0]] = True  # a view: link's diagonal, which joins nothing
+        size, grown = 0, np.count_nonzero(seen)
+        # breadth-first steps until the block stops growing or holds all that is left
+        while size < grown < rest.size:
+            seen = link[seen].any(axis=0)
+            size, grown = grown, np.count_nonzero(seen)
+        inside = seen[rest]
+        blocks.append(rest[inside])
+        rest = rest[~inside]
+    return blocks
+
+
+def block_views(m, blocks) -> list:
+    """The diagonal blocks m[b, b] of index arrays ``blocks``; m itself, not
+    a copy, when one block spans it."""
+    return [m] if len(blocks) == 1 else [m[np.ix_(b, b)] for b in blocks]
+
+
+def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE, blocks=None) -> int:
     """Number of singular values above :func:`rank_cutoff`; a real matrix
-    keeps its real SVD."""
+    keeps its real SVD.  With ``blocks``, the :func:`diagonal_blocks` of a
+    square m, the singular values are solved per block and cut once over
+    their union."""
     arr = as_matrix(m, float if np.isrealobj(m) else complex)
     if arr.size == 0:
         return 0
-    s = np.linalg.svd(arr, compute_uv=False)
+    parts = [arr] if blocks is None else block_views(arr, blocks)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in parts])
     return int(np.count_nonzero(s > rank_cutoff(s, tol)))
 
 

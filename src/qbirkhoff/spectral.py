@@ -4,7 +4,9 @@ The spectrum of τ, and the fixed-space dimension, come from its real form R,
 built once per channel (``Channel.real_superoperator``): ``Channel.spectrum``
 solves it once, and the fixed space is the kernel of R − I.
 Eigenoperators τ(x) = μx are the kernel of the complex superoperator T − μI
-at the one rank cutoff: μ = 1 gives the fixed-point
+at the one rank cutoff.  Each solve runs per exact diagonal block of its
+matrix (``numerics.diagonal_blocks``), at a cost of Σ b³ over blocks of size b
+instead of n⁶, with one cutoff over all blocks.  μ = 1 gives the fixed-point
 *-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the period p read
 off the peripheral spectrum, the cyclic projection family that an explicit
 unitary deperiodizes.  Each peripheral eigenspace is a bimodule over the
@@ -26,7 +28,9 @@ from .numerics import (
     STRUCT_TOL,
     NumericalFailure,
     Tolerance,
+    block_views,
     dagger,
+    diagonal_blocks,
     hermitian_eig,
     max_abs,
     numerical_rank,
@@ -86,9 +90,14 @@ def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
 
 def _eigenspace(t: np.ndarray, mu: complex, tol: Tolerance) -> np.ndarray:
     # k×n×n stack, Hilbert-Schmidt orthonormal and phase-fixed, spanning
-    # {x : τ(x) = μx}: the singular values of T − μI at or below rank_cutoff
-    _, s, vh = np.linalg.svd(t - mu * np.eye(len(t)))
-    return phase_fixed(unvec(np.conj(vh[s <= rank_cutoff(s, tol)])), tol.cutoff)
+    # {x : τ(x) = μx}: per diagonal block of T − μI, the right singular vectors
+    # at or below one rank_cutoff over all blocks, placed exactly into n² entries
+    eye = np.eye(len(t))
+    blocks = diagonal_blocks(t)
+    solves = [np.linalg.svd(v)[1:] for v in block_views(t - mu * eye, blocks)]
+    cut = rank_cutoff(np.concatenate([s for s, _ in solves]), tol)
+    null = [np.conj(vh[s <= cut]) @ eye[b] for b, (s, vh) in zip(blocks, solves)]
+    return phase_fixed(unvec(np.concatenate(null)), tol.cutoff)
 
 
 def _generic_element(basis: np.ndarray) -> np.ndarray:
@@ -154,7 +163,7 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     _require_doubly_stochastic(ch)
     n = ch.dim
     eigs = _sorted_eigs(ch.spectrum)
-    fixed_dim = n * n - numerical_rank(ch.real_superoperator - np.eye(n * n), tol)
+    fixed_dim = n * n - numerical_rank(ch.real_superoperator - np.eye(n * n), tol, ch.real_blocks)
     ergodic = fixed_dim == 1
     peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
     period = _snap_period(peripheral, n) if ergodic else None

@@ -359,6 +359,42 @@ def canonical_order_by_full_key(vals, ops):
     return sorted(range(len(ops)), key=key)
 
 
+def blocks_by_plain_bfs(m):
+    """Connected components of m's exact nonzero pattern, m[i][j] != 0 joining
+    i and j either way, by breadth-first search over Python sets: each a sorted
+    list, in order of its smallest index."""
+    size = len(m)
+    neighbours = [set() for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if m[i][j] != 0:
+                neighbours[i].add(j)
+                neighbours[j].add(i)
+    blocks, placed = [], set()
+    for start in range(size):
+        if start in placed:
+            continue
+        block, frontier = {start}, {start}
+        while frontier:
+            frontier = {k for j in frontier for k in neighbours[j]} - block
+            block |= frontier
+        placed |= block
+        blocks.append(sorted(block))
+    return blocks
+
+
+def matched_distance(a, b):
+    """Largest distance over a greedy matching of the multisets a and b: each
+    entry of a, in order, takes the nearest entry of b not yet taken."""
+    a, b = list(np.ravel(a)), list(np.ravel(b))
+    assert len(a) == len(b)
+    worst = 0.0
+    for z in a:
+        k = int(np.argmin(np.abs(np.array(b) - z)))
+        worst = max(worst, abs(b.pop(k) - z))
+    return worst
+
+
 def _augment_by_plain_bfs(support, row, match_row, match_col) -> bool:
     # breadth-first from the free ``row``, columns in increasing order: deterministic
     parent = {}

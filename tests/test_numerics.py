@@ -8,7 +8,9 @@ from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
     NotCompletelyPositive,
     Tolerance,
+    block_views,
     dagger,
+    diagonal_blocks,
     frobenius_norm,
     hermitian_eig,
     hermitize,
@@ -116,6 +118,46 @@ def test_rank_cutoff_floors_at_one():
     # below 1 the cutoff does not shrink with the matrix: a tiny one has rank 0
     assert numerical_rank(1e-10 * np.eye(3)) == 0
     assert numerical_rank(np.zeros((2, 3))) == 0
+
+
+def test_diagonal_blocks_match_a_plain_search():
+    rng = np.random.default_rng(2101)
+    for _ in range(80):
+        size = int(rng.integers(1, 30))
+        density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.3, 1.0])
+        m = rng.normal(size=(size, size)) * (rng.random((size, size)) < density)
+        if rng.random() < 0.5:
+            m = m * 1j  # the pattern, not the values, decides
+        blocks = diagonal_blocks(m)
+        assert [b.tolist() for b in blocks] == helpers.blocks_by_plain_bfs(m.tolist())
+
+
+def test_diagonal_blocks_join_one_sided_links_only():
+    m = np.zeros((6, 6))
+    m[3, 0] = 1.0  # one-sided: joins 0 and 3
+    m[2, 2] = 4.0  # a diagonal entry joins nothing
+    m[1, 4] = -0.0  # an exact zero, of either sign, joins nothing
+    m[5, 1] = 1e-300  # any nonzero joins
+    assert [b.tolist() for b in diagonal_blocks(m)] == [[0, 3], [1, 5], [2], [4]]
+    # a one-sided path visited out of order is one block, found in several steps
+    order = np.random.default_rng(7).permutation(20)
+    path = np.zeros((20, 20))
+    path[order[1:], order[:-1]] = 1.0
+    assert [b.tolist() for b in diagonal_blocks(path)] == [list(range(20))]
+
+
+def test_block_views_and_rank_cut_over_the_union():
+    dense = np.ones((3, 3))
+    (whole,) = block_views(dense, diagonal_blocks(dense))
+    assert whole is dense  # a spanning block is not copied
+    m = np.zeros((3, 3))
+    m[0, 0] = 10.0
+    m[1:, 1:] = 4e-9  # singular value 8e-9: below the cutoff 1e-8 that 10 sets
+    blocks = diagonal_blocks(m)
+    assert [b.tolist() for b in blocks] == [[0], [1, 2]]
+    assert [v.tolist() for v in block_views(m, blocks)] == [[[10.0]], [[4e-9, 4e-9], [4e-9, 4e-9]]]
+    assert numerical_rank(m, blocks=blocks) == numerical_rank(m) == 1
+    assert numerical_rank(m[1:, 1:]) == 1  # cut on its own, the small block counts
 
 
 def test_psd_factor_rebuilds_psd_input(rng):

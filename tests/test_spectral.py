@@ -17,6 +17,7 @@ from qbirkhoff.catalog import (
     identity_channel,
     weyl_mixture_channel,
 )
+from qbirkhoff import channels, spectral
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, vec
 from qbirkhoff.spectral import _unitary_root, _verify_family
 
@@ -282,8 +283,67 @@ def test_classify_and_cyclic_projections_share_one_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     ch = build_example("ex2.12")
     cl = classify(ch)
+    # one real solve per diagonal block of R, all of them inside classify
+    assert len(solved) == len(ch.real_blocks) and set(solved) == {np.dtype(np.float64)}
     fam = cyclic_projections(ch)
     assert cl.period == fam.period == 3
-    assert solved == [np.float64]
+    assert len(solved) == len(ch.real_blocks)
     with pytest.raises(ValueError):
         ch.spectrum[0] = 0.0  # the cached spectrum is read-only
+
+
+def _split_channels(seed):
+    # block, periodic and block-sum channels, split in R and T by exact zeros,
+    # and Haar-conjugated copies of each, which are dense
+    rng = np.random.default_rng(seed)
+    split = {
+        "periodic-8-2": helpers.random_periodic_channel(8, 2, 2, rng),
+        "periodic-9-3": helpers.random_periodic_channel(9, 3, 2, rng),
+        "periodic-12-4": helpers.random_periodic_channel(12, 4, 2, rng),
+        "block-sum-4-5": helpers.block_sum_channel(
+            helpers.random_unitary_mixture(4, 2, rng), helpers.random_unitary_mixture(5, 2, rng)
+        ),
+        "periodic-block-sum": _period_two_block_sum(seed),
+    }
+    dense = {}
+    for name, ch in split.items():
+        u = helpers.haar_unitary(ch.dim, rng)
+        dense[f"{name}-conjugated"] = Channel.from_kraus(u @ ch.kraus.ops @ dagger(u))
+    return split, dense
+
+
+def _whole_matrix_solve(monkeypatch):
+    # every matrix is one block: the eigensolve and SVDs run on R and T whole
+    for module in (channels, spectral):
+        monkeypatch.setattr(module, "diagonal_blocks", lambda m: [np.arange(len(m))])
+
+
+@pytest.mark.parametrize("seed", [2101, 2102])
+def test_blockwise_spectrum_is_the_whole_spectrum(seed):
+    split, dense = _split_channels(seed)
+    for name, ch in {**split, **dense}.items():
+        assert (len(ch.real_blocks) > 1) == (name in split), name
+        whole = np.linalg.eigvals(ch.real_superoperator)
+        assert helpers.matched_distance(ch.spectrum, whole) <= 1e-12, name
+
+
+@pytest.mark.parametrize("seed", [2101, 2102])
+def test_blockwise_classification_is_the_whole_classification(seed, monkeypatch):
+    split, dense = _split_channels(seed)
+    blockwise = {}
+    for name, ch in {**split, **dense}.items():
+        cl = classify(ch)
+        fam = cyclic_projections(ch) if cl.ergodic and cl.period > 1 else None
+        blockwise[name] = cl, fam
+    _whole_matrix_solve(monkeypatch)
+    for name, ch in {**split, **dense}.items():
+        ch = Channel(ch.kraus, ch.unital, ch.trace_preserving)  # nothing cached
+        cl = classify(ch)
+        got, got_fam = blockwise[name]
+        assert (got.fixed_dim, got.ergodic, got.period) == (cl.fixed_dim, cl.ergodic, cl.period)
+        if got_fam is None:
+            assert not (cl.ergodic and cl.period > 1), name
+            continue
+        fam = cyclic_projections(ch)
+        assert fam.period == got_fam.period
+        assert max_abs(np.stack(fam.projections) - np.stack(got_fam.projections)) <= 1e-12, name
