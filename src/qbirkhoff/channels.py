@@ -10,10 +10,11 @@ convention:
 
 A ``Channel`` always carries a canonical minimal Kraus family: the Choi
 eigenvectors of eigenvalue above the rank cutoff, scaled by its square root,
-read off the d×d Gram matrix of a Kraus input or the eigh of a Choi matrix.
-Inside a degenerate eigenspace the basis is whatever ``eigh`` returns, so two
-Kraus families of one channel can still canonicalize to different operators
-there (ROADMAP item 3).
+read off the d×d Gram matrix of a Kraus family; a Choi matrix enters as the
+family of its PSD factor, whose Gram matrix is diagonal.  Inside a degenerate
+eigenspace the basis is whatever ``eigh`` returns, so two Kraus families of
+one channel can still canonicalize to different operators there (ROADMAP
+item 3).
 """
 
 from __future__ import annotations
@@ -124,12 +125,10 @@ class KrausFamily:
 def choi_from_kraus(k) -> np.ndarray:
     """n²×n² Choi matrix; block (i,j) equals the channel applied to e_ij."""
     w = vec(KrausFamily.from_ops(k).ops)  # row k is vec(v_k)
-    # summing outer products in Kraus order, not a BLAS product: in a
-    # degenerate spectrum, last-bit changes here would make ``from_choi`` of
-    # this matrix pick another eigh basis.  Entries whose products overflow give
-    # a non-finite Choi matrix, which its readers refuse, without a warning
+    # entries whose products overflow give a non-finite Choi matrix, which its
+    # readers refuse, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return (w[:, :, None] * np.conj(w)[:, None, :]).sum(axis=0)
+        return w.T @ np.conj(w)
 
 
 def superoperator_from_kraus(k) -> np.ndarray:
@@ -157,26 +156,6 @@ def _canonical_family(vals: np.ndarray, ops: np.ndarray, tol: Tolerance) -> Krau
         tied = list(tied)
         order += tied if len(tied) == 1 else sorted(tied, key=lambda k: _entry_key(ops[k]))
     return KrausFamily(ops[order])
-
-
-def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
-    """Canonical minimal Kraus family of a PSD Choi matrix.
-
-    The columns of :func:`~qbirkhoff.numerics.psd_factor` become operators
-    unvec(sqrt(eig) * eigenvector), ordered by descending eigenvalue with a
-    deterministic tie-break, each phase-fixed.  Raises
-    :class:`NotCompletelyPositive` when the Choi matrix is not PSD, and
-    ``ValueError`` when it is zero within the rank cutoff.
-    """
-    c = as_matrix(choi)
-    n2 = c.shape[0]
-    n = int(round(np.sqrt(n2)))
-    if n * n != n2 or c.shape != (n2, n2):
-        raise ValueError(f"Choi matrix of shape {c.shape} is not n² by n²")
-    if not np.any(c):
-        raise ValueError("the Choi matrix is zero: the zero map has no Kraus operators")
-    vals, cols = psd_factor(c, tol)
-    return _canonical_family(vals, unvec(cols.T, n), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +190,21 @@ class Channel:
 
     @classmethod
     def from_choi(cls, choi, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
-        canon = kraus_from_choi(choi, tol)
-        return cls(canon, *canon.validate(tol))
+        """:meth:`from_kraus` of the operators unvec(√λ u) of a PSD Choi matrix's
+        :func:`~qbirkhoff.numerics.psd_factor`, whose Gram matrix is diag λ.  Raises
+        :class:`NotCompletelyPositive` when it is not PSD, and ``ValueError`` when
+        it is zero within the rank cutoff."""
+        c = as_matrix(choi)
+        n2 = c.shape[0]
+        n = int(round(np.sqrt(n2)))
+        if n * n != n2 or c.shape != (n2, n2):
+            raise ValueError(f"Choi matrix of shape {c.shape} is not n² by n²")
+        if not np.any(c):
+            raise ValueError("the Choi matrix is zero: the zero map has no Kraus operators")
+        vals, cols = psd_factor(c, tol)
+        if not len(vals):
+            raise ValueError("the map is zero within the rank cutoff: it has no Kraus operators")
+        return cls.from_kraus(unvec(cols.T, n), tol)
 
     @property
     def dim(self) -> int:
@@ -262,6 +254,11 @@ class Channel:
 
     def is_doubly_stochastic(self) -> bool:
         return self.unital and self.trace_preserving
+
+
+def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
+    """Canonical minimal Kraus family of a PSD Choi matrix, :meth:`Channel.from_choi`'s."""
+    return Channel.from_choi(choi, tol).kraus
 
 
 def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:

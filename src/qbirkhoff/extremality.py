@@ -91,14 +91,16 @@ def stacked_matrix(family: KrausFamily) -> np.ndarray:
 
 
 def _rank_and_null(m, tol: Tolerance):
-    # rank and a unit x with m x ≈ 0: a square or tall m's last right singular vector; a wide
-    # m is short by counting, and e_k minus its row-space part is exact, k least covered (first)
+    # rank and a unit x with m x ≈ 0, None at full column rank: e_k minus its part in the
+    # span of the kept right singular vectors, k the first coordinate they cover least, so
+    # x depends on m's row space alone, never on the SVD's basis of the null space
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
-    if len(vh) == m.shape[1]:
-        return rank, np.conj(vh[-1])
-    k = int(np.argmin(np.sum(np.abs(vh) ** 2, axis=0)))
-    x = -(dagger(vh) @ vh[:, k])
+    if rank == m.shape[1]:
+        return rank, None
+    kept = vh[:rank]
+    k = int(np.argmin(np.sum(np.abs(kept) ** 2, axis=0)))
+    x = -(dagger(kept) @ kept[:, k])
     x[k] += 1.0
     return rank, x / np.linalg.norm(x)
 
@@ -131,8 +133,8 @@ def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
     n2, d = family.dim**2, family.index
     sub = KrausFamily(family.ops[: math.isqrt(2 * n2 - 1 if kind == CP_PHI else n2) + 1])
     m = (stacked_matrix if kind == CP_PHI else product_matrix)(sub)
-    rank, nullvec = _rank_and_null(m, tol)
-    if rank == m.shape[1]:
+    _, nullvec = _rank_and_null(m, tol)
+    if nullvec is None:
         return True, None
     lam = np.zeros((d, d), dtype=complex)
     lam[: sub.index, : sub.index] = hermitize_certificate(nullvec, m, kind, tol).lam

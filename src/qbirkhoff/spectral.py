@@ -125,7 +125,7 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     off_span = np.eye(n * n) - q.T @ np.conj(q)  # projector onto the span's complement
     if max_abs(vec(dagger(basis)) @ off_span.T) > STRUCT_TOL:
         raise NumericalFailure("fixed-point space is not adjoint-closed within tolerance")
-    if max_abs(vec(basis[:, None] @ basis[None, :]) @ off_span.T) > STRUCT_TOL:
+    if max(max_abs(vec(b @ basis) @ off_span.T) for b in basis) > STRUCT_TOL:  # k, not k², at once
         raise NumericalFailure("fixed-point space is not product-closed within tolerance")
     return list(basis)
 

@@ -115,6 +115,23 @@ def gauge_mixed(ops, u):
     return np.tensordot(u, np.asarray(ops), axes=1)
 
 
+def perturbed(ops, rng=None, rel=1e-15):
+    """``ops`` with each entry scaled by 1 + rel·t: t drawn uniform in [−1, 1]
+    from ``rng``, or, without one, cos(k) for the entry's row-major index k in
+    the whole stack."""
+    a = np.asarray(ops, dtype=complex)
+    t = np.cos(np.arange(a.size)) if rng is None else rng.uniform(-1.0, 1.0, a.size)
+    return a * (1.0 + rel * t).reshape(a.shape)
+
+
+def simple_spectrum(ch, gap=1e-4):
+    """Whether the canonical operators' squared norms, the nonzero eigenvalues of
+    the Gram matrix G (the canonical operators are orthogonal), are apart by
+    more than ``gap`` times the largest."""
+    vals = np.linalg.norm(ch.kraus.ops, axis=(1, 2)) ** 2
+    return len(vals) < 2 or np.min(-np.diff(vals)) > gap * vals[0]
+
+
 def block_sum_channel(a, b):
     """Channel on M_{n+m} with Kraus operators v_k ⊕ w_k, for a and b of equal
     index: doubly stochastic when both are, and never ergodic (each block's
@@ -231,6 +248,15 @@ def dilation_rank(rows, rel=1e-9):
     dilation[m:, :m] = dagger(rows)
     vals = np.linalg.eigvalsh(dilation)
     return int(np.sum(vals > rel * vals[-1])) if vals[-1] > 0.0 else 0
+
+
+def null_vector_by_projector(m, rel=1e-9):
+    """The column of the null-space projector I − pinv(m)·m, singular values at or
+    below ``rel`` times the largest dropped, with the largest diagonal entry (the
+    first such), normalized: no basis of the null space enters it."""
+    proj = np.eye(m.shape[1]) - np.linalg.pinv(m, rel) @ m
+    k = int(np.argmax(np.diag(proj).real))
+    return proj[:, k] / np.linalg.norm(proj[:, k])
 
 
 def apply_by_kraus(family, x):

@@ -22,7 +22,7 @@ from qbirkhoff.channels import (
     matrix_to_pairs,
     superoperator_from_kraus,
 )
-from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, phase_fixed, vec
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, phase_fixed, psd_factor, unvec, vec
 from qbirkhoff.spectral import classify
 
 import helpers
@@ -129,12 +129,6 @@ def _raw_families(gen):
             yield np.concatenate([ops, mixed]) / np.sqrt(2)
 
 
-def _simple_spectrum(ch, gap=1e-4):
-    # the canonical operators are orthogonal with squared norms the eigenvalues
-    vals = np.linalg.norm(ch.kraus.ops, axis=(1, 2)) ** 2
-    return len(vals) < 2 or np.min(-np.diff(vals)) > gap * vals[0]
-
-
 def _assert_same_channel(a, b, same_ops):
     c = choi_from_kraus(a.kraus)
     scale = max(1.0, max_abs(c))
@@ -152,10 +146,30 @@ def test_from_kraus_agrees_with_the_choi_route():
         ch = Channel.from_kraus(ops)
         ref = Channel.from_choi(choi_from_kraus(ops))
         assert max_abs(choi_from_kraus(ops) - ch.choi()) < 1e-12 * max(1.0, max_abs(ch.choi()))
-        _assert_same_channel(ch, ref, _simple_spectrum(ref))
+        _assert_same_channel(ch, ref, helpers.simple_spectrum(ref))
         n2, d = ch.dim**2, len(ops)
         seen.add((d > n2) - (d < n2))
     assert seen == {-1, 0, 1}
+
+
+def test_from_choi_is_from_kraus_of_the_psd_factor(ds_corpus):
+    # one canonicalization route: a Choi matrix enters from_kraus as the operators
+    # unvec(√λ u) of its PSD factor, and leaves with their bytes
+    gen = np.random.default_rng(1905)
+    chois = [ch.choi() for ch in ds_corpus] + [choi_from_kraus(ops) for ops in _raw_families(gen)]
+    for c in chois:
+        n = int(round(np.sqrt(len(c))))
+        ch, ref = Channel.from_choi(c), Channel.from_kraus(unvec(psd_factor(c)[1].T, n))
+        assert np.array_equal(ch.kraus.ops, ref.kraus.ops)
+        assert (ch.unital, ch.trace_preserving) == (ref.unital, ref.trace_preserving)
+        assert np.array_equal(kraus_from_choi(c).ops, ch.kraus.ops)
+
+
+def test_choi_from_kraus_matches_the_column_loop():
+    gen = np.random.default_rng(1906)
+    for ops in _raw_families(gen):
+        expect = helpers.choi_by_columns(ops)
+        assert max_abs(choi_from_kraus(ops) - expect) <= 1e-15 * max(1.0, max_abs(expect))
 
 
 def test_from_kraus_is_kraus_gauge_invariant():
@@ -167,7 +181,7 @@ def test_from_kraus_is_kraus_gauge_invariant():
         zeros = np.zeros((int(gen.integers(1, 4)), n, n))
         padded = Channel.from_kraus(np.concatenate([ops, zeros]))
         for other in (mixed, padded):
-            _assert_same_channel(ch, other, _simple_spectrum(ch))
+            _assert_same_channel(ch, other, helpers.simple_spectrum(ch))
 
 
 def test_from_kraus_builds_no_choi_matrix(monkeypatch):
@@ -335,9 +349,11 @@ def test_array_holding_objects_compare_by_identity(name):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 def test_load_channel_reproduces_the_saved_bytes(ds_corpus):
-    # reading a channel file re-canonicalizes, and the eigh of the Choi matrix
-    # rebuilt from canonical operators moves their last bits (about 1e-15); a
-    # canonical form that is a fixed point shows up as an XPASS
+    # reading a channel file re-canonicalizes, which moves last bits: the eigh of
+    # an already canonical family's Gram matrix returns eigenvectors a few 1e-14
+    # off a permutation, and phase_fixed is not a bitwise fixed point (signed
+    # zeros, changes of a few 1e-17); a canonical form that is a fixed point
+    # shows up as an XPASS
     for ch in ds_corpus:
         text = _channel_text(ch)
         back = Channel.from_kraus(family_from_dict(loads_json(text)))

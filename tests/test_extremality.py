@@ -13,7 +13,7 @@ from qbirkhoff import (
 )
 from qbirkhoff import extremality
 from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
-from qbirkhoff.catalog import build_example
+from qbirkhoff.catalog import build_example, weyl_basis
 from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -99,6 +99,55 @@ def test_hermitize_certificate_matches_the_tests(rng):
             assert not np.any(cert.lam[j:]) and not np.any(cert.lam[:, j:])
             with pytest.raises(ValueError):
                 hermitize_certificate(nullvec[:-1], m, kind)
+
+
+def test_null_vector_ignores_row_mixing():
+    # the null vector depends on m's row space alone: mixing m's rows by an orthogonal Q
+    # keeps it to rounding, on square and tall matrices with null spaces of dimension 2 or more
+    gen = np.random.default_rng(2201)
+    for n, d in ((3, 3), (4, 3), (5, 4)):
+        fam = helpers.random_unitary_mixture(n, d, gen).kraus
+        for m in (product_matrix(fam), stacked_matrix(fam)):
+            assert len(m) >= m.shape[1]
+            rank, x = _rank_and_null(m, DEFAULT_TOLERANCE)
+            assert m.shape[1] - rank >= 2
+            assert max_abs(x - helpers.null_vector_by_projector(m)) < 1e-10
+            q, _ = np.linalg.qr(gen.normal(size=(len(m), len(m))))
+            assert max_abs(_rank_and_null(q @ m, DEFAULT_TOLERANCE)[1] - x) < 1e-12
+
+
+def test_certificates_hold_under_rounding_level_perturbations():
+    # seeded: unitary mixtures of index 3 and 4, whose null spaces have dimension above 1.
+    # With a simple spectrum of G, operators moved by 1e-15 relative canonicalize to
+    # operators moved by rounding, and both certificates move no further
+    used = 0
+    for s in range(12):
+        rng = np.random.default_rng(2300 + s)
+        n, d = ((3, 3), (4, 3), (5, 4))[s % 3]
+        ch = helpers.random_unitary_mixture(n, d, rng)
+        if not helpers.simple_spectrum(ch):
+            continue
+        used += 1
+        for _ in range(3):
+            other = Channel.from_kraus(helpers.perturbed(ch.kraus.ops, rng))
+            for test in (choi_extremal_test, landau_streater_test):
+                (ok, cert), (ok_other, cert_other) = test(ch), test(other)
+                assert not ok and not ok_other
+                assert max_abs(cert.lam - cert_other.lam) < 1e-12
+    assert used >= 6
+
+
+def test_weyl_mixture_certificates_hold_under_a_last_bit_perturbation():
+    # deterministic: I, v and u of weyl_basis(3) at weights 0.5, 0.3 and 0.2, and a copy with
+    # entry k scaled by 1 + 1e-15·cos(k); both null spaces have dimension above 1
+    ops = np.stack([np.sqrt(p) * u for p, u in zip((0.5, 0.3, 0.2), weyl_basis(3))])
+    ch, other = Channel.from_kraus(ops), Channel.from_kraus(helpers.perturbed(ops))
+    for test, matrix in ((choi_extremal_test, product_matrix), (landau_streater_test, stacked_matrix)):
+        rank, _ = _rank_and_null(matrix(ch.kraus), DEFAULT_TOLERANCE)
+        assert ch.index**2 - rank >= 2
+        (ok, cert), (ok_other, cert_other) = test(ch), test(other)
+        assert not ok and not ok_other
+        assert max_abs(cert.lam - cert_other.lam) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

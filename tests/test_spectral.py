@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,20 @@ def test_spectral_radius_one_and_identity_fixed(ds_corpus):
         eigs = np.linalg.eigvals(t)
         assert np.max(np.abs(eigs)) < 1.0 + 1e-8
         assert max_abs(t @ vec(np.eye(ch.dim)) - vec(np.eye(ch.dim))) < 1e-9
+
+
+def test_fixed_space_closure_check_stays_small():
+    # identity_channel(12) fixes all of M_12: 144 basis elements, whose 144² products
+    # at once would hold about 48 MB; one left factor at a time holds a 144th of that
+    ch = identity_channel(12)
+    tracemalloc.start()
+    try:
+        basis = fixed_point_space(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 144
+    assert peak < 8e6
 
 
 def test_fixed_space_is_star_algebra(ds_corpus):
