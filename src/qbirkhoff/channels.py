@@ -30,8 +30,8 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     NotCompletelyPositive,
     Tolerance,
+    _block_values,
     as_matrix,
-    block_views,
     dagger,
     diagonal_blocks,
     hermitian_pair_map,
@@ -244,11 +244,11 @@ class Channel:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of τ from the real form, solved once per diagonal block
-        and concatenated in block order: read-only complex128, with exact
-        conjugate pairs and real ones as x + 0.0j."""
-        blocks = block_views(self.real_superoperator, self.real_blocks)
-        vals = np.concatenate([np.linalg.eigvals(b) for b in blocks]).astype(complex)
+        """Eigenvalues of τ from the real form, solved once per diagonal block (a
+        1×1 block's is its entry) and concatenated in block order: read-only
+        complex128, with exact conjugate pairs and real ones as x + 0.0j."""
+        r = self.real_superoperator
+        vals = _block_values(r, self.real_blocks, np.linalg.eigvals, np.asarray).astype(complex)
         vals.flags.writeable = False
         return vals
 

@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -63,32 +64,53 @@ def _say(args, text: str):
 
 @functools.lru_cache(maxsize=256)
 def _layout(shape: tuple, pad: str) -> str:
-    # json.dumps(indent=2) of a nonempty array of this shape at indent pad, leaves as %s
+    # json.dumps(indent=2) at indent pad of a value of this shape, leaves as %s: a
+    # shape is () for a leaf, (length, item shape) for a nonempty list, and a tuple
+    # of (key, value shape) pairs for a nonempty dict
     if not shape:
         return "%s"
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join([_layout(shape[1:], inner)] * shape[0]) + pad + "]"
+    if type(shape[0]) is int:
+        return "[" + inner + ("," + inner).join([_layout(shape[1], inner)] * shape[0]) + pad + "]"
+    items = [encode_basestring_ascii(k).replace("%", "%%") + ": " + _layout(v, inner) for k, v in shape]
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+def _column(level):
+    # (shape, leaves) when every value in level has one shape whose leaf positions
+    # each hold all exact int or all exact finite float (not bool, not numpy
+    # scalars), leaves value by value; None otherwise
+    kinds = set(map(type, level))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, level)):
+        return (), level
+    if kinds == {list} and len(sizes := set(map(len, level))) == 1 and (size := sizes.pop()):
+        found = _column(list(itertools.chain.from_iterable(level)))
+        return found and ((size, found[0]), found[1])
+    if kinds == {dict} and len(keys := set(map(tuple, level))) == 1 and (keys := keys.pop()):
+        if not all(found := list(map(_column, zip(*map(dict.values, level))))):
+            return None
+        # each column's leaves cut into one group per value, groups interleaved value by value
+        groups = [zip(*[iter(leaves)] * (len(leaves) // len(level))) for _, leaves in found]
+        leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*groups)))
+        return tuple(zip(keys, [shape for shape, _ in found])), list(leaves)
+    return None
 
 
 def _render(o, pad: str = "\n") -> str:
     # Exact float and int (not bool, not numpy scalars) print as float.__repr__
-    # and int.__repr__, as in the stdlib encoder, whose finite reprs hold no "n";
-    # a rectangular nest of lists with leaves all of one of them fills one template.
+    # and int.__repr__, as in the stdlib encoder, whose finite reprs hold no "n".
+    # A list whose items share one shape (a rectangular array, or records with the
+    # same keys in the same order) fills one template made of its cached item
+    # template; any other list renders item by item.
     if type(o) in (float, int) and "n" not in (text := type(o).__repr__(o)):
         return text
     inner = pad + "  "
     if isinstance(o, dict) and o:
         items = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if type(o) is list and o:
-        level, shape = o, (len(o),)
-        while (kinds := set(map(type, level))) == {list} and len(sizes := set(map(len, level))) == 1:
-            shape += tuple(sizes)
-            level = list(itertools.chain.from_iterable(level))
-        if kinds == {float} or kinds == {int}:
-            text = _layout(shape, pad) % tuple(map(kinds.pop().__repr__, level))
-            if "n" not in text:  # inf or nan: json.dumps below raises for it
-                return text
+    if type(o) is list and o and (found := _column(o)):
+        # the list's own level uncached: its length varies from call to call
+        return _layout.__wrapped__((len(o), found[0]), pad) % tuple(found[1])
     if isinstance(o, (list, tuple)) and o:
         return "[" + inner + ("," + inner).join([_render(v, inner) for v in o]) + pad + "]"
     return json.dumps(o, allow_nan=False)

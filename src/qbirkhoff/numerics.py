@@ -18,7 +18,8 @@ peripheral band, 1e-8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -183,6 +184,22 @@ def block_views(m, blocks) -> list:
     return [m] if len(blocks) == 1 else [m[np.ix_(b, b)] for b in blocks]
 
 
+def _block_values(m, blocks, solve, single) -> np.ndarray:
+    # solve(m[b, b]) per diagonal block b, concatenated in block order; a run of 1×1
+    # blocks takes one call of single on their entries, as LAPACK would solve them
+    # (eigenvalue m[i, i], singular value |m[i, i]|) but for rounding past 1e±138
+    if len(blocks) == 1:
+        return solve(m)
+    parts = []
+    for single_run, run in groupby(blocks, lambda b: len(b) == 1):
+        if single_run:
+            at = np.concatenate(list(run))
+            parts.append(single(m[at, at]))
+        else:
+            parts += [solve(m[np.ix_(b, b)]) for b in run]
+    return np.concatenate(parts)
+
+
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE, blocks=None) -> int:
     """Number of singular values above :func:`rank_cutoff`; a real matrix
     keeps its real SVD.  With ``blocks``, the :func:`diagonal_blocks` of a
@@ -191,8 +208,8 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE, blocks=None) -> int:
     arr = as_matrix(m, float if np.isrealobj(m) else complex)
     if arr.size == 0:
         return 0
-    parts = [arr] if blocks is None else block_views(arr, blocks)
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in parts])
+    svd = partial(np.linalg.svd, compute_uv=False)
+    s = svd(arr) if blocks is None else _block_values(arr, blocks, svd, np.abs)
     return int(np.count_nonzero(s > rank_cutoff(s, tol)))
 
 

@@ -539,28 +539,99 @@ def random_json_payload(rng, depth=3):
     return [random_json_payload(rng, depth - 1) for _ in range(rng.integers(0, 4))]
 
 
-def _float_paths(o, path=()):
+# key text the renderer must escape: empty, %-format directives, a quote, non-ASCII
+_RECORD_KEYS = ("weight", "permutation", "", "%", "%s", 'a"b', "\u00e9")
+
+
+def _record_value(rng, depth):
+    # a maker of one key's values, of one shape and leaf kind in every record: a
+    # float or int, a rectangular array of either, or (above depth 0) a nested dict
+    kind = ("float", "int")[rng.integers(2)]
+    roll = rng.integers(3 if depth > 0 else 2)
+    if roll == 0:
+        return lambda: _json_leaf(rng, kind)
+    if roll == 1:
+        shape = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
+        return lambda: _json_array(rng, shape, lambda: _json_leaf(rng, kind))
+    return _record(rng, depth - 1)
+
+
+def _record(rng, depth):
+    # a maker of dicts with 1–3 keys in one order, each key's values from one maker
+    keys = [_RECORD_KEYS[k] for k in rng.permutation(len(_RECORD_KEYS))[: rng.integers(1, 4)]]
+    makers = [_record_value(rng, depth) for _ in keys]
+    return lambda: {k: make() for k, make in zip(keys, makers)}
+
+
+def _broken(record, rng):
+    # the record with its uniformity broken one way: keys reordered or missing, a
+    # bool, None, string or numpy float leaf, an int for a float, a ragged or empty array
+    leaves = _paths(record, lambda o: not isinstance(o, (dict, list)))
+    floats = _paths(record, lambda o: type(o) is float)
+    arrays = _paths(record, lambda o: type(o) is list)
+    ways = ["keys", "leaf"] + ["int"] * bool(floats) + ["array"] * bool(arrays)
+    way = ways[rng.integers(len(ways))]
+    if way == "keys":
+        items = list(record.items())
+        if len(items) > 1 and rng.random() < 0.5:
+            items.reverse()
+        else:
+            del items[rng.integers(len(items))]
+        return dict(items)
+    if way == "leaf":
+        other = (True, None, "x", np.float64(0.5))[rng.integers(4)]
+        return _replaced(record, leaves[rng.integers(len(leaves))], other)
+    if way == "int":
+        return _replaced(record, floats[rng.integers(len(floats))], 1)
+    path = arrays[rng.integers(len(arrays))]
+    array = _at(record, path)
+    return _replaced(record, path, array[:-1] if len(array) > 1 else [])
+
+
+def random_record_list(rng):
+    """A list of 1–60 records with the same keys in the same order, each key's
+    values of one shape and leaf kind, as in the Birkhoff terms {"weight",
+    "permutation"}, with key text that needs escaping; in half of the lists one
+    record breaks that uniformity (see :func:`_broken`)."""
+    make = _record(rng, depth=1)
+    records = [make() for _ in range(rng.integers(1, 61))]
+    if rng.random() < 0.5:
+        k = rng.integers(len(records))
+        records[k] = _broken(records[k], rng)
+    return records
+
+
+def _paths(o, keep, path=()):
+    # the paths of the nodes of o for which keep holds, depth first, in key order
+    found = [path] if keep(o) else []
     if isinstance(o, dict):
         items = o.items()
     elif isinstance(o, list):
         items = enumerate(o)
     else:
-        return [path] if isinstance(o, float) else []
-    return [p for k, v in items for p in _float_paths(v, path + (k,))]
+        return found
+    return found + [p for k, v in items for p in _paths(v, keep, path + (k,))]
+
+
+def _at(o, path):
+    for key in path:
+        o = o[key]
+    return o
+
+
+def _replaced(payload, path, value):
+    # a copy of payload with the node at path replaced by value
+    if not path:
+        return value
+    out = copy.deepcopy(payload)
+    _at(out, path[:-1])[path[-1]] = value
+    return out
 
 
 def plant(payload, value, rng):
     """A copy of ``payload`` with one float leaf, drawn at random, replaced by
     ``value``; None when the payload holds no float leaf."""
-    paths = _float_paths(payload)
+    paths = _paths(payload, lambda o: isinstance(o, float))
     if not paths:
         return None
-    path = paths[rng.integers(len(paths))]
-    if not path:
-        return value
-    out = copy.deepcopy(payload)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return out
+    return _replaced(payload, paths[rng.integers(len(paths))], value)

@@ -493,6 +493,28 @@ def test_emit_refuses_a_non_finite_float_anywhere_and_writes_nothing(capsys, bad
         assert capsys.readouterr().out == ""
 
 
+def test_emit_random_record_lists_are_the_stdlib_bytes(capsys):
+    rng = np.random.default_rng(1720)
+    for _ in range(400):
+        payload = helpers.random_record_list(rng)
+        assert emitted(capsys, payload) == dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_emit_refuses_a_non_finite_float_in_any_record_and_writes_nothing(capsys, bad):
+    rng = np.random.default_rng(1721)
+    terms = [{"weight": 0.5, "permutation": [0, 1]}, {"weight": 0.5, "permutation": [1, 0]}]
+    planted = [helpers.plant(terms, bad, rng) for _ in range(4)]
+    while len(planted) < 60:
+        payload = helpers.plant(helpers.random_record_list(rng), bad, rng)
+        if payload is not None:
+            planted.append(payload)
+    for payload in planted:
+        with pytest.raises(ValueError):
+            cli._emit(payload)
+        assert capsys.readouterr().out == ""
+
+
 def _corpus_argvs(paths, ds_files):
     for path in paths:
         yield from (["analyze", path], ["classify", path], ["decompose", path])

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -19,8 +21,8 @@ from qbirkhoff.catalog import (
     identity_channel,
     weyl_mixture_channel,
 )
-from qbirkhoff import channels, spectral
-from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, vec
+from qbirkhoff import channels, numerics, spectral
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, block_views, dagger, max_abs, vec
 from qbirkhoff.spectral import _unitary_root, _verify_family
 
 import helpers
@@ -363,3 +365,51 @@ def test_blockwise_classification_is_the_whole_classification(seed, monkeypatch)
         fam = cyclic_projections(ch)
         assert fam.period == got_fam.period
         assert max_abs(np.stack(fam.projections) - np.stack(got_fam.projections)) <= 1e-12, name
+
+
+def _one_by_one_channels():
+    # real forms with 1×1 diagonal blocks: all of them (the identity, and a mixture
+    # of diagonal sign unitaries, whose entries are random), and runs of them between
+    # larger blocks (unitary conjugations with entries −1, embedded permutations and
+    # block matrices)
+    rng = np.random.default_rng(2301)
+    signs = [np.sqrt(p) * np.diag(rng.choice([-1.0, 1.0], 5)) for p in rng.dirichlet(np.ones(3))]
+    s = np.zeros((6, 6))
+    s[0, 0] = 1.0
+    s[1:3, 1:3] = 0.5
+    s[3:, 3:] = [[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]]
+    chans = {f"identity-{n}": identity_channel(n) for n in range(2, 9)}
+    chans["signs-5"] = Channel.from_kraus(KrausFamily.from_ops(signs))
+    chans["swap"] = swap_channel()
+    chans["diag(1, i, -1)"] = helpers.unitary_channel(np.diag([1.0, 1j, -1.0]))
+    chans["cycle-3"] = cycle_embed_channel(3)
+    chans["(01)(23)"] = embed_classical(np.eye(4)[[1, 0, 3, 2]])
+    chans["(0)(12)(345)"] = embed_classical(np.eye(6)[[0, 2, 1, 4, 5, 3]])
+    chans["blocks-1-2-3"] = embed_classical(s)
+    return chans
+
+
+def test_one_by_one_blocks_read_bitwise_as_lapack_solves_them(monkeypatch):
+    chans = _one_by_one_channels()
+    svd = functools.partial(np.linalg.svd, compute_uv=False)
+    read = {}
+    for name, ch in chans.items():
+        assert any(len(b) == 1 for b in ch.real_blocks), name
+        shifted = ch.real_superoperator - np.eye(ch.dim**2)
+        singular = numerics._block_values(shifted, ch.real_blocks, svd, np.abs)
+        read[name] = ch.spectrum, singular, dataclasses.astuple(classify(ch))
+
+    def per_block(m, blocks, solve, single):
+        return np.concatenate([solve(v) for v in block_views(m, blocks)])
+
+    for module in (channels, numerics):
+        monkeypatch.setattr(module, "_block_values", per_block)
+    for name, ch in chans.items():
+        ch = Channel(ch.kraus, ch.unital, ch.trace_preserving)  # nothing cached
+        shifted = ch.real_superoperator - np.eye(ch.dim**2)
+        spectrum, singular, cl = read[name]
+        assert spectrum.tobytes() == ch.spectrum.tobytes(), name
+        assert singular.tobytes() == per_block(shifted, ch.real_blocks, svd, None).tobytes(), name
+        for got, want in zip(cl, dataclasses.astuple(classify(ch))):
+            assert type(got) is type(want), name
+            assert (got.tobytes() == want.tobytes()) if type(got) is np.ndarray else got == want, name
