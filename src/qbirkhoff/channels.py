@@ -30,7 +30,6 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     NotCompletelyPositive,
     Tolerance,
-    _block_values,
     as_matrix,
     dagger,
     diagonal_blocks,
@@ -244,11 +243,22 @@ class Channel:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of τ from the real form, solved once per diagonal block (a
-        1×1 block's is its entry) and concatenated in block order: read-only
-        complex128, with exact conjugate pairs and real ones as x + 0.0j."""
-        r = self.real_superoperator
-        vals = _block_values(r, self.real_blocks, np.linalg.eigvals, np.asarray).astype(complex)
+        """Eigenvalues of τ from the real form, solved once per diagonal block and
+        concatenated in block order: read-only complex128, with exact conjugate
+        pairs and real ones as x + 0.0j.  A run of 1×1 blocks is read in one step:
+        each eigenvalue is the block's entry, as LAPACK returns it below 1e±138."""
+        r, blocks = self.real_superoperator, self.real_blocks
+        if len(blocks) == 1:
+            parts = [np.linalg.eigvals(r)]
+        else:
+            parts = []
+            for single, run in groupby(blocks, lambda b: len(b) == 1):
+                if single:
+                    at = np.concatenate(list(run))
+                    parts.append(r[at, at])
+                else:
+                    parts += [np.linalg.eigvals(r[np.ix_(b, b)]) for b in run]
+        vals = np.concatenate(parts).astype(complex)
         vals.flags.writeable = False
         return vals
 

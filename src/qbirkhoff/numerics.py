@@ -3,9 +3,10 @@
 Every rank, positivity and equality decision in the package routes through
 this module, so a single vectorization convention (column stacking) and a
 single cutoff apply everywhere.  :class:`Tolerance` holds that one value:
-:func:`rank_cutoff` scales it by the largest magnitude (floored at 1) for both
-the rank drop and the PSD allowance, :func:`psd_factor` is the one PSD square
-root, and equality tests compare entrywise against the value itself.
+:func:`rank_cutoff` scales it by the largest magnitude (floored at 1) for the
+rank drop, the PSD allowance and an eigenvalue's distance to 1;
+:func:`psd_factor` is the one PSD square root, and equality tests compare
+entrywise against the value itself.
 :func:`hermitian_pair_map` is the one real map in hermitian coordinates, and
 :func:`diagonal_blocks` the one split of a square matrix by its exact zeros.
 
@@ -18,8 +19,7 @@ peripheral band, 1e-8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import groupby
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,32 +184,13 @@ def block_views(m, blocks) -> list:
     return [m] if len(blocks) == 1 else [m[np.ix_(b, b)] for b in blocks]
 
 
-def _block_values(m, blocks, solve, single) -> np.ndarray:
-    # solve(m[b, b]) per diagonal block b, concatenated in block order; a run of 1×1
-    # blocks takes one call of single on their entries, as LAPACK would solve them
-    # (eigenvalue m[i, i], singular value |m[i, i]|) but for rounding past 1e±138
-    if len(blocks) == 1:
-        return solve(m)
-    parts = []
-    for single_run, run in groupby(blocks, lambda b: len(b) == 1):
-        if single_run:
-            at = np.concatenate(list(run))
-            parts.append(single(m[at, at]))
-        else:
-            parts += [solve(m[np.ix_(b, b)]) for b in run]
-    return np.concatenate(parts)
-
-
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE, blocks=None) -> int:
+def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Number of singular values above :func:`rank_cutoff`; a real matrix
-    keeps its real SVD.  With ``blocks``, the :func:`diagonal_blocks` of a
-    square m, the singular values are solved per block and cut once over
-    their union."""
+    keeps its real SVD."""
     arr = as_matrix(m, float if np.isrealobj(m) else complex)
     if arr.size == 0:
         return 0
-    svd = partial(np.linalg.svd, compute_uv=False)
-    s = svd(arr) if blocks is None else _block_values(arr, blocks, svd, np.abs)
+    s = np.linalg.svd(arr, compute_uv=False)
     return int(np.count_nonzero(s > rank_cutoff(s, tol)))
 
 

@@ -1,17 +1,18 @@
 """Ergodic classification of doubly stochastic channels.
 
-The spectrum of τ, and the fixed-space dimension, come from its real form R,
-built once per channel (``Channel.real_superoperator``): ``Channel.spectrum``
-solves it once, and the fixed space is the kernel of R − I.
-Eigenoperators τ(x) = μx are the kernel of the complex superoperator T − μI
-at the one rank cutoff.  Each solve runs per exact diagonal block of its
-matrix (``numerics.diagonal_blocks``), at a cost of Σ b³ over blocks of size b
-instead of n⁶, with one cutoff over all blocks.  μ = 1 gives the fixed-point
-*-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the period p read
-off the peripheral spectrum, the cyclic projection family that an explicit
-unitary deperiodizes.  Each peripheral eigenspace is a bimodule over the
-fixed algebra, which lies in the multiplicative domain, so one generic
-element of it carries its whole structure.
+The spectrum of τ comes from its real form R, built and solved once per
+channel (``Channel.real_superoperator``, ``Channel.spectrum``).  Eigenvalue 1
+of a doubly stochastic channel, a Hilbert–Schmidt contraction, is semisimple,
+so the fixed-space dimension is the number of eigenvalues with |λ − 1| at the
+rank cutoff.  Eigenoperators τ(x) = μx are the kernel of the complex
+superoperator T − μI under the same rule.  Both solves run per exact diagonal
+block (``numerics.diagonal_blocks``), at a cost of Σ b³ over blocks of size b
+instead of n⁶; a kernel is cut once over all blocks.  μ = 1 gives the
+fixed-point *-algebra (ergodic: the scalars), and μ = e^{2πi/p}, for the
+period p read off the peripheral spectrum, the cyclic projection family that
+an explicit unitary deperiodizes.  Each peripheral eigenspace is a bimodule
+over the fixed algebra, which lies in the multiplicative domain, so one
+generic element of it carries its whole structure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .numerics import (
     diagonal_blocks,
     hermitian_eig,
     max_abs,
-    numerical_rank,
     phase_fixed,
     projection_eigenbasis,
     rank_cutoff,
@@ -147,6 +147,10 @@ def invariant_projection(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     return e
 
 
+def _peripheral(eigs: np.ndarray) -> np.ndarray:
+    return eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
+
+
 def _snap_period(peripheral: np.ndarray, n: int) -> int:
     # cluster peripheral phases to rationals k/q with q ≤ n²; the group they
     # generate is cyclic of order lcm of the denominators
@@ -161,12 +165,13 @@ def _snap_period(peripheral: np.ndarray, n: int) -> int:
 def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassification:
     """Spectral classification: fixed space, ergodicity, period, mixing."""
     _require_doubly_stochastic(ch)
-    n = ch.dim
     eigs = _sorted_eigs(ch.spectrum)
-    fixed_dim = n * n - numerical_rank(ch.real_superoperator - np.eye(n * n), tol, ch.real_blocks)
+    # eigenvalue 1 is semisimple: its multiplicity is the fixed algebra's dimension
+    gap = np.abs(eigs - 1.0)
+    fixed_dim = int(np.count_nonzero(gap <= rank_cutoff(gap, tol)))
     ergodic = fixed_dim == 1
-    peripheral = eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
-    period = _snap_period(peripheral, n) if ergodic else None
+    peripheral = _peripheral(eigs)
+    period = _snap_period(peripheral, ch.dim) if ergodic else None
     aperiodic = bool(ergodic and period == 1)
     strongly_mixing = bool(ergodic and peripheral.size == 1)
     return SpectralClassification(
@@ -221,7 +226,7 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     structure are refused.
     """
     _require_doubly_stochastic(ch)
-    p = _snap_period(ch.spectrum[np.abs(ch.spectrum) > 1.0 - PERIPHERAL_BAND], ch.dim)
+    p = _snap_period(_peripheral(ch.spectrum), ch.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
     basis = _eigenspace(ch.superoperator(), np.exp(2j * np.pi / p), tol)

@@ -409,6 +409,14 @@ def blocks_by_plain_bfs(m):
     return blocks
 
 
+def fixed_dim_by_rank(ch, tol=DEFAULT_TOLERANCE):
+    """n² − rank(T − I), T from :func:`super_by_apply`, singular values cut at
+    tol times the largest (floored at 1): the rule ``classify`` applied to the
+    real form R, unitarily similar to T, before it read the spectrum."""
+    s = np.linalg.svd(super_by_apply(ch) - np.eye(ch.dim**2), compute_uv=False)
+    return len(s) - int(np.count_nonzero(s > tol.cutoff * max(1.0, s[0])))
+
+
 def matched_distance(a, b):
     """Largest distance over a greedy matching of the multisets a and b: each
     entry of a, in order, takes the nearest entry of b not yet taken."""

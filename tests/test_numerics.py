@@ -24,6 +24,7 @@ from qbirkhoff.numerics import (
     unvec,
     vec,
 )
+from qbirkhoff.spectral import _eigenspace
 
 import helpers
 from helpers import partial_trace
@@ -156,8 +157,16 @@ def test_block_views_and_rank_cut_over_the_union():
     blocks = diagonal_blocks(m)
     assert [b.tolist() for b in blocks] == [[0], [1, 2]]
     assert [v.tolist() for v in block_views(m, blocks)] == [[[10.0]], [[4e-9, 4e-9], [4e-9, 4e-9]]]
-    assert numerical_rank(m, blocks=blocks) == numerical_rank(m) == 1
+    assert numerical_rank(m) == 1
     assert numerical_rank(m[1:, 1:]) == 1  # cut on its own, the small block counts
+    # the kernel of T − μI is cut once over all blocks: at μ = 0 on
+    # [[10]] ⊕ 4e-9·ones(2, 2) ⊕ [[1]], 8e-9 and 0 lie below the cutoff 1e-8 that
+    # 10 sets, where a cut per block would keep 8e-9 (above its own 1e-9)
+    t = np.zeros((4, 4))
+    t[:3, :3] = m
+    t[3, 3] = 1.0
+    assert [b.tolist() for b in diagonal_blocks(t)] == [[0], [1, 2], [3]]
+    assert len(_eigenspace(t, 0.0, DEFAULT_TOLERANCE)) == 2
 
 
 def test_psd_factor_rebuilds_psd_input(rng):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import tracemalloc
 
 import numpy as np
@@ -21,8 +20,8 @@ from qbirkhoff.catalog import (
     identity_channel,
     weyl_mixture_channel,
 )
-from qbirkhoff import channels, numerics, spectral
-from qbirkhoff.numerics import DEFAULT_TOLERANCE, block_views, dagger, max_abs, vec
+from qbirkhoff import channels, spectral
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance, block_views, dagger, max_abs, vec
 from qbirkhoff.spectral import _unitary_root, _verify_family
 
 import helpers
@@ -298,10 +297,15 @@ def test_classify_and_cyclic_projections_share_one_eigensolve(monkeypatch):
         solved.append(a.dtype)
         return eigvals(a)
 
+    def no_svd(*args, **kwargs):
+        raise AssertionError("classify reads the fixed dimension off the spectrum")
+
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     ch = build_example("ex2.12")
-    cl = classify(ch)
-    # one real solve per diagonal block of R, all of them inside classify
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", no_svd)
+        cl = classify(ch)
+    # one real solve per diagonal block of R, all of them inside classify, and no SVD
     assert len(solved) == len(ch.real_blocks) and set(solved) == {np.dtype(np.float64)}
     fam = cyclic_projections(ch)
     assert cl.period == fam.period == 3
@@ -391,25 +395,41 @@ def _one_by_one_channels():
 
 def test_one_by_one_blocks_read_bitwise_as_lapack_solves_them(monkeypatch):
     chans = _one_by_one_channels()
-    svd = functools.partial(np.linalg.svd, compute_uv=False)
     read = {}
     for name, ch in chans.items():
         assert any(len(b) == 1 for b in ch.real_blocks), name
-        shifted = ch.real_superoperator - np.eye(ch.dim**2)
-        singular = numerics._block_values(shifted, ch.real_blocks, svd, np.abs)
-        read[name] = ch.spectrum, singular, dataclasses.astuple(classify(ch))
+        read[name] = ch.spectrum, dataclasses.astuple(classify(ch))
 
-    def per_block(m, blocks, solve, single):
-        return np.concatenate([solve(v) for v in block_views(m, blocks)])
+    def per_block(ch):
+        views = block_views(ch.real_superoperator, ch.real_blocks)
+        return np.concatenate([np.linalg.eigvals(v) for v in views]).astype(complex)
 
-    for module in (channels, numerics):
-        monkeypatch.setattr(module, "_block_values", per_block)
+    monkeypatch.setattr(Channel, "spectrum", property(per_block))
     for name, ch in chans.items():
         ch = Channel(ch.kraus, ch.unital, ch.trace_preserving)  # nothing cached
-        shifted = ch.real_superoperator - np.eye(ch.dim**2)
-        spectrum, singular, cl = read[name]
+        spectrum, cl = read[name]
         assert spectrum.tobytes() == ch.spectrum.tobytes(), name
-        assert singular.tobytes() == per_block(shifted, ch.real_blocks, svd, None).tobytes(), name
         for got, want in zip(cl, dataclasses.astuple(classify(ch))):
             assert type(got) is type(want), name
             assert (got.tobytes() == want.tobytes()) if type(got) is np.ndarray else got == want, name
+
+
+def test_fixed_dim_is_the_multiplicity_of_one_as_the_rank_of_r_minus_i_gives_it(ds_corpus):
+    # eigenvalue 1 is semisimple, so its multiplicity is n² − rank(R − I); on these
+    # channels the decision is far from the cutoff on both sides
+    chans = [*ds_corpus, *_one_by_one_channels().values(), *map(identity_channel, range(2, 9))]
+    for seed in (2101, 2102):
+        for group in _split_channels(seed):
+            chans += group.values()
+    for ch in chans:
+        gap = np.abs(ch.spectrum - 1.0)
+        assert np.all((gap < 1e-12) | (gap > 1e-3))
+        assert classify(ch).fixed_dim == helpers.fixed_dim_by_rank(ch)
+
+
+def test_tol_moves_fixed_dim_under_both_rules():
+    # λ·τ + (1 − λ)·id at λ = 1e-11: every eigenvalue lies within 2e-11 of 1, so
+    # the default cutoff counts all nine as fixed and 1e-12 only the exact one
+    for tol, fixed_dim in ((DEFAULT_TOLERANCE, 9), (Tolerance(1e-12), 1)):
+        ch = build_example("ex2.12", lam=1e-11, tol=tol)
+        assert classify(ch, tol).fixed_dim == helpers.fixed_dim_by_rank(ch, tol) == fixed_dim
