@@ -94,23 +94,16 @@ class KrausFamily:
         return self.ops.shape[0]
 
     def products(self) -> np.ndarray:
-        """d×d×n×n array whose entry (i, j) is v_i v_j*.
-
-        The reversed products v_j* v_i are ``adjoint().products()`` with the
-        first two axes swapped.
-        """
+        """d×d×n×n array whose entry (i, j) is v_i v_j*."""
         a = self.ops
         return a[:, None] @ dagger(a)[None, :]
 
     def unit_defects(self) -> tuple[float, float]:
         """Deviations (entrywise max) of sum v v* and sum v* v from I."""
-        # contracted straight from the stack: the trace of products() would
-        # form all d² pairs to read d of them
-        a = self.ops
-        eye = np.eye(self.dim)
-        out_sum = np.tensordot(a, np.conj(a), axes=([0, 2], [0, 2]))
-        in_sum = np.tensordot(np.conj(a), a, axes=([0, 1], [0, 1]))
-        return max_abs(out_sum - eye), max_abs(in_sum - eye)
+        # row i of ``wide`` is row i of every v_k side by side; ``tall`` stacks the v_k
+        a, n = self.ops, self.dim
+        wide, tall, eye = a.transpose(1, 0, 2).reshape(n, -1), a.reshape(-1, n), np.eye(n)
+        return max_abs(wide @ dagger(wide) - eye), max_abs(dagger(tall) @ tall - eye)
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, bool]:
         """(unital, trace_preserving) flags within ``tol.cutoff``."""

@@ -9,12 +9,14 @@ coefficient matrix of a null vector; walking along witnesses reaches an
 extremal channel in the face, and peeling off its largest multiple leaves a
 remainder.  Every walk step and every peel lowers the index, so a walk takes
 at most index − 1 steps and a decomposition has at most index-many terms.
+Each costs one eigendecomposition: a certificate's gives its norm, the walk's
+sign and the square root of I ∓ λ; the term's gives the peel's weight and root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +30,8 @@ from .numerics import (
     hermitian_eig,
     hermitian_from_coordinates,
     hermitian_pair_map,
-    hermitize,
     max_abs,
-    operator_norm,
-    psd_factor,
+    psd_columns,
     rank_cutoff,
 )
 
@@ -67,6 +67,8 @@ class DependencyCertificate:
 
     lam: np.ndarray
     kind: str
+    # eigenvalues (ascending) and eigencolumns of λ's leading block, as the rank test solved them
+    _eig: tuple | None = field(default=None, repr=False)
 
     def residuals(self, family: KrausFamily) -> tuple[float, float]:
         """Entrywise-max residuals of (product sum, reversed-product sum)."""
@@ -77,7 +79,7 @@ class DependencyCertificate:
 
 def _reversed_products(family: KrausFamily) -> np.ndarray:
     # entry (i, j) is v_j* v_i
-    return family.adjoint().products().swapaxes(0, 1)
+    return dagger(family.ops)[None, :] @ family.ops[:, None]
 
 
 def product_matrix(family: KrausFamily) -> np.ndarray:
@@ -113,17 +115,21 @@ def hermitize_certificate(
 ) -> DependencyCertificate:
     """The d×d certificate λ = Σ x_a B_a of a null vector x of the product matrix
     (kind CP) or the stacked matrix (kind CP_phi) ``m``: hermitian by construction,
-    scaled to operator norm 1 with its first coordinate above ``tol.cutoff``
-    positive.  A residual max|m x| above 1e-8 raises :class:`NumericalFailure`."""
+    scaled to operator norm 1, its largest |eigenvalue| in one eigendecomposition,
+    with its first coordinate above ``tol.cutoff`` positive.  A residual max|m x|
+    above 1e-8 raises :class:`NumericalFailure`."""
     x = np.asarray(nullvec, dtype=float)
     if x.size != m.shape[1]:
         raise ValueError(f"null vector of size {x.size} does not match the {m.shape[1]} columns")
-    x = x / operator_norm(hermitian_from_coordinates(x))
-    x = x if x[np.argmax(np.abs(x) > tol.cutoff)] > 0.0 else -x
+    vals, vecs = np.linalg.eigh(hermitian_from_coordinates(x))
+    scale = max(-vals[0], vals[-1])
+    x, vals = x / scale, vals / scale
+    if not x[np.argmax(np.abs(x) > tol.cutoff)] > 0.0:  # −λ: eigenpairs negated, still ascending
+        x, vals, vecs = -x, -vals[::-1], vecs[:, ::-1]
     residual = max_abs(m @ x)
     if residual > _CERT_RESIDUAL:
         raise NumericalFailure(f"certificate residual {residual:.2e} above {_CERT_RESIDUAL}")
-    return DependencyCertificate(hermitian_from_coordinates(x), kind)
+    return DependencyCertificate(hermitian_from_coordinates(x), kind, (vals, vecs))
 
 
 def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
@@ -137,8 +143,9 @@ def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
     if nullvec is None:
         return True, None
     lam = np.zeros((d, d), dtype=complex)
-    lam[: sub.index, : sub.index] = hermitize_certificate(nullvec, m, kind, tol).lam
-    return False, DependencyCertificate(lam, kind)
+    block = hermitize_certificate(nullvec, m, kind, tol)
+    lam[: sub.index, : sub.index] = block.lam
+    return False, DependencyCertificate(lam, kind, block._eig)
 
 
 def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -166,14 +173,8 @@ def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     return _verdict(ch.kraus, CP_PHI, tol)
 
 
-def _mix_family(coeff: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # coefficient rows b with bᵀ·conj(b) = coeff (PSD hermitian): the map
-    # x -> Σ_ij coeff_ij v_i x v_j* has the Kraus operators b @ v
-    return psd_factor(coeff, tol)[1].T
-
-
 def _ops(rows: np.ndarray, family: KrausFamily) -> np.ndarray:
-    return np.tensordot(rows, family.ops, axes=1)
+    return (rows @ family.ops.reshape(family.index, -1)).reshape(len(rows), family.dim, family.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,34 +200,54 @@ def _inverse_sqrt(h: np.ndarray, tol: Tolerance) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ dagger(vecs)
 
 
-def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance, mass: float) -> Channel:
-    # rows @ family, flagged, not canonicalized: the input was vetted, so a defect is rounding.
-    # One that moves the mixture by mass × defect ≤ the tolerance is scaled away by operator
-    # Sinkhorn steps, ops ← S^{-1/2}·ops with S = Σ v v*, then for CP_phi ops ← ops·T^{-1/2}
-    # with T = Σ v* v; the left factor keeps the products' independence exactly
-    ops, last = _ops(rows, family), math.inf
-    while True:
-        fam = KrausFamily(ops)
-        out_dev, in_dev = fam.unit_defects()
+def _flagged(ops: np.ndarray, tol: Tolerance) -> Channel:
+    fam = KrausFamily(ops)
+    return Channel(fam, *fam.validate(tol))
+
+
+def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance, mass: float,
+             canonical: bool = False) -> Channel:
+    # rows @ family, flagged (and canonicalized, if asked, by from_kraus): the input was vetted,
+    # so a defect is rounding.  One that moves the mixture by mass × defect ≤ the tolerance is
+    # scaled away by operator Sinkhorn steps, ops ← S^{-1/2}·ops with S = Σ v v*, then for CP_phi
+    # ops ← ops·T^{-1/2} with T = Σ v* v; the left factor keeps the products' independence exactly
+    make = Channel.from_kraus if canonical else _flagged
+    ch, last = make(_ops(rows, family), tol), math.inf
+    while not (ch.unital and (kind == CP or ch.trace_preserving)):
+        out_dev, in_dev = ch.kraus.unit_defects()
         dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
-        if dev <= tol.cutoff:
-            return Channel(fam, True, in_dev <= tol.cutoff)
         if mass * dev > tol.cutoff or dev >= last:
             raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > tolerance {tol.cutoff}")
+        ops = ch.kraus.ops
         ops = _inverse_sqrt(np.tensordot(ops, np.conj(ops), axes=([0, 2], [0, 2])), tol) @ ops
         if kind == CP_PHI:
             ops = ops @ _inverse_sqrt(np.tensordot(np.conj(ops), ops, axes=([0, 1], [0, 1])), tol)
-        last = dev
+        ch, last = make(ops, tol), dev
+    return ch
 
 
-def _step(coeff: np.ndarray, rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance, mass: float):
-    # the one step of walks and peels: rows' = b @ rows with bᵀ·conj(b) = coeff, whose
-    # zero eigenvalue drops the index; a step that keeps it would never end.  ``mass``
-    # bounds the weight the derived channel carries in the decomposition
-    out = _mix_family(coeff, tol) @ rows
-    if len(out) >= len(rows):
-        raise NumericalFailure(f"a decomposition step kept the index at {len(rows)}")
-    return out, _derived(out, family, kind, tol, mass)
+def _lowered(b: np.ndarray, index: int, what: str) -> np.ndarray:
+    if len(b) >= index:  # a step that keeps the index would never end
+        raise NumericalFailure(f"{what} kept the index at {index}")
+    return b
+
+
+def _walk_step(cert: DependencyCertificate, rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # b @ rows with bᵀ·conj(b) = I − σλ, σ = ±1 making σλ's top eigenvalue its norm 1, whose
+    # zero drops the index: factored on λ's leading block, and the rows past it stay as they are
+    vals, vecs = cert._eig
+    if -vals[0] > vals[-1]:
+        vals, vecs = -vals[::-1], vecs[:, ::-1]
+    b, j = psd_columns(1.0 - vals, vecs, tol)[1].T, len(vals)
+    return _lowered(np.vstack([b @ rows[:j], rows[j:]]), len(rows), "a walk step")
+
+
+def _peel(rows: np.ndarray, tol: Tolerance):
+    # (w, b): w = 1/g_max of G = rowsᵀ·conj(rows), the extremal term's coefficient matrix, and
+    # rows b with bᵀ·conj(b) = (I − wG)/(1 − w), the remainder's, from G's eigenpairs
+    g, u = np.linalg.eigh(rows.T @ np.conj(rows))
+    w = 1.0 / g[-1]
+    return w, _lowered(psd_columns((1.0 - w * g) / (1.0 - w), u, tol)[1].T, len(u), "a peel")
 
 
 def decompose_extremal(
@@ -250,23 +271,21 @@ def decompose_extremal(
     # the test's own preconditions vet ch (unital, and TP for CP_phi)
     terms, deepest, mass, tau = [], 0, 1.0, ch
     while True:
-        # walk: step to the singular one of I ∓ λ (λ has norm 1), rows in τ's coordinates
+        # walk: rows in τ's coordinates, one fewer per step
         rows, steps = np.eye(tau.index), 0
         extremal, cert = test(tau, tol)
         while not extremal:
-            vals, _ = hermitian_eig(cert.lam, tol)
-            lam = cert.lam if vals[0] >= -vals[-1] else -cert.lam
-            rows, walked = _step(np.eye(len(rows)) - lam, rows, tau.kraus, kind, tol, mass)
-            extremal, cert = test(walked, tol)
+            rows = _walk_step(cert, rows, tol)
+            extremal, cert = test(_derived(rows, tau.kraus, kind, tol, mass), tol)
             steps += 1
         deepest = max(deepest, steps)
-        w = 1.0 / operator_norm(rows) ** 2 if steps else 1.0
-        terms.append((mass * w, Channel.from_kraus(_ops(rows, tau.kraus), tol)))
-        if steps == 0:  # the remainder itself was the last term
+        if steps == 0:  # the remainder itself is the last term
+            terms.append((mass, tau))
             break
-        # hermitian by construction; the 1/(1−w) factor amplifies its rounding
-        rest = hermitize((np.eye(tau.index) - w * rows.T @ np.conj(rows)) / (1.0 - w))
+        w, rest = _peel(rows, tol)
+        terms.append((mass * w, Channel.from_kraus(_ops(rows, tau.kraus), tol)))
         mass *= 1.0 - w
-        _, tau = _step(rest, np.eye(tau.index), tau.kraus, kind, tol, mass)
+        # canonical: the factor's basis of the eigenvalue 1/(1 − w) is eigh's, so arbitrary
+        tau = _derived(rest, tau.kraus, kind, tol, mass, canonical=True)
     terms.sort(key=lambda t: -t[0])
     return ExtremalDecomposition(terms=tuple(terms), depth=deepest)

@@ -5,8 +5,8 @@ this module, so a single vectorization convention (column stacking) and a
 single cutoff apply everywhere.  :class:`Tolerance` holds that one value:
 :func:`rank_cutoff` scales it by the largest magnitude (floored at 1) for the
 rank drop, the PSD allowance and an eigenvalue's distance to 1;
-:func:`psd_factor` is the one PSD square root, and equality tests compare
-entrywise against the value itself.
+:func:`psd_columns` is the one PSD keep rule, on given eigenpairs or those of
+:func:`psd_factor`; equality tests compare entrywise against the value itself.
 :func:`hermitian_pair_map` is the one real map in hermitian coordinates, and
 :func:`diagonal_blocks` the one split of a square matrix by its exact zeros.
 
@@ -43,6 +43,7 @@ __all__ = [
     "block_views",
     "numerical_rank",
     "is_psd",
+    "psd_columns",
     "psd_factor",
     "phase_fixed",
     "projection_eigenbasis",
@@ -163,7 +164,9 @@ def diagonal_blocks(m) -> list:
     pattern (m[i, j] != 0 joins i and j), by first index.  Permuted by them, m
     is block diagonal, so its eigenvalues and singular values are the blocks'."""
     link = (m != 0) | (m.T != 0)
-    blocks, rest = [], np.arange(len(m))
+    # an index with no off-diagonal nonzero in its row and column is a block of its own
+    alone = np.count_nonzero(link, axis=0) == link.diagonal()
+    blocks, rest = list(np.flatnonzero(alone)[:, None]), np.flatnonzero(~alone)
     while rest.size:
         seen = link[rest[0]]
         seen[rest[0]] = True  # a view: link's diagonal, which joins nothing
@@ -175,6 +178,7 @@ def diagonal_blocks(m) -> list:
         inside = seen[rest]
         blocks.append(rest[inside])
         rest = rest[~inside]
+    blocks.sort(key=lambda b: b[0])
     return blocks
 
 
@@ -200,12 +204,10 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return vals.size == 0 or float(vals[-1]) >= -rank_cutoff(vals, tol)
 
 
-def psd_factor(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
-    """(vals, cols): the eigenvalues of a hermitian m above :func:`rank_cutoff`,
-    descending, and their eigencolumns scaled by sqrt, so cols @ cols* ≈ m.
-    Raises :class:`NotCompletelyPositive` unless m is PSD within the same
-    cutoff with a positive eigenvalue."""
-    vals, vecs = hermitian_eig(m, tol)
+def psd_columns(vals, vecs, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, cols) of eigenpairs, ``vals`` descending, of a hermitian m: those above
+    :func:`rank_cutoff`, columns scaled by sqrt, so cols @ cols* ≈ m.  Raises
+    :class:`NotCompletelyPositive` unless m is PSD within it, with a positive eigenvalue."""
     if not vals.size or vals[0] <= 0.0:
         raise NotCompletelyPositive("not PSD: no positive eigenvalue")
     cutoff = rank_cutoff(vals, tol)
@@ -213,6 +215,11 @@ def psd_factor(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.nd
         raise NotCompletelyPositive(f"not PSD: eigenvalue {vals[-1]:.3e} below -{cutoff:.3e}")
     keep = vals > cutoff
     return vals[keep], vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def psd_factor(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, cols): :func:`psd_columns` of a hermitian m's :func:`hermitian_eig`."""
+    return psd_columns(*hermitian_eig(m, tol), tol)
 
 
 def phase_fixed(m, cutoff: float = DEFAULT_TOLERANCE.cutoff) -> np.ndarray:

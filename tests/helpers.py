@@ -409,6 +409,26 @@ def blocks_by_plain_bfs(m):
     return blocks
 
 
+def blocks_by_one_pass_each(m):
+    """Connected components of m's exact nonzero pattern by one vectorized
+    breadth-first search from each smallest index not yet placed, isolated
+    indices included: ``numerics.diagonal_blocks`` before it read the isolated
+    indices up front, kept as an oracle of the same arrays in the same order."""
+    link = (m != 0) | (m.T != 0)
+    blocks, rest = [], np.arange(len(m))
+    while rest.size:
+        seen = link[rest[0]]
+        seen[rest[0]] = True  # a view: link's diagonal, which joins nothing
+        size, grown = 0, np.count_nonzero(seen)
+        while size < grown < rest.size:
+            seen = link[seen].any(axis=0)
+            size, grown = grown, np.count_nonzero(seen)
+        inside = seen[rest]
+        blocks.append(rest[inside])
+        rest = rest[~inside]
+    return blocks
+
+
 def fixed_dim_by_rank(ch, tol=DEFAULT_TOLERANCE):
     """n² − rank(T − I), T from :func:`super_by_apply`, singular values cut at
     tol times the largest (floored at 1): the rule ``classify`` applied to the

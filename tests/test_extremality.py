@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qbirkhoff import (
     hermitize_certificate,
     landau_streater_test,
 )
-from qbirkhoff import extremality
+from qbirkhoff import extremality, numerics
 from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
 from qbirkhoff.catalog import build_example, weyl_basis
 from qbirkhoff.numerics import (
@@ -243,19 +245,119 @@ def test_decompose_properties_on_random_channels(rng):
 
 
 def test_decompose_step_that_keeps_the_index_raises(monkeypatch, rng):
-    # every walk step and peel must lower the index, which bounds both loops; a
-    # factor padded with zero rows keeps it, and the guard stops at the first step
-    mix_family, calls = extremality._mix_family, []
+    # every walk step and peel must lower the index, which bounds both loops; the shared
+    # keep rule padded with one zero column gives a factor that keeps it.  A random n = 3
+    # channel has index 9: its walk factors on 5×5 certificate blocks, its peel on 9×9
+    ch = helpers.random_ds_channel(3, rng)
+    assert ch.index == 9
+    psd_columns = extremality.psd_columns
 
-    def padded(coeff, tol):
-        calls.append(len(coeff))
-        b = mix_family(coeff, tol)
-        return np.vstack([b, np.zeros((len(coeff) - len(b), len(coeff)))])
+    def padded_at(size, calls):
+        def rule(vals, vecs, tol):
+            calls.append(len(vals))
+            kept, cols = psd_columns(vals, vecs, tol)
+            return kept, np.hstack([cols, np.zeros((len(cols), 1))]) if len(vals) == size else cols
 
-    monkeypatch.setattr(extremality, "_mix_family", padded)
-    with pytest.raises(NumericalFailure, match="kept the index at 9"):
-        decompose_extremal(helpers.random_ds_channel(3, rng))
-    assert calls == [9]
+        return rule
+
+    walk_calls, peel_calls = [], []
+    monkeypatch.setattr(extremality, "psd_columns", padded_at(5, walk_calls))
+    with pytest.raises(NumericalFailure, match="a walk step kept the index at 9"):
+        decompose_extremal(ch)
+    assert walk_calls == [5]
+    monkeypatch.setattr(extremality, "psd_columns", padded_at(9, peel_calls))
+    with pytest.raises(NumericalFailure, match="a peel kept the index at 9"):
+        decompose_extremal(ch)
+    assert peel_calls[-1] == 9 and 9 not in peel_calls[:-1] and len(peel_calls) > 1
+
+
+def _mixtures_of_both_kinds(seed):
+    # seeded unitary mixtures on M_2..M_4 of random index 2..n², with each rank test
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            ch = helpers.random_unitary_mixture(n, int(rng.integers(2, n * n + 1)), rng)
+            yield ch, choi_extremal_test
+            yield ch, landau_streater_test
+
+
+def test_certificate_eigenpairs_rebuild_it():
+    # the eigenpairs the rank test solved, ascending, rebuild λ's leading block; the largest
+    # |eigenvalue| is the operator norm 1
+    for ch, test in _mixtures_of_both_kinds(2610):
+        ok, cert = test(ch)
+        if ok:
+            continue
+        vals, vecs = cert._eig
+        j = len(vals)
+        assert np.all(np.diff(vals) >= 0.0) and abs(max(-vals[0], vals[-1]) - 1.0) < 1e-15
+        assert max_abs((vecs * vals) @ dagger(vecs) - cert.lam[:j, :j]) < 1e-13
+        assert not np.any(cert.lam[j:]) and not np.any(cert.lam[:, j:])
+
+
+def test_walk_and_peel_factors_reproduce_their_coefficient_matrices():
+    # the walk factor b has one row fewer and bᵀ·conj(b) = I − σλ, λ padded by zeros and σ
+    # making σλ's top eigenvalue 1; peeling rows b gives w = 1/g_max of G = bᵀ·conj(b) and a
+    # factor c, one row fewer again, with cᵀ·conj(c) = (I − wG)/(1 − w)
+    walked = 0
+    for ch, test in _mixtures_of_both_kinds(2611):
+        ok, cert = test(ch)
+        if ok:
+            continue
+        walked += 1
+        d, eye = ch.index, np.eye(ch.index)
+        # σ from the certificate's own eigenvalues: ±1 tie to rounding in the Weyl-like cases
+        vals = cert._eig[0]
+        sigma = 1.0 if vals[-1] >= -vals[0] else -1.0
+        b = extremality._walk_step(cert, eye, DEFAULT_TOLERANCE)
+        gram = b.T @ np.conj(b)
+        assert b.shape == (d - 1, d) and max_abs(gram - (eye - sigma * cert.lam)) < 1e-12
+        w, c = extremality._peel(b, DEFAULT_TOLERANCE)
+        assert abs(w * np.linalg.norm(b, 2) ** 2 - 1.0) < 1e-12 and 0.0 < w < 1.0
+        assert c.shape == (d - 1, d)
+        # relative to the remainder's scale 1/(1 − w), which reaches 1e3 here
+        assert max_abs(c.T @ np.conj(c) - (eye - w * gram) / (1.0 - w)) * (1.0 - w) < 1e-12
+    assert walked >= 12
+
+
+def test_decompose_solves_one_eigh_per_walk_step_and_peel(monkeypatch, rng):
+    # no operator norm and no hermitian_eig (the d×d eigh of I ∓ λ that psd_factor solved);
+    # every SVD is a rank test's
+    svd_callers, svd = [], np.linalg.svd
+
+    def traced_svd(*args, **kwargs):
+        svd_callers.append(sys._getframe(1).f_code.co_name)
+        return svd(*args, **kwargs)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"decompose_extremal called {name}")
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", traced_svd)
+    for name in ("operator_norm", "hermitian_eig"):
+        monkeypatch.setattr(numerics, name, refused(name))
+        monkeypatch.setattr(extremality, name, refused(name), raising=False)
+    for kind in (CP, CP_PHI):
+        dec = decompose_extremal(helpers.random_unitary_mixture(3, 9, rng), kind=kind)
+        assert len(dec.terms) > 1
+    assert svd_callers and set(svd_callers) == {"_rank_and_null"}
+
+
+def test_decompose_weights_hold_under_rounding_level_perturbations():
+    # the peel's remainder goes through from_kraus, so its operators do not depend on eigh's
+    # basis of a degenerate eigenspace: operators moved by 1e-15 relative give the same terms
+    # and weights to rounding
+    for s in range(10):
+        rng = np.random.default_rng(2620 + s)
+        ch = helpers.random_unitary_mixture(3, 9, rng)
+        other = Channel.from_kraus(helpers.perturbed(ch.kraus.ops, rng, 1e-15))
+        dec, moved = decompose_extremal(ch), decompose_extremal(other)
+        assert len(dec.terms) == len(moved.terms) > 1
+        for (w, term), (w_moved, term_moved) in zip(dec.terms, moved.terms):
+            assert abs(w - w_moved) < 1e-12
+            assert max_abs(term.choi() - term_moved.choi()) < 1e-10
 
 
 def test_decompose_unitary_mixtures_valid_or_numerical_failure():

@@ -133,6 +133,21 @@ def test_diagonal_blocks_match_a_plain_search():
         assert [b.tolist() for b in blocks] == helpers.blocks_by_plain_bfs(m.tolist())
 
 
+def test_diagonal_blocks_read_isolated_indices_up_front():
+    # seeded sparse patterns, many indices isolated (a diagonal entry joins nothing): the same
+    # index arrays, in the same order, as one breadth-first search from every index
+    rng = np.random.default_rng(2601)
+    for _ in range(120):
+        size = int(rng.integers(1, 40))
+        m = rng.normal(size=(size, size)) * (rng.random((size, size)) < rng.choice([0.0, 0.01, 0.03, 0.08]))
+        m[np.diag_indices(size)] = rng.choice([0.0, 1.0], size=size)
+        blocks, oracle = diagonal_blocks(m), helpers.blocks_by_one_pass_each(m)
+        assert len(blocks) == len(oracle)
+        assert all(b.dtype == o.dtype and np.array_equal(b, o) for b, o in zip(blocks, oracle))
+    assert [b.tolist() for b in diagonal_blocks(np.eye(4))] == [[0], [1], [2], [3]]
+    assert diagonal_blocks(np.zeros((0, 0))) == []
+
+
 def test_diagonal_blocks_join_one_sided_links_only():
     m = np.zeros((6, 6))
     m[3, 0] = 1.0  # one-sided: joins 0 and 3
