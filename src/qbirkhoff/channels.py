@@ -176,7 +176,7 @@ class Channel:
             raise ValueError("the Kraus products are zero or overflow: no finite nonzero map")
         vals, vecs = np.linalg.eigh(g)  # G is hermitian to rounding: eigh reads one triangle
         keep = vals > rank_cutoff(vals, tol)
-        mixed = np.tensordot(vecs[:, keep].T, a, axes=1)  # Σ_k u_k v_k for each kept u
+        mixed = (vecs[:, keep].T @ w).reshape(-1, *a.shape[1:])  # Σ_k u_k v_k for each kept u
         canon = _canonical_family(vals[keep][::-1], mixed[::-1], tol)
         return cls(canon, *canon.validate(tol))
 

@@ -373,6 +373,23 @@ def data_matrix_by_loop(family, rho):
     return np.array([[np.trace(rho @ ops[i] @ dagger(ops[j])) for j in range(d)] for i in range(d)])
 
 
+def hermitian_by_slot_fill(x):
+    """Σ x_a B_a over :func:`hermitian_basis` by filling the real and imaginary
+    slots of a zero d×d matrix, each scaled coordinate written once and negated
+    for the imaginary part below the diagonal: ``numerics.hermitian_from_coordinates``
+    before it gathered through a plan, kept as an oracle of its bytes."""
+    x = np.asarray(x, dtype=float)
+    d = math.isqrt(x.size)
+    j, k = np.triu_indices(d, 1)
+    m, half = d * (d + 1) // 2, np.sqrt(0.5)
+    lam = np.zeros((d, d), dtype=complex)
+    lam.real[np.arange(d), np.arange(d)] = x[:d]
+    lam.real[j, k] = lam.real[k, j] = x[d:m] * half
+    lam.imag[j, k] = x[m:] * half
+    lam.imag[k, j] = -lam.imag[j, k]
+    return lam
+
+
 def canonical_order_by_full_key(vals, ops):
     """Indices of ``ops`` sorted by one full key per operator: descending
     eigenvalue rounded to 12 places, then the row-major (re, im) entries each

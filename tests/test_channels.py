@@ -100,8 +100,12 @@ def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
                 for mu in np.linalg.eigvals(t):
                     k = int(np.argmin(np.abs(np.array(left) - mu)))
                     assert abs(left.pop(k) - mu) < 1e-8 * scale
-        exact = Channel(KrausFamily.from_ops([np.eye(n)]), True, True)
-        assert np.array_equal(exact.real_superoperator, np.eye(n * n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_identity_real_form_is_exactly_the_identity(n):
+    # identity pairs map to I exactly, through the planned gather (n ≤ 8) and the strided one
+    assert np.array_equal(identity_channel(n).real_superoperator, np.eye(n * n))
 
 
 def test_index_is_gauge_invariant(rng):

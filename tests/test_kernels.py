@@ -12,7 +12,7 @@ the null-space projector, on real and complex matrices.
 import numpy as np
 import pytest
 
-from qbirkhoff import KrausFamily, choi_block_projection, data_matrix
+from qbirkhoff import KrausFamily, choi_block_projection, data_matrix, numerics
 from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
 from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
@@ -96,6 +96,60 @@ def test_hermitian_coordinates_round_trip():
         assert max_abs(lam - expect) < 1e-15
         assert max_abs(hermitian_pair_map(lam[None, None])[:, 0] - x) < 1e-15
     assert np.array_equal(hermitian_pair_map(np.eye(9).reshape(3, 3, 3, 3)), np.eye(9))
+
+
+def with_signed_zeros(z, rng):
+    """z with about a tenth of its real and of its imaginary parts set to +0.0
+    and as many to −0.0."""
+    for part in (z.real, z.imag):
+        u = rng.random(z.shape)
+        part[u < 0.1] = 0.0
+        part[u > 0.9] = -0.0
+    return z
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_planned_pair_map_matches_the_strided_gather_byte_for_byte(d):
+    # every size here is under the plan cap, so hermitian_pair_map takes the plan; inputs
+    # hold exact zeros, −0.0 and exact cancellations g = −h, which a sign slip would show
+    rng = np.random.default_rng(7400 + d)
+    i, j = np.triu_indices(d, 1)
+    for n in range(1, 7):
+        assert (d * n) ** 2 <= numerics._PLAN_ENTRIES
+        products = with_signed_zeros(random_family(n, d, rng).products(), rng)
+        products[j[::2], i[::2]] = -products[i[::2], j[::2]]
+        # strided as the real form's view of T, (n, n, d, d) read backwards
+        view = with_signed_zeros(rng.normal(size=(n, n, d, d)) + 1j * rng.normal(size=(n, n, d, d)), rng)
+        view = view.transpose(3, 2, 1, 0)
+        for pairs in (products, view):
+            got = hermitian_pair_map(pairs)
+            assert got.shape == (n * n, d * d)
+            assert got.tobytes() == numerics._strided_pair_map(pairs).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (3, 2, 2, 2), (2, 2, 2, 3), (2, 2, 4), (1, 1, 2, 2, 1)])
+def test_pair_map_refuses_arrays_that_are_not_d_d_n_n(shape):
+    with pytest.raises(ValueError, match="is not d×d×n×n"):
+        hermitian_pair_map(np.ones(shape))
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 10])
+def test_coordinates_of_no_square_size_are_refused(size):
+    with pytest.raises(ValueError, match="not those of a square matrix"):
+        hermitian_from_coordinates(np.ones(size))
+
+
+def test_coordinates_gather_the_former_slot_fill_byte_for_byte():
+    rng = np.random.default_rng(7500)
+    for d in range(10):
+        x = rng.normal(size=d * d)
+        u = rng.random(d * d)
+        x[u < 0.15] = 0.0
+        x[u > 0.85] = -0.0
+        lam = hermitian_from_coordinates(x)
+        assert lam.tobytes() == helpers.hermitian_by_slot_fill(x).tobytes()
+        # the diagonal's imaginary parts are +0.0, which the certificates' JSON shows
+        assert not np.any(np.signbit(lam.diagonal().imag))
 
 
 # (rows, columns, rank of the factor product; None for a full random matrix)
