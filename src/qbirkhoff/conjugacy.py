@@ -83,7 +83,9 @@ def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarra
             raise ValueError("state is not positive semidefinite")
         if abs(np.trace(rho) - 1.0) > tol.cutoff:
             raise ValueError("state does not have unit trace")
-    mat = np.tensordot(fam.products(), rho.T, axes=2)  # tr(ρ v_i v_j*)
+    # tr(ρ v_i v_j*) = Σ_ab (ρ v_i)_ab conj(v_j)_ab: one Gram product of the flattened stacks
+    flat = fam.ops.reshape(fam.index, -1)
+    mat = (rho @ fam.ops).reshape(fam.index, -1) @ dagger(flat)
     # Gram structure forces hermitian PSD; symmetrize away roundoff
     return (mat + dagger(mat)) / 2.0
 

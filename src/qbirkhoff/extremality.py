@@ -5,7 +5,11 @@ v_i v_j* of a minimal Kraus family are linearly independent; among doubly
 stochastic maps the products and the reversed products v_j* v_i must be
 jointly independent (Choi / Landau-Streater criteria).  The tests are real
 ranks in hermitian coordinates, and a failed one is witnessed by the hermitian
-coefficient matrix of a null vector; walking along witnesses reaches an
+coefficient matrix of a null vector.  Past the counting bound (more operators
+than the rank bound allows to be independent) the verdict is by counting, and
+the null vector comes from a QR of the matrix's transpose, one trace row
+dropped for CP_phi; an SVD decides the rank below the bound, and past it when
+R's diagonal shows a drop at the cutoff.  Walking along witnesses reaches an
 extremal channel in the face, and peeling off its largest multiple leaves a
 remainder.  Every walk step and every peel lowers the index, so a walk takes
 at most index − 1 steps and a decomposition has at most index-many terms.
@@ -92,19 +96,41 @@ def stacked_matrix(family: KrausFamily) -> np.ndarray:
     return np.vstack([hermitian_pair_map(family.products()), hermitian_pair_map(_reversed_products(family))])
 
 
+def _least_covered(kept: np.ndarray) -> np.ndarray:
+    # e_k minus its part in the span of kept's orthonormal rows, normalized, k the first
+    # coordinate they cover least: it depends on that span alone, never on its basis
+    k = int(np.argmin(np.sum(np.abs(kept) ** 2, axis=0)))
+    x = -(dagger(kept) @ kept[:, k])
+    x[k] += 1.0
+    return x / np.linalg.norm(x)
+
+
 def _rank_and_null(m, tol: Tolerance):
-    # rank and a unit x with m x ≈ 0, None at full column rank: e_k minus its part in the
-    # span of the kept right singular vectors, k the first coordinate they cover least, so
-    # x depends on m's row space alone, never on the SVD's basis of the null space
+    # rank and a unit x with m x ≈ 0, None at full column rank: the least-covered rule on
+    # the kept right singular vectors, which span m's row space
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
     if rank == m.shape[1]:
         return rank, None
-    kept = vh[:rank]
-    k = int(np.argmin(np.sum(np.abs(kept) ** 2, axis=0)))
-    x = -(dagger(kept) @ kept[:, k])
-    x[k] += 1.0
-    return rank, x / np.linalg.norm(x)
+    return rank, _least_covered(vh[:rank])
+
+
+def _null_vector(m, kind: str, tol: Tolerance):
+    # the rank test's null vector, None at full column rank.  Past the counting bound m is wider
+    # than its rank bound and needs no rank: R of the QR of mᵀ, CP_phi's one row relation dropped
+    # (the reversed half's last trace row, n² + n − 1, is the top half's trace rows less the
+    # reversed half's others), with no |R_ii| at its rank cutoff makes Q an orthonormal basis of
+    # m's row space, for the least-covered rule.  Otherwise the SVD decides, as below the bound
+    # and for CP_phi on M_2: a unital qubit channel is U·Ψ(V x V*)·U* with Ψ a Pauli channel
+    # (King–Ruskai), so unless Ψ's weights tie its stacked matrix has rank 4 of 7 rows
+    n2 = len(m) // 2
+    if m.shape[1] > len(m) - (kind == CP_PHI) and (kind == CP or n2 > 4):
+        rows = np.delete(m, n2 + math.isqrt(n2) - 1, axis=0) if kind == CP_PHI else m
+        q, r = np.linalg.qr(rows.T)
+        diag = np.abs(r.diagonal())
+        if diag.min() > rank_cutoff(diag, tol):
+            return _least_covered(q.T)
+    return _rank_and_null(m, tol)[1]
 
 
 def hermitize_certificate(
@@ -139,7 +165,7 @@ def _verdict(family: KrausFamily, kind: str, tol: Tolerance):
     n2, d = family.dim**2, family.index
     sub = KrausFamily(family.ops[: math.isqrt(2 * n2 - 1 if kind == CP_PHI else n2) + 1])
     m = (stacked_matrix if kind == CP_PHI else product_matrix)(sub)
-    _, nullvec = _rank_and_null(m, tol)
+    nullvec = _null_vector(m, kind, tol)
     if nullvec is None:
         return True, None
     lam = np.zeros((d, d), dtype=complex)
@@ -246,7 +272,7 @@ def _peel(rows: np.ndarray, tol: Tolerance):
     # (w, b): w = 1/g_max of G = rowsᵀ·conj(rows), the extremal term's coefficient matrix, and
     # rows b with bᵀ·conj(b) = (I − wG)/(1 − w), the remainder's, from G's eigenpairs
     g, u = np.linalg.eigh(rows.T @ np.conj(rows))
-    w = 1.0 / g[-1]
+    w = float(1.0 / g[-1])  # an exact float: the weights render as one column
     return w, _lowered(psd_columns((1.0 - w * g) / (1.0 - w), u, tol)[1].T, len(u), "a peel")
 
 

@@ -14,7 +14,7 @@ import helpers
 import qbirkhoff.cli as cli
 from qbirkhoff.birkhoff import PermutationDecomposition
 from qbirkhoff.cli import _tolerance, build_parser, main
-from qbirkhoff.extremality import ExtremalDecomposition
+from qbirkhoff.extremality import CP, CP_PHI, ExtremalDecomposition, decompose_extremal
 from qbirkhoff.channels import channel_to_dict, matrix_to_pairs
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance
 from qbirkhoff.catalog import BUILTINS, build_example
@@ -598,3 +598,15 @@ def test_decompose_json_skips_the_stderr_only_error(capsys, monkeypatch):
     code, quiet_out, err = run_cli(capsys, "decompose", "ex2.12")
     assert code == 0 and quiet_out == out and len(calls) == 1
     assert re.fullmatch(r"2 extremal terms, depth 1, reconstruction error \d\.\d\de-1\d\n", err)
+
+
+def test_decompose_weights_are_exact_floats_and_equal_index_terms_render_as_one_column():
+    # numpy scalars never fill a template, so float weights let a payload whose terms share
+    # one index render from one record template; its bytes stay the stdlib's
+    for n, d, kind in ((3, 9, CP), (3, 9, CP_PHI), (2, 4, CP)):
+        dec = decompose_extremal(helpers.random_unitary_mixture(n, d, np.random.default_rng(60)), kind)
+        assert len(dec.terms) > 1 and all(type(w) is float for w, _ in dec.terms)
+    assert {term.index for _, term in dec.terms} == {1}  # the qubit CP walk ends at unitaries
+    payload = [{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms]
+    assert cli._column(payload) is not None
+    assert cli._render(payload) == json.dumps(payload, indent=2)

@@ -16,7 +16,7 @@ from qbirkhoff import (
     verify_certificate,
 )
 from qbirkhoff.catalog import diagonal_pair_family, spin_triple_family
-from qbirkhoff.conjugacy import certificate_from_dict, certificate_to_dict
+from qbirkhoff.conjugacy import certificate_from_dict, certificate_to_dict, spectra_match
 from qbirkhoff.numerics import NumericalFailure, Tolerance, dagger, max_abs
 
 import helpers
@@ -115,6 +115,28 @@ def test_conjugate_data_test_rejects_different_spectra(rng):
     b = data_matrix(helpers.random_ds_channel(3, rng))
     # two independent random channels essentially never share a spectrum
     assert conjugate_data_test(a, b) is None
+
+
+def test_conjugacy_verdicts_match_the_trace_loop_data_matrices(ds_corpus):
+    # each corpus channel against a Kraus-gauge mix of itself (D' = u D u*, conjugate) and
+    # against the next channel (distinct spectra): the Gram-product data matrices give the
+    # verdicts of the hermitized tr(ρ v_i v_j*) loop
+    gen = np.random.default_rng(2750)
+
+    def by_loop(fam):
+        dm = helpers.data_matrix_by_loop(fam, np.eye(fam.dim) / fam.dim)
+        return (dm + dagger(dm)) / 2.0
+
+    verdicts = []
+    for ch, other in zip(ds_corpus, ds_corpus[1:] + ds_corpus[:1]):
+        mixed = KrausFamily(helpers.gauge_mixed(ch.kraus.ops, helpers.haar_unitary(ch.index, gen)))
+        for fam in (mixed, other.kraus):
+            got = (data_matrix(ch), data_matrix(fam))
+            loop = (by_loop(ch.kraus), by_loop(fam))
+            verdict = spectra_match(*map(spectrum_invariant, got)), conjugate_data_test(*got) is not None
+            assert verdict == (spectra_match(*map(spectrum_invariant, loop)), conjugate_data_test(*loop) is not None)
+            verdicts.append(verdict)
+    assert verdicts == [(True, True), (False, False)] * len(ds_corpus)
 
 
 def test_block_projection_identity():

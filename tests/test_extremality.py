@@ -10,6 +10,7 @@ from qbirkhoff import (
     KrausFamily,
     choi_extremal_test,
     decompose_extremal,
+    embed_classical,
     hermitize_certificate,
     landau_streater_test,
 )
@@ -86,15 +87,16 @@ def test_weyl_pair_certificate_is_frozen_diagonal():
 
 
 def test_hermitize_certificate_matches_the_tests(rng):
-    # the routine the tests call, on the matrix of the first j operators (all of them up
-    # to index j), gives the leading j×j block of their certificate, which is zero outside it
+    # the routines the tests call, on the matrix of the first j operators (all of them up
+    # to index j), give the leading j×j block of their certificate, which is zero outside it;
+    # the index-4 mixture is past the CP bound, where the null vector comes from a QR
     cases = ((CP, choi_extremal_test, product_matrix), (CP_PHI, landau_streater_test, stacked_matrix))
     for kind, test, matrix in cases:
         for ch in (build_example("ex2.12", m=2), helpers.random_unitary_mixture(2, 4, rng)):
             _, cert = test(ch)
             j = min(ch.index, helpers.subfamily_size(ch.dim, kind))
             m = matrix(KrausFamily.from_ops(ch.kraus.ops[:j]))
-            _, nullvec = _rank_and_null(m, DEFAULT_TOLERANCE)
+            nullvec = extremality._null_vector(m, kind, DEFAULT_TOLERANCE)
             again = hermitize_certificate(nullvec, m, kind)
             assert again.kind == cert.kind == kind
             assert np.array_equal(again.lam, cert.lam[:j, :j])
@@ -116,6 +118,73 @@ def test_null_vector_ignores_row_mixing():
             assert max_abs(x - helpers.null_vector_by_projector(m)) < 1e-10
             q, _ = np.linalg.qr(gen.normal(size=(len(m), len(m))))
             assert max_abs(_rank_and_null(q @ m, DEFAULT_TOLERANCE)[1] - x) < 1e-12
+
+
+def _rank_test_routes(monkeypatch):
+    # ("qr", shape of mᵀ) for each QR and ("svd", shape of m) for each matrix whose rank
+    # _rank_and_null's SVD decides, call by call
+    routes, svd_rule, qr = [], extremality._rank_and_null, np.linalg.qr
+
+    def recorded_svd(m, tol):
+        routes.append(("svd", m.shape))
+        return svd_rule(m, tol)
+
+    def recorded_qr(a, *args, **kwargs):
+        routes.append(("qr", a.shape))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(extremality, "_rank_and_null", recorded_svd)
+    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    return routes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_past_the_bound_certificates_come_from_a_qr(n, monkeypatch):
+    # seeded unitary mixtures of every index d from j (the counting bound's subfamily size)
+    # to n²: the certificate of the QR's row-space basis is the one of the projector column
+    # on the whole rank-test matrix, and the first j operators are dependent by a rank oracle.
+    # CP_phi on M_2 is the exception: its stacked rank is 4 of 7 rows, and it goes straight
+    # to the SVD, with no QR
+    routes = _rank_test_routes(monkeypatch)
+    for kind, test, matrix in ((CP, choi_extremal_test, product_matrix),
+                               (CP_PHI, landau_streater_test, stacked_matrix)):
+        j = helpers.subfamily_size(n, kind)
+        rows = n * n if kind == CP else 2 * n * n - 1
+        for d in range(j, n * n + 1):
+            ch = helpers.random_unitary_mixture(n, d, np.random.default_rng(2800 + 100 * n + d))
+            assert ch.index == d
+            routes.clear()
+            ok, cert = test(ch)
+            qubit_cp_phi = (n, kind) == (2, CP_PHI)
+            assert routes == ([("svd", (2 * n * n, j * j))] if qubit_cp_phi else [("qr", (j * j, rows))])
+            lead = KrausFamily(ch.kraus.ops[:j])
+            assert not ok
+            assert helpers.dilation_rank(helpers.pair_vectors(lead, kind == CP_PHI)) < j * j
+            m = matrix(lead)
+            oracle = hermitize_certificate(helpers.null_vector_by_projector(m), m, kind)
+            assert max_abs(cert.lam[:j, :j] - oracle.lam) < 1e-12
+            assert not np.any(cert.lam[j:]) and not np.any(cert.lam[:, j:])
+            fwd, rev = cert.residuals(ch.kraus)
+            assert fwd < 1e-8 and (kind == CP or rev < 1e-8)
+
+
+def test_rank_drops_past_the_bound_keep_the_svd_certificate(monkeypatch):
+    # past the bound, but with R's diagonal at the cutoff: depolarizing on M_3 and M_4 and a
+    # classical permutation mixture on M_4 keep the SVD rule's certificate, bit for bit
+    routes = _rank_test_routes(monkeypatch)
+    s = helpers.random_ds_matrix(4, np.random.default_rng(2900))
+    channels = (build_example("depolarizing", n=3), build_example("depolarizing", n=4), embed_classical(s))
+    for ch in channels:
+        for kind, test, matrix in ((CP, choi_extremal_test, product_matrix),
+                                   (CP_PHI, landau_streater_test, stacked_matrix)):
+            j = helpers.subfamily_size(ch.dim, kind)
+            assert ch.index >= j
+            m = matrix(KrausFamily(ch.kraus.ops[:j]))
+            routes.clear()
+            ok, cert = test(ch)
+            assert not ok and routes[1:] == [("svd", m.shape)] and routes[0][0] == "qr"
+            _, nullvec = _rank_and_null(m, DEFAULT_TOLERANCE)
+            assert np.array_equal(cert.lam[:j, :j], hermitize_certificate(nullvec, m, kind).lam)
 
 
 def test_certificates_hold_under_rounding_level_perturbations():

@@ -63,6 +63,22 @@ def test_pair_kernels_match_per_pair_loops(n, d):
         assert max_abs(got - expect) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_data_matrix_gram_product_matches_the_trace_loop(n):
+    # full Choi rank d = n², at the normalized trace and at seeded random states: the one
+    # Gram product flat(ρ·V) · flat(V)* is tr(ρ v_i v_j*) entry for entry, exactly hermitian
+    rng = np.random.default_rng(7500 + n)
+    fam = helpers.random_unitary_mixture(n, n * n, rng).kraus
+    assert fam.index == n * n
+    scale = max(1.0, max_abs(fam.ops)) ** 2
+    for state in (None, random_state(n, rng), random_state(n, rng)):
+        rho = np.eye(n) / n if state is None else state
+        dm = data_matrix(fam, state=state)
+        assert dm.shape == (n * n, n * n)
+        assert max_abs(dm - helpers.data_matrix_by_loop(fam, rho)) < 1e-14 * scale
+        assert np.array_equal(dm, dagger(dm))
+
+
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_real_matrices_keep_the_complex_ranks(n, stacked):
