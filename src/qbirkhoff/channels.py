@@ -50,6 +50,7 @@ __all__ = [
     "kraus_from_choi",
     "superoperator_from_kraus",
     "adjoint_channel",
+    "pairs_array",
     "matrix_to_pairs",
     "matrix_from_pairs",
     "channel_to_dict",
@@ -280,10 +281,15 @@ def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 # is decoded by ``float_array``, so a malformed file is a ``ValueError``.
 
 
-def matrix_to_pairs(m) -> list:
-    """Nested lists of [re, im] pairs, for an array of any shape."""
+def pairs_array(m) -> np.ndarray:
+    """[re, im] pairs on a trailing axis of 2, for a complex array of any shape."""
     a = np.asarray(m, dtype=complex)
-    return np.stack((a.real, a.imag), -1).tolist()
+    return np.stack((a.real, a.imag), -1)
+
+
+def matrix_to_pairs(m) -> list:
+    """Nested lists of [re, im] pairs, ``pairs_array(m).tolist()``."""
+    return pairs_array(m).tolist()
 
 
 def float_array(value, axes: int, what: str) -> np.ndarray:
@@ -319,7 +325,7 @@ def matrix_from_pairs(rows) -> np.ndarray:
 
 
 def channel_to_dict(ch: Channel) -> dict:
-    return {"dim": ch.dim, "kraus": [matrix_to_pairs(v) for v in ch.kraus.ops]}
+    return {"dim": ch.dim, "kraus": matrix_to_pairs(ch.kraus.ops)}
 
 
 def family_from_dict(data) -> KrausFamily:

@@ -28,10 +28,9 @@ from .catalog import BUILTINS, build_example, build_family
 from .channels import (
     Channel,
     NotCompletelyPositive,
-    channel_to_dict,
     family_from_dict,
     loads_json,
-    matrix_to_pairs,
+    pairs_array,
 )
 from .conjugacy import (
     data_matrix,
@@ -65,13 +64,14 @@ def _say(args, text: str):
 @functools.lru_cache(maxsize=256)
 def _layout(shape: tuple, pad: str) -> str:
     # json.dumps(indent=2) at indent pad of a value of this shape, leaves as %s: a
-    # shape is () for a leaf, (length, item shape) for a nonempty list, and a tuple
-    # of (key, value shape) pairs for a nonempty dict
+    # shape is () for a leaf, (length, item shape) for a list (of length 0 from an
+    # array's zero extent), and a tuple of (key, value shape) pairs for a nonempty dict
     if not shape:
         return "%s"
     inner = pad + "  "
     if type(shape[0]) is int:
-        return "[" + inner + ("," + inner).join([_layout(shape[1], inner)] * shape[0]) + pad + "]"
+        items = [_layout(shape[1], inner)] * shape[0]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     items = [encode_basestring_ascii(k).replace("%", "%%") + ": " + _layout(v, inner) for k, v in shape]
     return "{" + inner + ("," + inner).join(items) + pad + "}"
 
@@ -79,10 +79,14 @@ def _layout(shape: tuple, pad: str) -> str:
 def _column(level):
     # (shape, leaves) when every value in level has one shape whose leaf positions
     # each hold all exact int or all exact finite float (not bool, not numpy
-    # scalars), leaves value by value; None otherwise
+    # scalars), leaves value by value; None otherwise.  Finite float64 or int64
+    # arrays of one shape and dtype join into one, whose ravel().tolist() is the leaves
     kinds = set(map(type, level))
     if kinds == {int} or kinds == {float} and all(map(math.isfinite, level)):
         return (), level
+    if kinds == {np.ndarray} and len({(a.shape, a.dtype) for a in level}) == 1:
+        if (a := np.array(level)).dtype in (np.float64, np.int64) and np.isfinite(a).all():
+            return functools.reduce(lambda item, n: (n, item), a.shape[:0:-1], ()), a.ravel().tolist()
     if kinds == {list} and len(sizes := set(map(len, level))) == 1 and (size := sizes.pop()):
         found = _column(list(itertools.chain.from_iterable(level)))
         return found and ((size, found[0]), found[1])
@@ -90,7 +94,7 @@ def _column(level):
         if not all(found := list(map(_column, zip(*map(dict.values, level))))):
             return None
         # each column's leaves cut into one group per value, groups interleaved value by value
-        groups = [zip(*[iter(leaves)] * (len(leaves) // len(level))) for _, leaves in found]
+        groups = [zip(*[iter(leaves)] * (len(leaves) // len(level))) for _, leaves in found if leaves]
         leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*groups)))
         return tuple(zip(keys, [shape for shape, _ in found])), list(leaves)
     return None
@@ -99,11 +103,15 @@ def _column(level):
 def _render(o, pad: str = "\n") -> str:
     # Exact float and int (not bool, not numpy scalars) print as float.__repr__
     # and int.__repr__, as in the stdlib encoder, whose finite reprs hold no "n".
-    # A list whose items share one shape (a rectangular array, or records with the
-    # same keys in the same order) fills one template made of its cached item
-    # template; any other list renders item by item.
+    # A numpy array renders as its tolist, a finite float64 or int64 one from the
+    # cached template of its own shape.  A list whose items share one shape (records
+    # with the same keys in the same order, equal rows) fills, through _column, one
+    # template made of its cached item template; any other list renders item by item.
     if type(o) in (float, int) and "n" not in (text := type(o).__repr__(o)):
         return text
+    if type(o) is np.ndarray:
+        found = _column([o])
+        return _layout(found[0], pad) % tuple(found[1]) if found else _render(o.tolist(), pad)
     inner = pad + "  "
     if isinstance(o, dict) and o:
         items = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in o.items()]
@@ -118,7 +126,8 @@ def _render(o, pad: str = "\n") -> str:
 
 def _emit(payload):
     """The one JSON writer, every subcommand's stdout: exactly ``json.dumps(payload,
-    indent=2, allow_nan=False)`` and a newline (dict keys are strings), in one write.
+    indent=2, allow_nan=False, default=np.ndarray.tolist)`` and a newline (dict keys
+    are strings), in one write.
     Rendering comes first, so a payload that does not encode (a non-finite float is
     ``ValueError``) leaves stdout empty."""
     sys.stdout.write(_render(payload) + "\n")
@@ -172,18 +181,22 @@ def _load_channel(args, tol: Tolerance) -> Channel:
     return Channel.from_kraus(fam, tol)
 
 
+def _channel_dict(ch: Channel) -> dict:  # channel_to_dict's keys, the Kraus stack one array
+    return {"dim": ch.dim, "kraus": pairs_array(ch.kraus.ops)}
+
+
 def _certificate_dict(cert) -> dict | None:
     if cert is None:
         return None
-    return {"kind": cert.kind, "lambda": matrix_to_pairs(cert.lam)}
+    return {"kind": cert.kind, "lambda": pairs_array(cert.lam)}
 
 
 def _classification_dict(sc) -> dict:
     return {
-        "eigenvalues": matrix_to_pairs(sc.eigenvalues),
+        "eigenvalues": pairs_array(sc.eigenvalues),
         "fixed_dim": sc.fixed_dim,
         "ergodic": sc.ergodic,
-        "peripheral": matrix_to_pairs(sc.peripheral),
+        "peripheral": pairs_array(sc.peripheral),
         "period": sc.period,
         "aperiodic": sc.aperiodic,
         "strongly_mixing": sc.strongly_mixing,
@@ -210,7 +223,7 @@ def cmd_analyze(args) -> int:
             }
     if ch.is_doubly_stochastic():
         report["spectral"] = _classification_dict(classify(ch, tol))
-    report["data_spectrum"] = [float(x) for x in spectrum_invariant(data_matrix(ch, tol=tol))]
+    report["data_spectrum"] = spectrum_invariant(data_matrix(ch, tol=tol))
     _emit(report)
 
     flags = []
@@ -237,7 +250,7 @@ def cmd_decompose(args) -> int:
     ch = _load_channel(args, tol)
     kind = CP_PHI if args.kind == "CP_phi" else CP
     dec = decompose_extremal(ch, kind=kind, tol=tol)
-    _emit([{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms])
+    _emit([{"weight": w, "channel": _channel_dict(term)} for w, term in dec.terms])
     if not args.json:  # the error is for the stderr line only, which --json mutes
         err = dec.reconstruction_error(ch)
         _say(args, f"{len(dec.terms)} extremal terms, depth {dec.depth}, reconstruction error {err:.2e}")
@@ -253,8 +266,8 @@ def cmd_conjugacy(args) -> int:
     spec_b = spectrum_invariant(data_matrix(fam_b, tol=tol))
     match = spectra_match(spec_a, spec_b)
     report = {
-        "spectrum_a": [float(x) for x in spec_a],
-        "spectrum_b": [float(x) for x in spec_b],
+        "spectrum_a": spec_a,
+        "spectrum_b": spec_b,
         "spectra_match": match,
         "certificate_verified": None,
     }
@@ -292,7 +305,7 @@ def cmd_birkhoff(args) -> int:
 def cmd_example(args) -> int:
     (params,) = _builtin_params(args, [args.name])
     ch = build_example(args.name, tol=_tolerance(args), **params)
-    _emit(channel_to_dict(ch))
+    _emit(_channel_dict(ch))
     _say(args, f"{args.name}: channel on M_{ch.dim}, index {ch.index}")
     return 0
 
@@ -307,7 +320,7 @@ def cmd_classify(args) -> int:
     if period > 1:
         fam = cyclic_projections(ch, tol)
         if fam is not None:
-            report["cyclic_projections"] = [matrix_to_pairs(e) for e in fam.projections]
+            report["cyclic_projections"] = pairs_array(fam.projections)
     _emit(report)
     _say(
         args,

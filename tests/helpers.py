@@ -533,6 +533,7 @@ def permutation_mixture_by_loop(dec):
 _FLOAT_EDGES = (-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7)
 _INT_EDGES = (0, -1, 2**53 + 1, 2**64 + 1, -(2**70))
 _OTHER_LEAVES = (None, True, False, "\u00e9\u2211 \"q\"\\\n", "")
+_INT64_EDGES = (0, -1, 2**53 + 1, -(2**63), 2**63 - 1)
 
 
 def _json_leaf(rng, kind):
@@ -555,17 +556,35 @@ def _json_array(rng, shape, leaf):
     return [_json_array(rng, shape[1:], leaf) for _ in range(shape[0])]
 
 
+def _ndarray(rng, shape, dtype):
+    # a numpy array of edge and random values: float64 and int64 ones render from
+    # their own shape, bool and float32 ones through tolist
+    size = math.prod(shape)
+    if dtype == "int64":
+        leaves = [_INT64_EDGES[rng.integers(5)] if rng.random() < 0.3 else int(rng.integers(-1000, 1000))
+                  for _ in range(size)]
+    elif dtype == "float64":
+        leaves = [_json_leaf(rng, "float") for _ in range(size)]
+    else:
+        leaves = rng.normal(size=size) > 0 if dtype == "bool" else rng.normal(size=size)
+    return np.array(leaves, dtype=dtype).reshape(shape)
+
+
 def random_json_payload(rng, depth=3):
     """A random JSON value built the way the CLI's payloads are: rectangular
-    float and int arrays (the shape of ``matrix_to_pairs`` output and of
-    permutations) inside dicts and lists, at every indent depth up to
-    ``depth``, beside what such an array must not be taken for: ragged,
-    empty and mixed lists, and bool, None, string and numpy float leaves."""
+    float and int arrays, as numpy arrays (the shape of ``pairs_array`` output)
+    or nested lists (permutations), inside dicts and lists, at every indent
+    depth up to ``depth``, beside what such an array must not be taken for:
+    ragged, empty and mixed lists, and bool, None, string and numpy float
+    leaves, and bool and float32 arrays."""
     roll = rng.integers(7 if depth > 0 else 2)
     if roll == 0:
         return _json_leaf(rng, ("float", "int", "float64", "other")[rng.integers(4)])
     if roll == 1:  # rectangular, one leaf kind; a zero extent makes it empty
         shape = tuple(rng.integers(0 if rng.random() < 0.1 else 1, 4, size=rng.integers(1, 4)))
+        if rng.random() < 0.5:  # a numpy array, of 0 to 3 axes
+            dtype = ("float64", "int64", "bool", "float32")[rng.integers(4)]
+            return _ndarray(rng, shape[rng.integers(2) :], dtype)
         kind = ("float", "int", "float64", "other")[rng.integers(4)]
         return _json_array(rng, shape, lambda: _json_leaf(rng, kind))
     if roll == 2:  # ragged: equal depth, unequal lengths
@@ -590,14 +609,23 @@ _RECORD_KEYS = ("weight", "permutation", "", "%", "%s", 'a"b', "\u00e9")
 
 def _record_value(rng, depth):
     # a maker of one key's values, of one shape and leaf kind in every record: a
-    # float or int, a rectangular array of either, or (above depth 0) a nested dict
+    # float or int, a rectangular array of either as nested lists, as a float64 or
+    # int64 numpy array (zero extents allowed) or as a list of such arrays, or
+    # (above depth 0) a nested dict
     kind = ("float", "int")[rng.integers(2)]
-    roll = rng.integers(3 if depth > 0 else 2)
+    roll = rng.integers(5 if depth > 0 else 4)
     if roll == 0:
         return lambda: _json_leaf(rng, kind)
     if roll == 1:
         shape = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
         return lambda: _json_array(rng, shape, lambda: _json_leaf(rng, kind))
+    if roll in (2, 3):
+        shape = tuple(rng.integers(0 if rng.random() < 0.2 else 1, 4, size=rng.integers(0, 4)))
+        dtype = kind + "64"
+        if roll == 2:
+            return lambda: _ndarray(rng, shape, dtype)
+        count = rng.integers(1, 4)
+        return lambda: [_ndarray(rng, shape, dtype) for _ in range(count)]
     return _record(rng, depth - 1)
 
 
@@ -610,11 +638,14 @@ def _record(rng, depth):
 
 def _broken(record, rng):
     # the record with its uniformity broken one way: keys reordered or missing, a
-    # bool, None, string or numpy float leaf, an int for a float, a ragged or empty array
+    # bool, None, string or numpy float leaf, an int for a float, a ragged or empty
+    # array, or a numpy array of another dtype or shape
     leaves = _paths(record, lambda o: not isinstance(o, (dict, list)))
     floats = _paths(record, lambda o: type(o) is float)
     arrays = _paths(record, lambda o: type(o) is list)
+    ndarrays = _paths(record, lambda o: type(o) is np.ndarray)
     ways = ["keys", "leaf"] + ["int"] * bool(floats) + ["array"] * bool(arrays)
+    ways += ["ndarray"] * bool(ndarrays)
     way = ways[rng.integers(len(ways))]
     if way == "keys":
         items = list(record.items())
@@ -628,6 +659,12 @@ def _broken(record, rng):
         return _replaced(record, leaves[rng.integers(len(leaves))], other)
     if way == "int":
         return _replaced(record, floats[rng.integers(len(floats))], 1)
+    if way == "ndarray":
+        path = ndarrays[rng.integers(len(ndarrays))]
+        a = _at(record, path)
+        other = np.zeros(a.shape, np.int64 if a.dtype == np.float64 else np.float64)
+        ways = [other, a.astype(bool), a[None]] + ([a[:-1]] if a.ndim else [])
+        return _replaced(record, path, ways[rng.integers(len(ways))])
     path = arrays[rng.integers(len(arrays))]
     array = _at(record, path)
     return _replaced(record, path, array[:-1] if len(array) > 1 else [])
@@ -674,9 +711,19 @@ def _replaced(payload, path, value):
 
 
 def plant(payload, value, rng):
-    """A copy of ``payload`` with one float leaf, drawn at random, replaced by
-    ``value``; None when the payload holds no float leaf."""
-    paths = _paths(payload, lambda o: isinstance(o, float))
+    """A copy of ``payload`` with one float leaf, or one entry of a nonempty
+    numpy float array, drawn at random, replaced by ``value``; None when the
+    payload holds neither."""
+    paths = _paths(payload, lambda o: isinstance(o, float) or _float_ndarray(o) and o.size > 0)
     if not paths:
         return None
-    return _replaced(payload, paths[rng.integers(len(paths))], value)
+    path = paths[rng.integers(len(paths))]
+    if _float_ndarray(node := _at(payload, path)):
+        node = node.copy()
+        node.flat[rng.integers(node.size)] = value
+        value = node
+    return _replaced(payload, path, value)
+
+
+def _float_ndarray(o) -> bool:
+    return type(o) is np.ndarray and o.dtype.kind == "f"

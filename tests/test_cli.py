@@ -448,8 +448,9 @@ def test_tol_reaches_builtin_construction(capsys, command):
 
 
 def dumps(payload) -> str:
-    """The stdout contract of every subcommand, by the stdlib encoder."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The stdout contract of every subcommand, by the stdlib encoder, which
+    writes a numpy array as its tolist."""
+    return json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
 
 
 def emitted(capsys, payload) -> str:
@@ -464,12 +465,33 @@ EMIT_EDGE_CASES = [
     2**64 + 1, [[2**70, -3]], -0.0, [-0.0, 5e-324, 1e308, -1e308], 5e-324,
     "\u00e9\u2211 \"q\"", None, [None], (1.0, 2.0), {"k": (), "\u00e9": [[]]},
     {"a": [[[1.0, 2.0]], [[3.0, 4.0]]], "b": {"c": [[0, 1], [1, 0]], "d": [True]}},
+    # numpy arrays: zero extents, edge values, 0-d, nested in dicts and records, lists of
+    # arrays that join (one shape and dtype) or not, and bool and float32 through tolist
+    np.zeros((0, 2)), np.zeros((2, 0)), {"p": np.zeros((2, 0)), "q": [np.zeros((0, 2))]},
+    np.zeros((3, 0, 2)), np.array([-0.0, 5e-324, 1e308, -1e308, 0.1]), np.array(2.5),
+    np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max], [0, -1]]),
+    {"lambda": np.arange(8.0).reshape(2, 2, 2), "e": {"f": np.arange(3)}},
+    [np.eye(2), np.ones((2, 2))], [np.eye(2), np.eye(2, dtype=np.int64)], [np.eye(2), np.ones(3)],
+    [{"w": 0.5, "k": np.eye(2)[None]}, {"w": 0.25, "k": np.ones((1, 2, 2))}],
+    [{"w": 1, "k": [np.zeros((0, 2))]}, {"w": 2, "k": [np.zeros((0, 2))]}],
+    [{"w": 1.0, "k": np.eye(2)}, {"w": 2.0, "k": np.eye(3)}],
+    np.array([True, False]), [np.array([True]), np.array([False])], np.array([0.5, 2.0], np.float32),
 ]
 
 
 @pytest.mark.parametrize("payload", EMIT_EDGE_CASES, ids=repr)
 def test_emit_edge_cases_are_the_stdlib_bytes(capsys, payload):
     assert emitted(capsys, payload) == dumps(payload)
+
+
+def test_emit_refuses_a_complex_array_as_the_stdlib_does(capsys):
+    # complex entries are no JSON numbers: such an array never fills a template
+    for payload in (np.array([1 + 2j]), [np.array([1j]), np.array([2j])], {"k": np.zeros((2, 2), complex)}):
+        with pytest.raises(TypeError):
+            dumps(payload)
+        with pytest.raises(TypeError):
+            cli._emit(payload)
+        assert capsys.readouterr().out == ""
 
 
 def test_emit_random_payloads_are_the_stdlib_bytes(capsys):
@@ -483,6 +505,7 @@ def test_emit_random_payloads_are_the_stdlib_bytes(capsys):
 def test_emit_refuses_a_non_finite_float_anywhere_and_writes_nothing(capsys, bad):
     rng = np.random.default_rng(1718)
     planted = [bad, [bad], [[1.0, bad]], {"k": [[0.5, 0.5], [bad, 0.0]]}, [1, bad], [True, bad]]
+    planted += [np.array(bad), np.array([[0.5, bad]]), {"k": [np.eye(2), np.array([[bad, 0.0]] * 2)]}]
     while len(planted) < 60:
         payload = helpers.plant(helpers.random_json_payload(rng, depth=4), bad, rng)
         if payload is not None:
@@ -505,6 +528,8 @@ def test_emit_refuses_a_non_finite_float_in_any_record_and_writes_nothing(capsys
     rng = np.random.default_rng(1721)
     terms = [{"weight": 0.5, "permutation": [0, 1]}, {"weight": 0.5, "permutation": [1, 0]}]
     planted = [helpers.plant(terms, bad, rng) for _ in range(4)]
+    kraus = [{"weight": 0.5, "kraus": np.eye(2)[None]} for _ in range(2)]
+    planted += [helpers.plant(kraus, bad, rng) for _ in range(4)]
     while len(planted) < 60:
         payload = helpers.plant(helpers.random_record_list(rng), bad, rng)
         if payload is not None:
@@ -513,6 +538,23 @@ def test_emit_refuses_a_non_finite_float_in_any_record_and_writes_nothing(capsys
         with pytest.raises(ValueError):
             cli._emit(payload)
         assert capsys.readouterr().out == ""
+
+
+def test_classify_prints_an_empty_peripheral_list(tmp_path, capsys, monkeypatch):
+    """At --tol 1e-6 the qubit depolarizing channel at p = 1e-7 reads as (1 − 7.5e-8)·id:
+    every eigenvalue counts as fixed and none as peripheral (ROADMAP item 19), so
+    "peripheral" is a 0×2 array, printed as []."""
+    p = 1e-7
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    ops = [np.sqrt(1 - 3 * p / 4) * paulis[0]] + [np.sqrt(p / 4) * s for s in paulis[1:]]
+    path = tmp_path / "depolarizing.json"
+    path.write_text(json.dumps({"dim": 2, "kraus": matrix_to_pairs(ops)}))
+    payloads, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: payloads.append(payload) or emit(payload))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--tol", "1e-6", "--json")
+    assert code == 0 and len(payloads) == 1 and out == dumps(payloads[0])
+    assert payloads[0]["peripheral"].shape == (0, 2) and '\n  "peripheral": [],\n' in out
+    assert json.loads(out)["fixed_dim"] == 4
 
 
 def _corpus_argvs(paths, ds_files):
@@ -610,3 +652,6 @@ def test_decompose_weights_are_exact_floats_and_equal_index_terms_render_as_one_
     payload = [{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms]
     assert cli._column(payload) is not None
     assert cli._render(payload) == json.dumps(payload, indent=2)
+    # as the CLI hands them over, the terms' Kraus stacks are arrays, which join into one
+    arrays = [{"weight": w, "channel": cli._channel_dict(term)} for w, term in dec.terms]
+    assert cli._column(arrays) is not None and cli._render(arrays) == cli._render(payload)
