@@ -28,10 +28,10 @@ __all__ = [
     "decomposition_to_dicts",
 ]
 
-# residual entries below 64·n·eps are zeroed between matching rounds
+# residual entries below 64·n·eps, a roundoff bound and so fixed, are zeroed between rounds
 _CLAMP_FACTOR = 64 * np.finfo(float).eps
 
-# the greedy loop stops once the residual mass drops below n times this
+# the greedy loop stops once the residual mass drops below n times this roundoff floor
 _MASS_FLOOR = 1e-13
 
 
@@ -208,8 +208,8 @@ def embed_classical(s, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 # --- JSON surface ---------------------------------------------------------
 
 
-def ds_matrix_to_dict(s) -> dict:
-    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s)
+def ds_matrix_to_dict(s, tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
+    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
     return {"n": ds.n, "rows": [[float(x) for x in row] for row in ds.matrix]}
 
 

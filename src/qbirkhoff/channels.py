@@ -134,6 +134,8 @@ def superoperator_from_kraus(k) -> np.ndarray:
 
 
 def _entry_key(op: np.ndarray) -> tuple:
+    """Entries rounded to a fixed 12 digits, as the canonical order's eigenvalue keys
+    are: that order decides nothing, so it does not move with the tolerance."""
     return tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in op.ravel(order="C"))
 
 

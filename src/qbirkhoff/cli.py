@@ -52,10 +52,6 @@ from .spectral import classify, cyclic_projections
 __all__ = ["main", "run", "build_parser"]
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(args.tol)
-
-
 def _say(args, text: str):
     if not args.json:
         print(text, file=sys.stderr)
@@ -204,7 +200,7 @@ def _classification_dict(sc) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     ch = _load_channel(args, tol)
     report = {
         "dim": ch.dim,
@@ -246,7 +242,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     ch = _load_channel(args, tol)
     kind = CP_PHI if args.kind == "CP_phi" else CP
     dec = decompose_extremal(ch, kind=kind, tol=tol)
@@ -258,13 +254,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_conjugacy(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     fam_a, fam_b = _load_families(args, tol, args.channel_a, args.channel_b)
     if fam_a.dim != fam_b.dim:
         raise ValueError(f"dimension mismatch: {fam_a.dim} vs {fam_b.dim}")
     spec_a = spectrum_invariant(data_matrix(fam_a, tol=tol))
     spec_b = spectrum_invariant(data_matrix(fam_b, tol=tol))
-    match = spectra_match(spec_a, spec_b)
+    match = spectra_match(spec_a, spec_b, tol)
     report = {
         "spectrum_a": spec_a,
         "spectrum_b": spec_b,
@@ -288,7 +284,7 @@ def cmd_conjugacy(args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     ds = loads_ds_matrix(_read_text(args.matrix), tol)
     dec = birkhoff_decompose(ds, tol)
     _emit(decomposition_to_dicts(dec))
@@ -304,14 +300,14 @@ def cmd_birkhoff(args) -> int:
 
 def cmd_example(args) -> int:
     (params,) = _builtin_params(args, [args.name])
-    ch = build_example(args.name, tol=_tolerance(args), **params)
+    ch = build_example(args.name, tol=Tolerance(args.tol), **params)
     _emit(_channel_dict(ch))
     _say(args, f"{args.name}: channel on M_{ch.dim}, index {ch.index}")
     return 0
 
 
 def cmd_classify(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     ch = _load_channel(args, tol)
     sc = classify(ch, tol)
     report = _classification_dict(sc)
@@ -344,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol", type=float, default=DEFAULT_TOLERANCE.cutoff,
             help="the one cutoff of every rank, PSD and equality decision "
-            "(default 1e-9); fixed cutoffs such as the certificate residual "
-            "(1e-8) do not move",
+            "(default 1e-9); the certificate residual, the spectra match and the "
+            "peripheral band are 10 times it, the structural checks 100 times",
         )
         p.add_argument("--json", action="store_true", help="machine output only (mute stderr text)")
 

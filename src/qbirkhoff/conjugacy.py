@@ -26,7 +26,6 @@ from .channels import (
 )
 from .numerics import (
     DEFAULT_TOLERANCE,
-    STRUCT_TOL,
     NumericalFailure,
     Tolerance,
     as_matrix,
@@ -51,9 +50,6 @@ __all__ = [
     "certificate_from_dict",
     "load_certificate",
 ]
-
-# invariant spectra farther apart than this (entrywise) differ
-_SPECTRA_MATCH = 1e-8
 
 
 def _family(obj) -> KrausFamily:
@@ -96,11 +92,11 @@ def spectrum_invariant(dm, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     return vals
 
 
-def spectra_match(spec_a, spec_b) -> bool:
+def spectra_match(spec_a, spec_b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether two invariant spectra (descending) agree: equal sizes and every
-    entry within a fixed 1e-8."""
+    entry within ``tol.residual``, ten times the cutoff (1e-8 at the default)."""
     a, b = np.asarray(spec_a), np.asarray(spec_b)
-    return a.size == b.size and bool(np.max(np.abs(a - b)) <= _SPECTRA_MATCH)
+    return a.size == b.size and bool(np.max(np.abs(a - b)) <= tol.residual)
 
 
 def conjugate_data_test(dm, dm2, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -110,10 +106,10 @@ def conjugate_data_test(dm, dm2, tol: Tolerance = DEFAULT_TOLERANCE):
         return None
     vals_a, vecs_a = hermitian_eig(a, tol)
     vals_b, vecs_b = hermitian_eig(b, tol)
-    if not spectra_match(vals_a, vals_b):
+    if not spectra_match(vals_a, vals_b, tol):
         return None
     g = vecs_b @ dagger(vecs_a)
-    if max_abs(g @ a @ dagger(g) - b) > STRUCT_TOL:
+    if max_abs(g @ a @ dagger(g) - b) > tol.structural:
         return None
     return g
 
@@ -136,7 +132,7 @@ def verify_certificate(
     ops = np.conj(fam.ops) if cert.antiunitary else fam.ops
     lhs = u @ ops @ dagger(u)
     rhs = w @ np.tensordot(g, fam2.ops, axes=1)
-    return max_abs(lhs - rhs) <= max(tol.cutoff, 1e-9)
+    return max_abs(lhs - rhs) <= tol.cutoff
 
 
 def choi_block_projection(k, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, bool]:
@@ -165,7 +161,7 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
 
     The residuals grow with the families' unit defects (‖uu* − I‖ is twice one
     defect for two copies of (1+ε)·I), so the post-checks allow the sum of both
-    families' measured defects, floored at ``STRUCT_TOL``: a family accepted at a
+    families' measured defects, floored at ``tol.structural``: a family accepted at a
     loose ``tol`` is not refused by them.
     """
     fam, fam2 = _family(k), _family(k2)
@@ -177,7 +173,7 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
         if not is_projection:
             raise ValueError(f"{name} family is not doubly stochastic")
         blocks.append(p)
-    allowance = max(STRUCT_TOL, sum(fam.unit_defects() + fam2.unit_defects()))
+    allowance = max(tol.structural, sum(fam.unit_defects() + fam2.unit_defects()))
     n, d = fam.dim, fam.index
     p, p2 = blocks
     w_full = _eigenbasis(p, n, tol) @ dagger(_eigenbasis(p2, n, tol))

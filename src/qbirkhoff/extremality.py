@@ -55,9 +55,6 @@ __all__ = [
 CP = "CP"
 CP_PHI = "CP_phi"
 
-# residual allowance for certificate checks; spec'd behaviour is < 1e-8
-_CERT_RESIDUAL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class DependencyCertificate:
@@ -143,7 +140,8 @@ def hermitize_certificate(
     (kind CP) or the stacked matrix (kind CP_phi) ``m``: hermitian by construction,
     scaled to operator norm 1, its largest |eigenvalue| in one eigendecomposition,
     with its first coordinate above ``tol.cutoff`` positive.  A residual max|m x|
-    above 1e-8 raises :class:`NumericalFailure`."""
+    above ``tol.residual``, ten times the cutoff (1e-8 at the default), raises
+    :class:`NumericalFailure`."""
     x = np.asarray(nullvec, dtype=float)
     if x.size != m.shape[1]:
         raise ValueError(f"null vector of size {x.size} does not match the {m.shape[1]} columns")
@@ -153,8 +151,8 @@ def hermitize_certificate(
     if not x[np.argmax(np.abs(x) > tol.cutoff)] > 0.0:  # −λ: eigenpairs negated, still ascending
         x, vals, vecs = -x, -vals[::-1], vecs[:, ::-1]
     residual = max_abs(m @ x)
-    if residual > _CERT_RESIDUAL:
-        raise NumericalFailure(f"certificate residual {residual:.2e} above {_CERT_RESIDUAL}")
+    if residual > tol.residual:
+        raise NumericalFailure(f"certificate residual {residual:.2e} above {tol.residual}")
     return DependencyCertificate(hermitian_from_coordinates(x), kind, (vals, vecs))
 
 

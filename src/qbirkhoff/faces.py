@@ -44,12 +44,6 @@ __all__ = [
     "m2_index2_is_extremal",
 ]
 
-# half-width of the boundary band around eigenvalue zero
-_BOUNDARY_BAND = 1e-10
-
-# the closed form is only trusted when it clears this margin
-_CLOSED_FORM_MARGIN = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class SchurSpec:
@@ -114,27 +108,28 @@ def m3_face_membership(
 ) -> str:
     """interior / boundary / outside, decided by the minimum eigenvalue.
 
-    Inside the unit polydisc the determinant sign decides membership too
-    (two negative eigenvalues would force an eigenvalue-square sum above 9);
-    the closed form is compared against the oracle whenever it clears its
-    margin, and disagreement raises :class:`NumericalFailure`.
+    Boundary is ``tol.boundary`` around eigenvalue zero.  Inside the unit polydisc
+    (a fixed 1e-12 of slack for the roundoff of |z|: a domain guard, no decision) the
+    determinant sign decides membership too (two negative eigenvalues would force an
+    eigenvalue-square sum above 9); the closed form is compared against the oracle
+    whenever it clears ``tol.cutoff``, and disagreement raises :class:`NumericalFailure`.
     """
     vals, _ = hermitian_eig(m3_matrix(z1, z2, z3), tol)
     low = float(vals[-1])
-    if low < -_BOUNDARY_BAND:
+    if low < -tol.boundary:
         cls = "outside"
-    elif low > _BOUNDARY_BAND:
+    elif low > tol.boundary:
         cls = "interior"
     else:
         cls = "boundary"
 
     if max(abs(z1), abs(z2), abs(z3)) <= 1.0 + 1e-12:
         closed = m3_closed_form(z1, z2, z3)
-        if closed > _CLOSED_FORM_MARGIN and cls != "interior":
+        if closed > tol.cutoff and cls != "interior":
             raise NumericalFailure(
                 f"closed form {closed:.3e} says interior, oracle says {cls}"
             )
-        if closed < -_CLOSED_FORM_MARGIN and cls != "outside":
+        if closed < -tol.cutoff and cls != "outside":
             raise NumericalFailure(
                 f"closed form {closed:.3e} says outside, oracle says {cls}"
             )
@@ -214,9 +209,8 @@ class M2CanonicalForm:
             c1, c2 = c2, c1
         return cls(c1, c2, float(np.sqrt(1.0 - c1 * c1)), float(np.sqrt(1.0 - c2 * c2)))
 
-    @property
-    def degenerate(self) -> bool:
-        return abs(self.c1 - self.c2) <= DEFAULT_TOLERANCE.cutoff
+    def degenerate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        return abs(self.c1 - self.c2) <= tol.cutoff
 
 
 def _check_form(form: M2CanonicalForm, tol: Tolerance):

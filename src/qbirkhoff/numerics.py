@@ -20,10 +20,9 @@ pays less (40.9 against 53.9 µs at n = 9) and loses from n = 12 (134 against
 built once per channel, so n ≥ 9 keeps the strided gather (best of 7, one
 thread, 2-core x86-64).
 
-Fixed cutoffs do not move with the tolerance: :data:`STRUCT_TOL` guards the
-structural checks that follow an eigensolve, and other modules keep their own
-constants (the certificate residual and the spectra match, 1e-8; the
-peripheral band, 1e-8).
+Every other cutoff is a property of :class:`Tolerance` derived from it.  The
+literals that stay fixed order output or bound roundoff, and decide nothing at the
+cutoff: 12-digit sort keys, ``faces``' polydisc slack, ``birkhoff``'s clamp and floor.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
-    "STRUCT_TOL",
     "NumericalFailure",
     "NotCompletelyPositive",
     "as_matrix",
@@ -77,7 +75,8 @@ class Tolerance:
 
     ``cutoff`` is relative for rank and PSD decisions (times the largest
     magnitude, floored at 1, see :func:`rank_cutoff`) and absolute for
-    entrywise equality tests.
+    entrywise equality tests.  The properties are the cutoffs derived from it; at
+    the default they are 1e-8, 1e-8, 1e-7 and 1e-10 exactly.
     """
 
     cutoff: float = 1e-9
@@ -86,12 +85,29 @@ class Tolerance:
         if not 0.0 < self.cutoff < 1.0:
             raise ValueError(f"cutoff must lie in (0, 1), got {self.cutoff!r}")
 
+    @property
+    def residual(self) -> float:
+        """A residual after a solve (certificate, invariant spectra): a decade above the cutoff."""
+        return 10 * self.cutoff
+
+    @property
+    def band(self) -> float:
+        """|λ| > 1 − band is peripheral: above 2·cutoff, the largest |λ − 1| counted as fixed."""
+        return 10 * self.cutoff
+
+    @property
+    def structural(self) -> float:
+        """Checks behind an eigensolve and a root's branch cut: 100·cutoff, as 10·residual,
+        which is 1e-7 exactly at the default (100·1e-9 is not)."""
+        return 10 * self.residual
+
+    @property
+    def boundary(self) -> float:
+        """cutoff/10, the M₃ face's band around eigenvalue 0: a determinant in it is < cutoff."""
+        return self.cutoff / 10
+
 
 DEFAULT_TOLERANCE = Tolerance()
-
-# structural checks that sit behind an eigensolve (closure, cycling, an
-# intertwiner's residuals, a root's branch cut) use this looser fixed cutoff
-STRUCT_TOL = 1e-7
 
 
 def as_matrix(m, dtype=complex) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 from .channels import Channel
 from .numerics import (
     DEFAULT_TOLERANCE,
-    STRUCT_TOL,
     NumericalFailure,
     Tolerance,
     block_views,
@@ -50,10 +49,6 @@ __all__ = [
     "cyclic_projections",
     "deperiodize",
 ]
-
-# eigenvalues this close to the unit circle count as peripheral
-PERIPHERAL_BAND = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralClassification:
@@ -82,6 +77,9 @@ def _require_doubly_stochastic(ch: Channel):
 
 
 def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
+    """By descending modulus, then real and imaginary part, each rounded to a fixed
+    12 digits so that rounding-level ties fall to the next key: an output order, not
+    a decision, so it does not move with the tolerance."""
     order = np.lexsort(
         (np.round(eigs.imag, 12), np.round(eigs.real, 12), -np.round(np.abs(eigs), 12))
     )
@@ -123,9 +121,9 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
         raise NumericalFailure("unital channel lost its fixed space — broken input")
     q = vec(basis)
     off_span = np.eye(n * n) - q.T @ np.conj(q)  # projector onto the span's complement
-    if max_abs(vec(dagger(basis)) @ off_span.T) > STRUCT_TOL:
+    if max_abs(vec(dagger(basis)) @ off_span.T) > tol.structural:
         raise NumericalFailure("fixed-point space is not adjoint-closed within tolerance")
-    if max(max_abs(vec(b @ basis) @ off_span.T) for b in basis) > STRUCT_TOL:  # k, not k², at once
+    if max(max_abs(vec(b @ basis) @ off_span.T) for b in basis) > tol.structural:  # k, not k², at once
         raise NumericalFailure("fixed-point space is not product-closed within tolerance")
     return list(basis)
 
@@ -142,13 +140,13 @@ def invariant_projection(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     # split the spectrum at its largest gap; both sides are nonempty
     cut = int(np.argmax(vals[:-1] - vals[1:])) + 1
     e = vecs[:, :cut] @ dagger(vecs[:, :cut])
-    if max_abs(ch.apply(e) - e) > max(tol.cutoff, 1e-10):
+    if max_abs(ch.apply(e) - e) > tol.cutoff:
         raise NumericalFailure("non-ergodic channel yielded no verified invariant projection")
     return e
 
 
-def _peripheral(eigs: np.ndarray) -> np.ndarray:
-    return eigs[np.abs(eigs) > 1.0 - PERIPHERAL_BAND]
+def _peripheral(eigs: np.ndarray, tol: Tolerance) -> np.ndarray:
+    return eigs[np.abs(eigs) > 1.0 - tol.band]
 
 
 def _snap_period(peripheral: np.ndarray, n: int) -> int:
@@ -170,7 +168,7 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     gap = np.abs(eigs - 1.0)
     fixed_dim = int(np.count_nonzero(gap <= rank_cutoff(gap, tol)))
     ergodic = fixed_dim == 1
-    peripheral = _peripheral(eigs)
+    peripheral = _peripheral(eigs, tol)
     period = _snap_period(peripheral, ch.dim) if ergodic else None
     aperiodic = bool(ergodic and period == 1)
     strongly_mixing = bool(ergodic and peripheral.size == 1)
@@ -185,12 +183,12 @@ def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassif
     )
 
 
-def _unitary_root(m: np.ndarray, p: int) -> np.ndarray:
+def _unitary_root(m: np.ndarray, p: int, tol: Tolerance) -> np.ndarray:
     # principal p-th root of a unitary m in an orthonormal eigenbasis q of m; the
-    # cut sits STRUCT_TOL below −1, so a cluster at −1 split by rounding has one root
+    # cut sits tol.structural below −1, so a cluster at −1 split by rounding has one root
     _, q = np.linalg.eigh(_hermitian_mix(m))
     eigs = np.sum(np.conj(q) * (m @ q), axis=0)  # diagonal of q* m q
-    phases = np.angle(np.exp(-1j * STRUCT_TOL) * eigs) + STRUCT_TOL
+    phases = np.angle(np.exp(-1j * tol.structural) * eigs) + tol.structural
     return (q * np.exp(1j * phases / p)) @ dagger(q)
 
 
@@ -212,7 +210,7 @@ def _verify_family(ch: Channel, projections, tol: Tolerance) -> bool:
         e.sum(axis=0) - np.eye(ch.dim),
         image - np.roll(e, -1, axis=0),
     )
-    return max(max_abs(x) for x in defects) <= max(tol.cutoff, 1e-10)
+    return max(max_abs(x) for x in defects) <= tol.cutoff
 
 
 def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -226,7 +224,7 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     structure are refused.
     """
     _require_doubly_stochastic(ch)
-    p = _snap_period(_peripheral(ch.spectrum), ch.dim)
+    p = _snap_period(_peripheral(ch.spectrum, tol), ch.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
     basis = _eigenspace(ch.superoperator(), np.exp(2j * np.pi / p), tol)
@@ -234,7 +232,7 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
         return None
     w, _, vh = np.linalg.svd(_generic_element(basis))
     u = w @ vh
-    u = u @ dagger(_unitary_root(np.linalg.matrix_power(u, p), p))
+    u = u @ dagger(_unitary_root(np.linalg.matrix_power(u, p), p, tol))
     projections = _projection_family(u, p)
     return CyclicFamily(tuple(projections), p) if _verify_family(ch, projections, tol) else None
 
@@ -257,14 +255,14 @@ def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERAN
     alpha = np.zeros((n, n), dtype=complex)
     for k in range(p):
         alpha += bases[(k + 1) % p] @ dagger(bases[k])
-    if max_abs(alpha @ dagger(alpha) - np.eye(n)) > STRUCT_TOL:
+    if max_abs(alpha @ dagger(alpha) - np.eye(n)) > tol.structural:
         raise NumericalFailure("cycling map failed to be unitary")
     for k in range(p):
-        if max_abs(alpha @ fam.projections[k] @ dagger(alpha) - fam.projections[(k + 1) % p]) > STRUCT_TOL:
+        if max_abs(alpha @ fam.projections[k] @ dagger(alpha) - fam.projections[(k + 1) % p]) > tol.structural:
             raise NumericalFailure("cycling map does not shift the projections")
 
     residual = Channel.from_kraus(ch.kraus.ops @ dagger(alpha), tol)
     for e in fam.projections:
-        if max_abs(residual.apply(e) - e) > max(tol.cutoff, 1e-9):
+        if max_abs(residual.apply(e) - e) > tol.cutoff:
             raise NumericalFailure("residual channel does not fix the cyclic projections")
     return alpha, residual

@@ -18,7 +18,7 @@ from qbirkhoff.birkhoff import (
     ds_matrix_to_dict,
     loads_ds_matrix,
 )
-from qbirkhoff.numerics import max_abs
+from qbirkhoff.numerics import Tolerance, max_abs
 
 import helpers
 
@@ -229,6 +229,11 @@ def test_serialization_roundtrip(rng):
     doc = ds_matrix_to_dict(DSMatrix.from_matrix(s))
     back = ds_matrix_from_dict(doc)
     assert max_abs(back.matrix - s) < 1e-15
+    # a raw matrix is validated at the caller's tolerance: rows off by 1e-7 pass at 1e-6
+    off = s + np.diag([1e-7, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        ds_matrix_to_dict(off)
+    assert ds_matrix_to_dict(off, Tolerance(1e-6))["rows"] == off.tolist()
     with pytest.raises(ValueError):
         loads_ds_matrix(json.dumps(doc).replace(json.dumps(doc["rows"][0][0]), "NaN", 1))
     dec = birkhoff_decompose(s)

@@ -13,10 +13,10 @@ import pytest
 import helpers
 import qbirkhoff.cli as cli
 from qbirkhoff.birkhoff import PermutationDecomposition
-from qbirkhoff.cli import _tolerance, build_parser, main
+from qbirkhoff.cli import build_parser, main
 from qbirkhoff.extremality import CP, CP_PHI, ExtremalDecomposition, decompose_extremal
 from qbirkhoff.channels import channel_to_dict, matrix_to_pairs
-from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance
+from qbirkhoff.numerics import DEFAULT_TOLERANCE
 from qbirkhoff.catalog import BUILTINS, build_example
 
 
@@ -251,8 +251,8 @@ def test_certificate_antiunitary_must_be_a_json_boolean(tmp_path, capsys, flag, 
 
 def test_tol_sets_the_tolerance():
     args = build_parser().parse_args(["analyze", "ex2.4", "--tol", "1e-6"])
-    assert _tolerance(args) == Tolerance(1e-6)
-    assert _tolerance(build_parser().parse_args(["analyze", "ex2.4"])) == DEFAULT_TOLERANCE
+    assert args.tol == 1e-6
+    assert build_parser().parse_args(["analyze", "ex2.4"]).tol == DEFAULT_TOLERANCE.cutoff
 
 
 def test_conjugacy_detects_invariant_mismatch(capsys):
@@ -540,10 +540,10 @@ def test_emit_refuses_a_non_finite_float_in_any_record_and_writes_nothing(capsys
         assert capsys.readouterr().out == ""
 
 
-def test_classify_prints_an_empty_peripheral_list(tmp_path, capsys, monkeypatch):
+def test_classify_counts_every_fixed_eigenvalue_as_peripheral(tmp_path, capsys, monkeypatch):
     """At --tol 1e-6 the qubit depolarizing channel at p = 1e-7 reads as (1 − 7.5e-8)·id:
-    every eigenvalue counts as fixed and none as peripheral (ROADMAP item 19), so
-    "peripheral" is a 0×2 array, printed as []."""
+    every eigenvalue counts as fixed, and the peripheral band, 10 times the cutoff,
+    holds all four.  Without --tol the channel is ergodic, with one peripheral eigenvalue."""
     p = 1e-7
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
     ops = [np.sqrt(1 - 3 * p / 4) * paulis[0]] + [np.sqrt(p / 4) * s for s in paulis[1:]]
@@ -553,8 +553,13 @@ def test_classify_prints_an_empty_peripheral_list(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "_emit", lambda payload: payloads.append(payload) or emit(payload))
     code, out, _ = run_cli(capsys, "classify", str(path), "--tol", "1e-6", "--json")
     assert code == 0 and len(payloads) == 1 and out == dumps(payloads[0])
-    assert payloads[0]["peripheral"].shape == (0, 2) and '\n  "peripheral": [],\n' in out
-    assert json.loads(out)["fixed_dim"] == 4
+    report = json.loads(out)
+    assert payloads[0]["peripheral"].shape == (4, 2) and report["peripheral"] == report["eigenvalues"]
+    assert report["fixed_dim"] == 4 and report["ergodic"] is False
+    code, out, _ = run_cli(capsys, "classify", str(path), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["fixed_dim"] == 1 and report["ergodic"] is True
+    assert len(report["peripheral"]) == 1
 
 
 def _corpus_argvs(paths, ds_files):

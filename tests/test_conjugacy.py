@@ -17,7 +17,7 @@ from qbirkhoff import (
 )
 from qbirkhoff.catalog import diagonal_pair_family, spin_triple_family
 from qbirkhoff.conjugacy import certificate_from_dict, certificate_to_dict, spectra_match
-from qbirkhoff.numerics import NumericalFailure, Tolerance, dagger, max_abs
+from qbirkhoff.numerics import DEFAULT_TOLERANCE, NumericalFailure, Tolerance, dagger, max_abs
 
 import helpers
 
@@ -137,6 +137,22 @@ def test_conjugacy_verdicts_match_the_trace_loop_data_matrices(ds_corpus):
             assert verdict == (spectra_match(*map(spectrum_invariant, loop)), conjugate_data_test(*loop) is not None)
             verdicts.append(verdict)
     assert verdicts == [(True, True), (False, False)] * len(ds_corpus)
+
+
+def test_spectra_match_follows_the_tolerance():
+    # entries within tol.residual = 10·cutoff agree: 1e-8 at the default
+    a = np.array([0.75, 0.25])
+    for gap, tol, match in (
+        (5e-8, DEFAULT_TOLERANCE, False),
+        (5e-8, Tolerance(1e-8), True),
+        (5e-12, Tolerance(1e-13), False),
+    ):
+        assert spectra_match(a, a + [gap, -gap], tol) is match, (gap, tol)
+    assert spectra_match(a, a + [5e-9, -5e-9]) is True
+    # conjugate_data_test reads the same cutoff
+    dm = np.diag([0.75, 0.25])
+    assert conjugate_data_test(dm, dm + np.diag([5e-8, -5e-8])) is None
+    assert conjugate_data_test(dm, dm + np.diag([5e-8, -5e-8]), Tolerance(1e-8)) is not None
 
 
 def test_block_projection_identity():

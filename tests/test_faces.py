@@ -15,7 +15,7 @@ from qbirkhoff import (
     m3_real_face_scan,
     schur_channel,
 )
-from qbirkhoff.numerics import max_abs
+from qbirkhoff.numerics import Tolerance, max_abs
 
 
 def unit(i, j, n=3):
@@ -127,7 +127,10 @@ def test_m2_form_validation():
     assert form.c1 <= form.c2
     assert abs(form.c1**2 + form.d1**2 - 1.0) < 1e-12
     assert abs(form.c2**2 + form.d2**2 - 1.0) < 1e-12
-    assert M2CanonicalForm.from_c(0.3, 0.3).degenerate
+    assert M2CanonicalForm.from_c(0.3, 0.3).degenerate()
+    # the caller's tolerance decides, as in m2_index2_is_extremal
+    near = M2CanonicalForm.from_c(0.3, 0.3 + 1e-7)
+    assert not near.degenerate() and near.degenerate(Tolerance(1e-6))
 
 
 def test_m2_channel_flags_and_formula():

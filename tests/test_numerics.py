@@ -65,6 +65,19 @@ def test_one_tolerance_value_moves_every_cutoff():
     assert fam.validate() == (False, False)
 
 
+def test_derived_cutoffs_keep_their_values_at_the_default():
+    # stdout at the default tolerance depends on these bytes, so they are compared
+    # with ==; structural is 10·(10·c), since 100·1e-9 is 1.0000000000000001e-07
+    tol = Tolerance()
+    assert (tol.residual, tol.band, tol.structural, tol.boundary, tol.cutoff) == (1e-8, 1e-8, 1e-7, 1e-10, 1e-9)
+    # each moves with the cutoff, and the band stays above 2·cutoff, the largest
+    # distance to 1 of an eigenvalue counted as fixed
+    for c in (1e-12, 1e-6, 1e-3):
+        tol = Tolerance(c)
+        assert tol.residual == 10 * c and tol.structural == 10 * (10 * c) and tol.boundary == c / 10
+        assert tol.band > 2 * c
+
+
 def test_vec_is_column_stacking(rng):
     m = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(vec(m), np.array([1, 3, 2, 4], dtype=complex))

@@ -230,7 +230,7 @@ def test_unitary_root_on_a_degenerate_spectrum(p):
     v = helpers.haar_unitary(6, np.random.default_rng(p))
     eigs = np.array([-1, -1, -1, 1j, 1j, 1])
     m = (v * eigs) @ dagger(v)
-    r = _unitary_root(m, p)
+    r = _unitary_root(m, p, DEFAULT_TOLERANCE)
     assert max_abs(r @ dagger(r) - np.eye(6)) < 1e-12
     assert max_abs(np.linalg.matrix_power(r, p) - m) < 1e-12
     assert max_abs(r - (v * np.exp(1j * np.angle(eigs) / p)) @ dagger(v)) < 1e-12
@@ -433,3 +433,22 @@ def test_tol_moves_fixed_dim_under_both_rules():
     for tol, fixed_dim in ((DEFAULT_TOLERANCE, 9), (Tolerance(1e-12), 1)):
         ch = build_example("ex2.12", lam=1e-11, tol=tol)
         assert classify(ch, tol).fixed_dim == helpers.fixed_dim_by_rank(ch, tol) == fixed_dim
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_every_fixed_eigenvalue_is_peripheral_at_every_cutoff(ds_corpus, c):
+    # each corpus channel, and its lazy mix (1 − 1e-7)·id + 1e-7·τ, whose eigenvalues lie
+    # within 2e-7 of 1, rebuilt at c, so that its flags and the decisions share one
+    # cutoff; the fixed eigenvalues are the fixed_dim nearest 1, and the peripheral
+    # band must hold them all, whichever way the channel is read
+    tol, lam = Tolerance(c), 1e-7
+    sources = [ch.kraus.ops for ch in ds_corpus]
+    sources += [np.concatenate([[np.sqrt(1 - lam) * np.eye(v.shape[-1])], np.sqrt(lam) * v]) for v in sources]
+    for ch in (Channel.from_kraus(v, tol) for v in sources):
+        if not ch.is_doubly_stochastic():
+            with pytest.raises(ValueError, match="unital trace-preserving"):
+                classify(ch, tol)
+            continue
+        sc = classify(ch, tol)
+        fixed = sc.eigenvalues[np.argsort(np.abs(sc.eigenvalues - 1.0), kind="stable")[: sc.fixed_dim]]
+        assert sc.fixed_dim >= 1 and np.isin(fixed, sc.peripheral).all(), (c, fixed, sc.peripheral)
