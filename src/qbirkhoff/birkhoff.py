@@ -65,8 +65,8 @@ def is_doubly_stochastic(s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         arr = _as_real_square(s)
     except ValueError:
         return False
-    # entries past 1 fail before the sums, which could overflow
-    if float(arr.min()) < -tol.cutoff or float(arr.max()) > 1.0 + tol.cutoff:
+    # an empty matrix is none; entries past 1 fail before the sums, which could overflow
+    if not arr.size or float(arr.min()) < -tol.cutoff or float(arr.max()) > 1.0 + tol.cutoff:
         return False
     rows = np.abs(arr.sum(axis=1) - 1.0)
     cols = np.abs(arr.sum(axis=0) - 1.0)

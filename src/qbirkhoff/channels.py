@@ -15,6 +15,10 @@ family of its PSD factor, whose Gram matrix is diagonal.  Inside a degenerate
 eigenspace the basis is whatever ``eigh`` returns, so two Kraus families of
 one channel can still canonicalize to different operators there (ROADMAP
 item 3).
+
+Validity is measured, not stored: ``KrausFamily.validate(tol)`` reads unit defects
+measured once per family at each caller's tolerance, and every gate refuses
+(``ValueError``) a channel that fails it at that gate's own ``tol``.
 """
 
 from __future__ import annotations
@@ -99,16 +103,18 @@ class KrausFamily:
         a = self.ops
         return a[:, None] @ dagger(a)[None, :]
 
+    @cached_property
     def unit_defects(self) -> tuple[float, float]:
-        """Deviations (entrywise max) of sum v v* and sum v* v from I."""
+        """Deviations (entrywise max) of sum v v* and sum v* v from I, measured once."""
         # row i of ``wide`` is row i of every v_k side by side; ``tall`` stacks the v_k
         a, n = self.ops, self.dim
         wide, tall, eye = a.transpose(1, 0, 2).reshape(n, -1), a.reshape(-1, n), np.eye(n)
         return max_abs(wide @ dagger(wide) - eye), max_abs(dagger(tall) @ tall - eye)
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, bool]:
-        """(unital, trace_preserving) flags within ``tol.cutoff``."""
-        out_dev, in_dev = self.unit_defects()
+        """(unital, trace_preserving) within ``tol.cutoff``: the one validity
+        predicate, which every gate reads at its own call's tolerance."""
+        out_dev, in_dev = self.unit_defects
         return out_dev <= tol.cutoff, in_dev <= tol.cutoff
 
     def adjoint(self) -> "KrausFamily":
@@ -155,16 +161,14 @@ def _canonical_family(vals: np.ndarray, ops: np.ndarray, tol: Tolerance) -> Krau
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A CP map with canonical minimal Kraus family and validity flags.
+    """A CP map with canonical minimal Kraus family.
 
     ``index`` equals the Choi rank by construction.  Unital and
-    trace-preserving are recorded, not required: operations that only make
-    sense for doubly stochastic maps refuse non-flagged inputs themselves.
+    trace-preserving are not stored: ``kraus.validate(tol)`` decides both
+    at each caller's tolerance.
     """
 
     kraus: KrausFamily
-    unital: bool
-    trace_preserving: bool
 
     @classmethod
     def from_kraus(cls, ops, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
@@ -181,7 +185,7 @@ class Channel:
         keep = vals > rank_cutoff(vals, tol)
         mixed = (vecs[:, keep].T @ w).reshape(-1, *a.shape[1:])  # Σ_k u_k v_k for each kept u
         canon = _canonical_family(vals[keep][::-1], mixed[::-1], tol)
-        return cls(canon, *canon.validate(tol))
+        return cls(canon)
 
     @classmethod
     def from_choi(cls, choi, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":
@@ -258,8 +262,8 @@ class Channel:
         vals.flags.writeable = False
         return vals
 
-    def is_doubly_stochastic(self) -> bool:
-        return self.unital and self.trace_preserving
+    def is_doubly_stochastic(self, tol: Tolerance) -> bool:
+        return all(self.kraus.validate(tol))
 
 
 def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
@@ -268,8 +272,8 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
 
 
 def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
-    """The dual map x -> sum v_k* x v_k; defined for doubly stochastic input."""
-    if not ch.is_doubly_stochastic():
+    """The dual map x -> sum v_k* x v_k; defined for input doubly stochastic at ``tol``."""
+    if not ch.is_doubly_stochastic(tol):
         raise ValueError("adjoint channel requires a unital trace-preserving input")
     return Channel.from_kraus(ch.kraus.adjoint(), tol)
 

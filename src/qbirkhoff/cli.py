@@ -202,29 +202,30 @@ def _classification_dict(sc) -> dict:
 def cmd_analyze(args) -> int:
     tol = Tolerance(args.tol)
     ch = _load_channel(args, tol)
+    unital, tp = ch.kraus.validate(tol)
     report = {
         "dim": ch.dim,
         "index": ch.index,
-        "unital": ch.unital,
-        "trace_preserving": ch.trace_preserving,
+        "unital": unital,
+        "trace_preserving": tp,
     }
-    if ch.unital:
+    if unital:
         extremal, cert = choi_extremal_test(ch, tol)
         report["choi_extremal"] = {"extremal": extremal, "certificate": _certificate_dict(cert)}
-        if ch.trace_preserving:
+        if tp:
             ls_extremal, ls_cert = landau_streater_test(ch, tol)
             report["landau_streater"] = {
                 "extremal": ls_extremal,
                 "certificate": _certificate_dict(ls_cert),
             }
-    if ch.is_doubly_stochastic():
+    if unital and tp:
         report["spectral"] = _classification_dict(classify(ch, tol))
-    report["data_spectrum"] = spectrum_invariant(data_matrix(ch, tol=tol))
+    report["data_spectrum"] = spectrum_invariant(data_matrix(ch, tol=tol), tol)
     _emit(report)
 
     flags = []
-    flags.append("unital" if ch.unital else "not unital")
-    flags.append("trace-preserving" if ch.trace_preserving else "not trace-preserving")
+    flags.append("unital" if unital else "not unital")
+    flags.append("trace-preserving" if tp else "not trace-preserving")
     _say(args, f"channel on M_{ch.dim}, index {ch.index} ({', '.join(flags)})")
     for key, label in (("choi_extremal", "unital cone"), ("landau_streater", "doubly stochastic set")):
         if key in report:
@@ -258,8 +259,8 @@ def cmd_conjugacy(args) -> int:
     fam_a, fam_b = _load_families(args, tol, args.channel_a, args.channel_b)
     if fam_a.dim != fam_b.dim:
         raise ValueError(f"dimension mismatch: {fam_a.dim} vs {fam_b.dim}")
-    spec_a = spectrum_invariant(data_matrix(fam_a, tol=tol))
-    spec_b = spectrum_invariant(data_matrix(fam_b, tol=tol))
+    spec_a = spectrum_invariant(data_matrix(fam_a, tol=tol), tol)
+    spec_b = spectrum_invariant(data_matrix(fam_b, tol=tol), tol)
     match = spectra_match(spec_a, spec_b, tol)
     report = {
         "spectrum_a": spec_a,

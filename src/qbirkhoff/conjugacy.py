@@ -144,8 +144,7 @@ def choi_block_projection(k, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.nda
     fam = _family(k)
     n, d = fam.dim, fam.index
     p = fam.products().transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    unital, tp = fam.validate(tol)
-    return p, bool(unital and tp)
+    return p, all(fam.validate(tol))
 
 
 def _eigenbasis(p: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
@@ -173,7 +172,7 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
         if not is_projection:
             raise ValueError(f"{name} family is not doubly stochastic")
         blocks.append(p)
-    allowance = max(tol.structural, sum(fam.unit_defects() + fam2.unit_defects()))
+    allowance = max(tol.structural, sum(fam.unit_defects + fam2.unit_defects))
     n, d = fam.dim, fam.index
     p, p2 = blocks
     w_full = _eigenbasis(p, n, tol) @ dagger(_eigenbasis(p2, n, tol))
@@ -192,19 +191,14 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     return w_full, u
 
 
-def conjugate_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
+def conjugate_channel(ch) -> Channel:
     """Entrywise complex conjugation of the Kraus family.
 
     The conjugated operators are kept as-is (no re-canonicalization): the
     map x -> conj(tau(conj(x))) has Kraus family {conj(v_k)} literally, and
     conjugation preserves both marginal sums exactly.
     """
-    fam = _family(ch)
-    conj = KrausFamily(np.conj(fam.ops))
-    if isinstance(ch, Channel):
-        return Channel(kraus=conj, unital=ch.unital, trace_preserving=ch.trace_preserving)
-    unital, tp = conj.validate(tol)
-    return Channel(kraus=conj, unital=unital, trace_preserving=tp)
+    return Channel(KrausFamily(np.conj(_family(ch).ops)))
 
 
 # --- certificate files ----------------------------------------------------

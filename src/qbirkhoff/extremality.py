@@ -178,21 +178,23 @@ def choi_extremal_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     Returns ``(extremal, certificate)``, the certificate from a null vector of the product
     matrix.  Past d = n + 1 operators the products are dependent by counting (rank ≤ n²):
     the certificate is that of the first n + 1, zero outside its leading block.
+    Refuses a channel that is not unital at ``tol``.
     """
-    if not ch.unital:
+    if not ch.kraus.validate(tol)[0]:
         raise ValueError("extremality in the unital cone needs a unital channel")
     return _verdict(ch.kraus, CP, tol)
 
 
 def landau_streater_test(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     """Extremality among doubly stochastic maps via the stacked bi-independence
-    test; refuses channels that are not trace-preserving.  Its kind-CP_phi certificate
-    follows the rule of :func:`choi_extremal_test` on the 2n²×d² stacked matrix, whose
-    rank is at most 2n² − 1 (the trace rows of both halves agree): past
-    j = isqrt(2n² − 1) + 1 operators it comes from the first j."""
-    if not ch.unital:
+    test; refuses channels that are not unital and trace-preserving at ``tol``.  Its
+    kind-CP_phi certificate follows the rule of :func:`choi_extremal_test` on the
+    2n²×d² stacked matrix, whose rank is at most 2n² − 1 (the trace rows of both
+    halves agree): past j = isqrt(2n² − 1) + 1 operators it comes from the first j."""
+    unital, tp = ch.kraus.validate(tol)
+    if not unital:
         raise ValueError("extremality test needs a unital channel")
-    if not ch.trace_preserving:
+    if not tp:
         raise ValueError("the doubly stochastic test needs a trace-preserving channel")
     return _verdict(ch.kraus, CP_PHI, tol)
 
@@ -224,22 +226,17 @@ def _inverse_sqrt(h: np.ndarray, tol: Tolerance) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ dagger(vecs)
 
 
-def _flagged(ops: np.ndarray, tol: Tolerance) -> Channel:
-    fam = KrausFamily(ops)
-    return Channel(fam, *fam.validate(tol))
-
-
 def _derived(rows: np.ndarray, family: KrausFamily, kind: str, tol: Tolerance, mass: float,
              canonical: bool = False) -> Channel:
-    # rows @ family, flagged (and canonicalized, if asked, by from_kraus): the input was vetted,
-    # so a defect is rounding.  One that moves the mixture by mass × defect ≤ the tolerance is
+    # rows @ family: the input was vetted, so a unit defect at tol (unital, and trace-preserving
+    # for CP_phi) is rounding.  One that moves the mixture by mass × defect ≤ the tolerance is
     # scaled away by operator Sinkhorn steps, ops ← S^{-1/2}·ops with S = Σ v v*, then for CP_phi
     # ops ← ops·T^{-1/2} with T = Σ v* v; the left factor keeps the products' independence exactly
-    make = Channel.from_kraus if canonical else _flagged
+    make = Channel.from_kraus if canonical else lambda ops, _: Channel(KrausFamily(ops))
+    sides = 2 if kind == CP_PHI else 1
     ch, last = make(_ops(rows, family), tol), math.inf
-    while not (ch.unital and (kind == CP or ch.trace_preserving)):
-        out_dev, in_dev = ch.kraus.unit_defects()
-        dev, name = max((out_dev, "unital"), (in_dev if kind == CP_PHI else 0.0, "trace-preserving"))
+    while not all(ch.kraus.validate(tol)[:sides]):
+        dev, name = max(zip(ch.kraus.unit_defects[:sides], ("unital", "trace-preserving")))
         if mass * dev > tol.cutoff or dev >= last:
             raise NumericalFailure(f"derived channel has {name} defect {dev:.2e} > tolerance {tol.cutoff}")
         ops = ch.kraus.ops
@@ -292,7 +289,7 @@ def decompose_extremal(
     if kind not in (CP, CP_PHI):
         raise ValueError(f"unknown extremality kind {kind!r}")
     test = landau_streater_test if kind == CP_PHI else choi_extremal_test
-    # the test's own preconditions vet ch (unital, and TP for CP_phi)
+    # the test's own preconditions vet ch at tol (unital, and TP for CP_phi)
     terms, deepest, mass, tau = [], 0, 1.0, ch
     while True:
         # walk: rows in τ's coordinates, one fewer per step

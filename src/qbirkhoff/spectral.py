@@ -71,8 +71,8 @@ class CyclicFamily:
     period: int
 
 
-def _require_doubly_stochastic(ch: Channel):
-    if not ch.is_doubly_stochastic():
+def _require_doubly_stochastic(ch: Channel, tol: Tolerance):
+    if not ch.is_doubly_stochastic(tol):
         raise ValueError("spectral classification needs a unital trace-preserving channel")
 
 
@@ -114,7 +114,7 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     The span is checked to be closed under adjoints and products — the
     *-algebra property that holds for every doubly stochastic channel.
     """
-    _require_doubly_stochastic(ch)
+    _require_doubly_stochastic(ch, tol)
     n = ch.dim
     basis = _eigenspace(ch.superoperator(), 1, tol)
     if not len(basis):
@@ -162,7 +162,7 @@ def _snap_period(peripheral: np.ndarray, n: int) -> int:
 
 def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassification:
     """Spectral classification: fixed space, ergodicity, period, mixing."""
-    _require_doubly_stochastic(ch)
+    _require_doubly_stochastic(ch, tol)
     eigs = _sorted_eigs(ch.spectrum)
     # eigenvalue 1 is semisimple: its multiplicity is the fixed algebra's dimension
     gap = np.abs(eigs - 1.0)
@@ -223,7 +223,7 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     None rather than an unverified family.  Channels with trivial peripheral
     structure are refused.
     """
-    _require_doubly_stochastic(ch)
+    _require_doubly_stochastic(ch, tol)
     p = _snap_period(_peripheral(ch.spectrum, tol), ch.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
@@ -243,7 +243,7 @@ def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERAN
     α maps an orthonormal basis of range(E_k) onto one of range(E_{k+1});
     the residual channel x -> τ(α* x α) then fixes every E_k.
     """
-    _require_doubly_stochastic(ch)
+    _require_doubly_stochastic(ch, tol)
     p = fam.period
     found = [projection_eigenbasis(e, tol) for e in fam.projections]
     ranks = [r for r, _ in found]

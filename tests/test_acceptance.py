@@ -51,7 +51,7 @@ def test_criterion_1_diagonal_pair_reproduction(capfd):
     unital, tp = fam.validate()
     v1 = fam.ops[0]
     product_err = max_abs(v1 @ dagger(v1) - np.diag([1.0, 0.0, 0.5, 0.5]))
-    ch = Channel(kraus=fam, unital=unital, trace_preserving=tp)
+    ch = Channel(fam)
     extremal, _ = choi_extremal_test(ch)
     adjoint = KrausFamily.from_ops([dagger(v) for v in fam.ops])
     cert = ConjugacyCertificate(

@@ -30,6 +30,12 @@ def test_is_doubly_stochastic():
     assert not is_doubly_stochastic(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
 
+def test_an_empty_matrix_is_not_doubly_stochastic():
+    assert is_doubly_stochastic(np.zeros((0, 0))) is False
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        DSMatrix.from_matrix(np.zeros((0, 0)))
+
+
 def test_decompose_small_frozen():
     s = np.array(
         [
@@ -204,7 +210,7 @@ def test_decompose_rejects_non_ds():
 def test_embed_classical_cycle():
     s = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     ch = embed_classical(s)
-    assert ch.unital and ch.trace_preserving
+    assert ch.kraus.validate() == (True, True)
     assert ch.kraus.index == 3  # one Kraus term per nonzero entry
     cl = classify(ch)
     assert cl.ergodic and cl.period == 3

@@ -137,7 +137,7 @@ def _assert_same_channel(a, b, same_ops):
     c = choi_from_kraus(a.kraus)
     scale = max(1.0, max_abs(c))
     assert a.index == b.index
-    assert (a.unital, a.trace_preserving) == (b.unital, b.trace_preserving)
+    assert a.kraus.validate() == b.kraus.validate()
     assert max_abs(choi_from_kraus(b.kraus) - c) < 1e-12 * scale
     if same_ops:
         assert max_abs(a.kraus.ops - b.kraus.ops) < 1e-12 * scale
@@ -165,7 +165,7 @@ def test_from_choi_is_from_kraus_of_the_psd_factor(ds_corpus):
         n = int(round(np.sqrt(len(c))))
         ch, ref = Channel.from_choi(c), Channel.from_kraus(unvec(psd_factor(c)[1].T, n))
         assert np.array_equal(ch.kraus.ops, ref.kraus.ops)
-        assert (ch.unital, ch.trace_preserving) == (ref.unital, ref.trace_preserving)
+        assert ch.kraus.validate() == ref.kraus.validate()
         assert np.array_equal(kraus_from_choi(c).ops, ch.kraus.ops)
 
 
@@ -201,7 +201,7 @@ def test_from_kraus_builds_no_choi_matrix(monkeypatch):
     for ops, ch in zip(families, expected):
         again = Channel.from_kraus(ops)
         assert np.array_equal(again.kraus.ops, ch.kraus.ops)
-        assert (again.unital, again.trace_preserving) == (ch.unital, ch.trace_preserving)
+        assert again.kraus.validate() == ch.kraus.validate()
 
 
 def test_identity_canonicalizes_to_exactly_the_identity():
@@ -294,9 +294,7 @@ def test_json_roundtrip(ds_corpus):
         fam = family_from_dict(loads_json(_channel_text(ch)))
         assert np.array_equal(fam.ops, ch.kraus.ops)
         back = Channel.from_kraus(fam)
-        assert (back.index, back.unital, back.trace_preserving) == (
-            ch.index, ch.unital, ch.trace_preserving
-        )
+        assert (back.index, *back.kraus.validate()) == (ch.index, *ch.kraus.validate())
         assert max_abs(back.choi() - ch.choi()) < 1e-12
 
 

@@ -612,7 +612,7 @@ def test_every_subcommand_prints_the_stdlib_bytes_of_its_payload(
 
 def test_unencodable_payload_leaves_stdout_empty(capsys, monkeypatch):
     # the parser binds cmd_analyze once; patch what it calls
-    monkeypatch.setattr(cli, "spectrum_invariant", lambda data: [float("nan")])
+    monkeypatch.setattr(cli, "spectrum_invariant", lambda data, tol: [float("nan")])
     code, out, err = run_cli(capsys, "analyze", "ex2.4", "--json")
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -254,7 +254,7 @@ def test_conjugate_channel_spin_triple():
     signs = (1.0, -1.0, 1.0)  # conjugation fixes l_x, l_z and negates l_y
     for sign, a, b in zip(signs, fam.ops, conj.kraus.ops):
         assert max_abs(b - sign * a) < 1e-12
-    assert conj.unital and conj.trace_preserving
+    assert conj.kraus.validate() == (True, True)
 
 
 def test_conjugate_channel_diagonal_pair():

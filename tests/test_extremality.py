@@ -494,13 +494,13 @@ def test_derived_repairs_only_what_the_mass_bounds(kind, rng):
     # mass that keeps mass × defect within the tolerance, a NumericalFailure above it
     fam = helpers.random_unitary_mixture(3, 2, rng).kraus
     rows = np.diag([1.0 + 1e-6, 1.0 - 1e-6])
-    assert min(KrausFamily(extremality._ops(rows, fam)).unit_defects()) > 1e-7
+    assert min(KrausFamily(extremality._ops(rows, fam)).unit_defects) > 1e-7
     with pytest.raises(NumericalFailure, match="tolerance"):
         extremality._derived(rows, fam, kind, DEFAULT_TOLERANCE, 1e-2)
     repaired = extremality._derived(rows, fam, kind, DEFAULT_TOLERANCE, 1e-5)
-    out_dev, in_dev = repaired.kraus.unit_defects()
-    assert repaired.unital and out_dev <= 1e-9
-    assert kind == CP or (repaired.trace_preserving and in_dev <= 1e-9)
+    (unital, tp), (out_dev, in_dev) = repaired.kraus.validate(), repaired.kraus.unit_defects
+    assert unital and out_dev <= 1e-9
+    assert kind == CP or (tp and in_dev <= 1e-9)
 
 
 def test_decompose_cp_last_known_failure():

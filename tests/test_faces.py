@@ -136,14 +136,14 @@ def test_m2_form_validation():
 def test_m2_channel_flags_and_formula():
     extremal_form = M2CanonicalForm.from_c(0.0, 0.5)
     ch = m2_index2_channel(extremal_form)
-    assert ch.unital and not ch.trace_preserving
+    assert ch.kraus.validate() == (True, False)
     assert m2_index2_is_extremal(extremal_form)
     ok, _ = choi_extremal_test(ch)
     assert ok
 
     mixture_form = M2CanonicalForm.from_c(0.5, 0.5)
     ch2 = m2_index2_channel(mixture_form)
-    assert ch2.unital and ch2.trace_preserving
+    assert ch2.kraus.validate() == (True, True)
     assert not m2_index2_is_extremal(mixture_form)
     ok2, _ = choi_extremal_test(ch2)
     assert not ok2

@@ -7,11 +7,15 @@ import pytest
 from qbirkhoff import (
     Channel,
     KrausFamily,
+    adjoint_channel,
+    choi_extremal_test,
     classify,
     cyclic_projections,
+    decompose_extremal,
     deperiodize,
     fixed_point_space,
     invariant_projection,
+    landau_streater_test,
 )
 from qbirkhoff.birkhoff import embed_classical
 from qbirkhoff.catalog import (
@@ -281,7 +285,7 @@ def test_spectrum_is_complex_and_closed_under_conjugation(ds_corpus, rng):
 
 
 def test_identity_spectrum_is_real():
-    exact = Channel(KrausFamily.from_ops([np.eye(3)]), True, True)
+    exact = Channel(KrausFamily.from_ops([np.eye(3)]))
     assert classify(exact).eigenvalues.tolist() == [1 + 0j] * 9
     # the canonical Kraus operator of identity_channel(3) is I only to rounding
     eigs = classify(identity_channel(3)).eigenvalues
@@ -359,7 +363,7 @@ def test_blockwise_classification_is_the_whole_classification(seed, monkeypatch)
         blockwise[name] = cl, fam
     _whole_matrix_solve(monkeypatch)
     for name, ch in {**split, **dense}.items():
-        ch = Channel(ch.kraus, ch.unital, ch.trace_preserving)  # nothing cached
+        ch = Channel(ch.kraus)  # nothing cached
         cl = classify(ch)
         got, got_fam = blockwise[name]
         assert (got.fixed_dim, got.ergodic, got.period) == (cl.fixed_dim, cl.ergodic, cl.period)
@@ -406,7 +410,7 @@ def test_one_by_one_blocks_read_bitwise_as_lapack_solves_them(monkeypatch):
 
     monkeypatch.setattr(Channel, "spectrum", property(per_block))
     for name, ch in chans.items():
-        ch = Channel(ch.kraus, ch.unital, ch.trace_preserving)  # nothing cached
+        ch = Channel(ch.kraus)  # nothing cached
         spectrum, cl = read[name]
         assert spectrum.tobytes() == ch.spectrum.tobytes(), name
         for got, want in zip(cl, dataclasses.astuple(classify(ch))):
@@ -435,20 +439,48 @@ def test_tol_moves_fixed_dim_under_both_rules():
         assert classify(ch, tol).fixed_dim == helpers.fixed_dim_by_rank(ch, tol) == fixed_dim
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize(
+    "gate",
+    [classify, fixed_point_space, cyclic_projections, choi_extremal_test, landau_streater_test,
+     adjoint_channel, decompose_extremal],
+)
+def test_a_channel_built_at_a_looser_cutoff_is_refused_not_answered(gate):
+    # at the default cutoff λ = 1e-11 drops the shifts, leaving √(1 − λ)·I, whose unit
+    # defects of 1e-11 pass there; at 1e-12 the channel is neither unital nor
+    # trace-preserving, so every gate refuses it instead of answering (fixed_dim 0, or
+    # "extremal") from validity decided at the build's cutoff
+    ch = build_example("ex2.12", lam=1e-11)
+    assert ch.kraus.validate() == (True, True)
+    assert ch.kraus.validate(Tolerance(1e-12)) == (False, False)
+    with pytest.raises(ValueError, match="unital"):
+        gate(ch, tol=Tolerance(1e-12))
+
+
+def test_a_looser_cutoff_still_answers_at_its_own_tolerance():
+    ch = build_example("ex2.12", lam=1e-11)
+    assert classify(ch).fixed_dim == 9
+    assert choi_extremal_test(ch)[0] and landau_streater_test(ch)[0]
+    assert adjoint_channel(ch).index == 1 and len(decompose_extremal(ch).terms) == 1
+
+
+LADDER = [1e-12, 1e-9, 1e-6, 1e-3]
+
+
+@pytest.mark.parametrize("c", LADDER)
 def test_every_fixed_eigenvalue_is_peripheral_at_every_cutoff(ds_corpus, c):
     # each corpus channel, and its lazy mix (1 − 1e-7)·id + 1e-7·τ, whose eigenvalues lie
-    # within 2e-7 of 1, rebuilt at c, so that its flags and the decisions share one
-    # cutoff; the fixed eigenvalues are the fixed_dim nearest 1, and the peripheral
-    # band must hold them all, whichever way the channel is read
-    tol, lam = Tolerance(c), 1e-7
+    # within 2e-7 of 1, rebuilt at c and then read at every cutoff of the ladder: a read
+    # either refuses a channel that is not doubly stochastic at its own cutoff, or counts
+    # fixed_dim ≥ 1 fixed eigenvalues, the fixed_dim nearest 1, all in the peripheral band
+    lam = 1e-7
     sources = [ch.kraus.ops for ch in ds_corpus]
     sources += [np.concatenate([[np.sqrt(1 - lam) * np.eye(v.shape[-1])], np.sqrt(lam) * v]) for v in sources]
-    for ch in (Channel.from_kraus(v, tol) for v in sources):
-        if not ch.is_doubly_stochastic():
-            with pytest.raises(ValueError, match="unital trace-preserving"):
-                classify(ch, tol)
-            continue
-        sc = classify(ch, tol)
-        fixed = sc.eigenvalues[np.argsort(np.abs(sc.eigenvalues - 1.0), kind="stable")[: sc.fixed_dim]]
-        assert sc.fixed_dim >= 1 and np.isin(fixed, sc.peripheral).all(), (c, fixed, sc.peripheral)
+    for ch in (Channel.from_kraus(v, Tolerance(c)) for v in sources):
+        for tol in map(Tolerance, LADDER):
+            if not ch.is_doubly_stochastic(tol):
+                with pytest.raises(ValueError, match="unital trace-preserving"):
+                    classify(ch, tol)
+                continue
+            sc = classify(ch, tol)
+            fixed = sc.eigenvalues[np.argsort(np.abs(sc.eigenvalues - 1.0), kind="stable")[: sc.fixed_dim]]
+            assert sc.fixed_dim >= 1 and np.isin(fixed, sc.peripheral).all(), (c, tol, fixed, sc.peripheral)
