@@ -17,7 +17,6 @@ from .channels import Channel, float_array, loads_json
 from .numerics import DEFAULT_TOLERANCE, Tolerance, as_matrix
 
 __all__ = [
-    "DSMatrix",
     "PermutationDecomposition",
     "is_doubly_stochastic",
     "birkhoff_decompose",
@@ -42,22 +41,12 @@ def _as_real_square(s) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DSMatrix:
-    """A validated doubly stochastic matrix."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, s, tol: Tolerance = DEFAULT_TOLERANCE) -> "DSMatrix":
-        arr = _as_real_square(s)
-        if not is_doubly_stochastic(arr, tol):
-            raise ValueError("matrix is not doubly stochastic within tolerance")
-        return cls(arr)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+def _checked(s, tol: Tolerance) -> np.ndarray:
+    """The float array of ``s``; ``ValueError`` unless it is doubly stochastic at ``tol``."""
+    arr = _as_real_square(s)
+    if not is_doubly_stochastic(arr, tol):
+        raise ValueError("matrix is not doubly stochastic within tolerance")
+    return arr
 
 
 def is_doubly_stochastic(s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -152,13 +141,12 @@ def birkhoff_decompose(s, tol: Tolerance = DEFAULT_TOLERANCE) -> PermutationDeco
     so a round costs O(n + path length) and no recursion.  The residual is
     summed for the stopping rule only once its nonzero entries, each at least
     the clamp, no longer outweigh the floor by count alone.  ``ValueError``
-    when the residual has no perfect matching: the input was only near doubly
-    stochastic.
+    when ``s`` is not doubly stochastic at ``tol``, or when the residual has no
+    perfect matching: the input was only near doubly stochastic.
     """
-    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
-    n = ds.n
+    resid = _checked(s, tol).copy()
+    n = resid.shape[0]
     clamp = float(_CLAMP_FACTOR * n)
-    resid = ds.matrix.copy()
     resid[resid < clamp] = 0.0
 
     support = [np.flatnonzero(row).tolist() for row in resid]
@@ -198,10 +186,10 @@ def embed_classical(s, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 
     Acts on diagonal states as the matrix itself: diag(p) -> diag(S p).
     """
-    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
-    rows, cols = np.nonzero(ds.matrix > tol.cutoff)
-    ops = np.zeros((rows.size, *ds.matrix.shape), dtype=complex)
-    ops[np.arange(rows.size), rows, cols] = np.sqrt(ds.matrix[rows, cols])
+    arr = _checked(s, tol)
+    rows, cols = np.nonzero(arr > tol.cutoff)
+    ops = np.zeros((rows.size, *arr.shape), dtype=complex)
+    ops[np.arange(rows.size), rows, cols] = np.sqrt(arr[rows, cols])
     return Channel.from_kraus(ops, tol)
 
 
@@ -209,11 +197,11 @@ def embed_classical(s, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
 
 
 def ds_matrix_to_dict(s, tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
-    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
-    return {"n": ds.n, "rows": [[float(x) for x in row] for row in ds.matrix]}
+    arr = _checked(s, tol)
+    return {"n": arr.shape[0], "rows": arr.tolist()}
 
 
-def ds_matrix_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
+def ds_matrix_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError('matrix file must be an object with "n" and "rows"')
     n = data["n"]
@@ -222,10 +210,10 @@ def ds_matrix_from_dict(data, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
     arr = float_array(data["rows"], 2, '"rows"')
     if arr.shape != (n, n):
         raise ValueError(f'"rows" of shape {arr.shape} does not match "n" = {n}')
-    return DSMatrix.from_matrix(arr, tol)
+    return _checked(arr, tol)
 
 
-def loads_ds_matrix(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DSMatrix:
+def loads_ds_matrix(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     return ds_matrix_from_dict(loads_json(text), tol)
 
 

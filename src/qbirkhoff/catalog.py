@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel, KrausFamily
-from .faces import M2CanonicalForm, SchurSpec, m2_index2_channel, m3_matrix, schur_channel
+from .faces import M2CanonicalForm, m2_index2_channel, m3_matrix, schur_channel
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
@@ -52,15 +52,14 @@ def diagonal_pair_family() -> KrausFamily:
 
 def qubit_multiplier_channel(z: complex, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """M₂ multiplier channel fixing the diagonal: e₁₂ -> z·e₁₂, |z| ≤ 1."""
-    spec = SchurSpec.from_matrix([[1.0, z], [np.conj(z), 1.0]], tol)
-    return schur_channel(spec, tol)
+    return schur_channel([[1.0, z], [np.conj(z), 1.0]], tol)
 
 
 def triple_multiplier_channel(
     z1: complex, z2: complex, z3: complex, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Channel:
     """M₃ multiplier channel of the face fixing all three diagonal units."""
-    return schur_channel(SchurSpec.from_matrix(m3_matrix(z1, z2, z3), tol), tol)
+    return schur_channel(m3_matrix(z1, z2, z3), tol)
 
 
 def spin_triple_family() -> KrausFamily:

@@ -286,11 +286,11 @@ def cmd_conjugacy(args) -> int:
 
 def cmd_birkhoff(args) -> int:
     tol = Tolerance(args.tol)
-    ds = loads_ds_matrix(_read_text(args.matrix), tol)
-    dec = birkhoff_decompose(ds, tol)
+    s = loads_ds_matrix(_read_text(args.matrix), tol)
+    dec = birkhoff_decompose(s, tol)
     _emit(decomposition_to_dicts(dec))
     if not args.json:  # as in cmd_decompose: the error is for the stderr line only
-        err = float(np.max(np.abs(dec.mixture() - ds.matrix)))
+        err = float(np.max(np.abs(dec.mixture() - s)))
         _say(
             args,
             f"{len(dec.terms)} permutation terms, weight sum {dec.total_weight():.12f}, "

@@ -191,14 +191,15 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     return w_full, u
 
 
-def conjugate_channel(ch) -> Channel:
-    """Entrywise complex conjugation of the Kraus family.
+def conjugate_channel(ch) -> KrausFamily:
+    """Entrywise complex conjugation of the Kraus family, as a family.
 
-    The conjugated operators are kept as-is (no re-canonicalization): the
-    map x -> conj(tau(conj(x))) has Kraus family {conj(v_k)} literally, and
-    conjugation preserves both marginal sums exactly.
+    The map x -> conj(tau(conj(x))) has Kraus family {conj(v_k)} literally,
+    operator by operator, and conjugation preserves both marginal sums
+    exactly; ``Channel.from_kraus`` of it is the canonical channel, as for
+    :meth:`KrausFamily.adjoint`.
     """
-    return Channel(KrausFamily(np.conj(_family(ch).ops)))
+    return KrausFamily(np.conj(_family(ch).ops))
 
 
 # --- certificate files ----------------------------------------------------

@@ -32,7 +32,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "SchurSpec",
     "schur_channel",
     "m3_matrix",
     "m3_closed_form",
@@ -45,35 +44,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SchurSpec:
-    """Hermitian unit-diagonal coefficient matrix of an entrywise multiplier."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOLERANCE) -> "SchurSpec":
-        arr = hermitize(m, tol.cutoff)
-        if max_abs(np.diag(arr) - 1.0) > tol.cutoff:
-            raise ValueError("multiplier matrix must have unit diagonal")
-        return cls(arr)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-def schur_channel(spec: SchurSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
+def schur_channel(m, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """Channel acting entrywise by the multiplier: e_ij -> m_ij e_ij.
 
-    Kraus operators are the diagonal factors of m = Σ_r c_r c_r*; a
-    non-PSD multiplier lies outside the face and is rejected.
+    Kraus operators are the diagonal factors of m = Σ_r c_r c_r*.  A
+    multiplier that is not hermitian with unit diagonal at ``tol`` is a
+    ``ValueError``; a non-PSD one lies outside the face and is rejected.
     """
+    arr = hermitize(m, tol.cutoff)
+    if max_abs(np.diag(arr) - 1.0) > tol.cutoff:
+        raise ValueError("multiplier matrix must have unit diagonal")
     try:
-        cols = psd_factor(spec.matrix, tol)[1]
+        cols = psd_factor(arr, tol)[1]
     except NotCompletelyPositive as exc:
         raise NotCompletelyPositive(f"multiplier matrix outside the face: {exc}") from None
-    k = spec.size
+    k = arr.shape[0]
     # operator r is diag(cols[:, r])
     ops = np.zeros((cols.shape[1], k, k), dtype=complex)
     ops[:, np.arange(k), np.arange(k)] = cols.T

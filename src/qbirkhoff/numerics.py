@@ -156,13 +156,13 @@ def max_abs(m) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def hermitize(m, cutoff: float | None = None) -> np.ndarray:
-    """Hermitian part (m + m*)/2; with ``cutoff`` given, reject inputs further
-    from hermitian than it."""
+def hermitize(m, cutoff: float) -> np.ndarray:
+    """Hermitian part (m + m*)/2, rejecting inputs further from hermitian than
+    ``cutoff``."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if cutoff is not None and max_abs(arr - dagger(arr)) > cutoff:
+    if max_abs(arr - dagger(arr)) > cutoff:
         raise ValueError("matrix is not hermitian within tolerance")
     return (arr + dagger(arr)) / 2.0
 
@@ -249,7 +249,7 @@ def psd_factor(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.nd
     return psd_columns(*hermitian_eig(m, tol), tol)
 
 
-def phase_fixed(m, cutoff: float = DEFAULT_TOLERANCE.cutoff) -> np.ndarray:
+def phase_fixed(m, cutoff: float) -> np.ndarray:
     """Rotate a matrix, or each matrix of a d×n×n stack, by a global phase so
     its first entry of modulus above ``cutoff`` (row-major scan) becomes real
     positive; a matrix with no such entry is left as it is."""

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from qbirkhoff import Channel, KrausFamily, embed_classical
-from qbirkhoff.birkhoff import _CLAMP_FACTOR, _MASS_FLOOR, DSMatrix, PermutationDecomposition
+from qbirkhoff.birkhoff import _CLAMP_FACTOR, _MASS_FLOOR, PermutationDecomposition, _checked
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, vec
 
 
@@ -488,9 +488,8 @@ def birkhoff_by_plain_bfs(s, tol=DEFAULT_TOLERANCE):
     """The greedy Birkhoff decomposition on a numpy residual: each round sums the
     whole residual, re-matches every unmatched row by plain breadth-first search
     and subtracts the weight through fancy indexing."""
-    ds = s if isinstance(s, DSMatrix) else DSMatrix.from_matrix(s, tol)
-    n = ds.n
-    resid = ds.matrix.copy()
+    resid = _checked(s, tol).copy()
+    n = resid.shape[0]
     clamp = _CLAMP_FACTOR * n
     resid[resid < clamp] = 0.0
 

@@ -76,7 +76,7 @@ def test_criterion_2_spin_triple_reproduction(capfd):
     gram = np.array([[np.vdot(a.ravel(), b.ravel()) for b in basis] for a in basis])
     span_err = 0.0
     signs = []
-    for k, c in enumerate(conj.kraus.ops):
+    for k, c in enumerate(conj.ops):
         coeff = np.linalg.solve(gram, np.array([np.vdot(a.ravel(), c.ravel()) for a in basis]))
         rebuilt = sum(coeff[i] * basis[i] for i in range(3))
         span_err = max(span_err, max_abs(rebuilt - c))

@@ -329,9 +329,7 @@ ARRAY_HOLDERS = {
     "ExtremalDecomposition": lambda: qbirkhoff.ExtremalDecomposition(
         ((1.0, Channel.from_kraus([_EYE])),), 0
     ),
-    "DSMatrix": lambda: qbirkhoff.DSMatrix.from_matrix(np.eye(2)),
     "ConjugacyCertificate": lambda: qbirkhoff.ConjugacyCertificate(_EYE, _EYE, _EYE),
-    "SchurSpec": lambda: qbirkhoff.SchurSpec.from_matrix(np.ones((2, 2))),
     "SpectralClassification": lambda: qbirkhoff.SpectralClassification(
         np.ones(4), 4, False, np.ones(4), None, False, False
     ),

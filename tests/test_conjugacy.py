@@ -9,6 +9,7 @@ from qbirkhoff import (
     KrausFamily,
     choi_block_intertwiner,
     choi_block_projection,
+    choi_extremal_test,
     conjugate_channel,
     conjugate_data_test,
     data_matrix,
@@ -252,16 +253,26 @@ def test_conjugate_channel_spin_triple():
     fam = spin_triple_family()
     conj = conjugate_channel(fam)
     signs = (1.0, -1.0, 1.0)  # conjugation fixes l_x, l_z and negates l_y
-    for sign, a, b in zip(signs, fam.ops, conj.kraus.ops):
+    for sign, a, b in zip(signs, fam.ops, conj.ops):
         assert max_abs(b - sign * a) < 1e-12
-    assert conj.kraus.validate() == (True, True)
+    assert conj.validate() == (True, True)
 
 
 def test_conjugate_channel_diagonal_pair():
     fam = diagonal_pair_family()
     conj = conjugate_channel(fam)
-    for a, b in zip(fam.ops, conj.kraus.ops):
+    for a, b in zip(fam.ops, conj.ops):
         assert max_abs(b - dagger(a)) < 1e-12  # diagonal: conjugate = adjoint
+
+
+def test_conjugate_channel_is_the_conjugated_family_as_given():
+    # conj(I/√2) twice is a family of index 2; its channel is the identity, of Choi
+    # rank 1 and so extremal, which a channel kept at index 2 would call not extremal
+    r = 1.0 / np.sqrt(2.0)
+    conj = conjugate_channel([r * np.eye(2), r * np.eye(2)])
+    assert isinstance(conj, KrausFamily) and conj.index == 2
+    ch = Channel.from_kraus(conj)
+    assert ch.index == 1 and choi_extremal_test(ch)[0]
 
 
 def test_dimension_mismatch_raises():

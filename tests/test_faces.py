@@ -4,7 +4,6 @@ import pytest
 from qbirkhoff import (
     M2CanonicalForm,
     NotCompletelyPositive,
-    SchurSpec,
     choi_extremal_test,
     landau_streater_test,
     m2_index2_channel,
@@ -30,7 +29,7 @@ def test_schur_defining_property(rng):
     m = a @ a.conj().T
     d = np.sqrt(np.real(np.diag(m)))
     m = m / np.outer(d, d)
-    ch = schur_channel(SchurSpec.from_matrix(m))
+    ch = schur_channel(m)
     for i in range(3):
         for j in range(3):
             out = ch.apply(unit(i, j))
@@ -40,13 +39,13 @@ def test_schur_defining_property(rng):
 def test_schur_rejects_outside_the_face():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # unit diagonal, not PSD
     with pytest.raises(NotCompletelyPositive):
-        schur_channel(SchurSpec.from_matrix(bad))
-    with pytest.raises(ValueError):
-        SchurSpec.from_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal != 1
+        schur_channel(bad)
+    with pytest.raises(ValueError, match="unit diagonal"):
+        schur_channel(np.array([[2.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="not hermitian"):
-        SchurSpec.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        schur_channel(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(ValueError, match="square"):
-        SchurSpec.from_matrix(np.ones((2, 3)))
+        schur_channel(np.ones((2, 3)))
 
 
 def test_qubit_multiplier_dichotomy():

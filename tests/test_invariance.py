@@ -23,6 +23,7 @@ from qbirkhoff import (
     CP,
     CP_PHI,
     Channel,
+    adjoint_channel,
     choi_extremal_test,
     classify,
     decompose_extremal,
@@ -132,3 +133,14 @@ def test_unitary_conjugation_also_keeps_the_spectrum_fixed_dim_and_period(name, 
     assert _classification(conj) == _classification(ch)
     if _classification(ch) is not None:
         assert _same_spectrum(conj.spectrum, ch.spectrum)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_adjoint_swaps_the_unit_defects_and_keeps_the_landau_streater_verdict(name):
+    # the adjoint's products v_i* v_j are the channel's reversed products and the other
+    # way round, so the stacked matrix keeps its rank; the Choi verdict reads the
+    # products alone and need not hold
+    ch = _channel(name)
+    assert ch.kraus.adjoint().validate() == ch.kraus.validate()[::-1]
+    if all(ch.kraus.validate()):
+        assert landau_streater_test(adjoint_channel(ch))[0] == landau_streater_test(ch)[0]

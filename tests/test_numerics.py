@@ -278,7 +278,7 @@ def test_operator_norm_matches_gram_eigenvalue(rng):
 def test_phase_fixed_leading_entry_real_positive(rng):
     for _ in range(10):
         m = random_complex(rng, (3, 3))
-        out = phase_fixed(m)
+        out = phase_fixed(m, 1e-9)
         flat = out.ravel()
         lead = flat[np.abs(flat) > 1e-9][0]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -289,12 +289,12 @@ def test_phase_fixed_leading_entry_real_positive(rng):
     stack = random_complex(rng, (4, 3, 3))
     stack[1, 0, :2] = 0.0
     stack[2] = 1e-12 * stack[2]
-    out = phase_fixed(stack)
+    out = phase_fixed(stack, 1e-9)
     for k in range(4):
-        assert np.array_equal(out[k], phase_fixed(stack[k]))
+        assert np.array_equal(out[k], phase_fixed(stack[k], 1e-9))
     assert np.array_equal(out[2], stack[2])
     empty = np.zeros((0, 3, 3), dtype=complex)
-    assert phase_fixed(empty).shape == (0, 3, 3)
+    assert phase_fixed(empty, 1e-9).shape == (0, 3, 3)
 
 
 def test_non_finite_rejected():

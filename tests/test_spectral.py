@@ -16,8 +16,14 @@ from qbirkhoff import (
     fixed_point_space,
     invariant_projection,
     landau_streater_test,
+    schur_channel,
 )
-from qbirkhoff.birkhoff import embed_classical
+from qbirkhoff.birkhoff import (
+    birkhoff_decompose,
+    ds_matrix_from_dict,
+    ds_matrix_to_dict,
+    embed_classical,
+)
 from qbirkhoff.catalog import (
     build_example,
     depolarizing_channel,
@@ -461,6 +467,34 @@ def test_a_looser_cutoff_still_answers_at_its_own_tolerance():
     assert classify(ch).fixed_dim == 9
     assert choi_extremal_test(ch)[0] and landau_streater_test(ch)[0]
     assert adjoint_channel(ch).index == 1 and len(decompose_extremal(ch).terms) == 1
+
+
+# 1.000001·P, P a 3×3 permutation, and a multiplier whose diagonal has 1 + 1e-6: each is
+# off by 1e-6, so each call refuses it at 1e-12 and answers at 1e-3
+_NEAR_DS = 1.000001 * np.eye(3)[[1, 2, 0]]
+_NEAR_UNIT = [[1.0 + 1e-6, 0.5], [0.5, 1.0]]
+MATRIX_GATES = {
+    "birkhoff_decompose": (lambda tol: birkhoff_decompose(_NEAR_DS, tol), "not doubly stochastic"),
+    "embed_classical": (lambda tol: embed_classical(_NEAR_DS, tol), "not doubly stochastic"),
+    "ds_matrix_to_dict": (lambda tol: ds_matrix_to_dict(_NEAR_DS, tol), "not doubly stochastic"),
+    "schur_channel": (lambda tol: schur_channel(_NEAR_UNIT, tol), "unit diagonal"),
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_GATES))
+def test_a_matrix_is_checked_at_each_call_s_tolerance(name):
+    gate, message = MATRIX_GATES[name]
+    gate(Tolerance(1e-3))
+    with pytest.raises(ValueError, match=message):
+        gate(Tolerance(1e-12))
+
+
+def test_a_matrix_read_at_a_looser_cutoff_is_refused_at_a_tighter_one():
+    # what a loose read returns is a plain array: no verdict travels with it
+    s = ds_matrix_from_dict({"n": 3, "rows": _NEAR_DS.tolist()}, Tolerance(1e-3))
+    assert birkhoff_decompose(s, Tolerance(1e-3)).terms == ((1.000001, (1, 2, 0)),)
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        birkhoff_decompose(s, Tolerance(1e-12))
 
 
 LADDER = [1e-12, 1e-9, 1e-6, 1e-3]
