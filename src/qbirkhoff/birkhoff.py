@@ -35,10 +35,13 @@ _MASS_FLOOR = 1e-13
 
 
 def _as_real_square(s) -> np.ndarray:
-    arr = as_matrix(s, float)
+    # complex input is read as complex: an imaginary part is refused, not cast away with a warning
+    arr = as_matrix(s, complex if np.iscomplexobj(s) else float)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square real matrix, got shape {arr.shape}")
-    return arr
+    if np.iscomplexobj(arr) and arr.imag.any():
+        raise ValueError("a doubly stochastic matrix is real: this one has a nonzero imaginary part")
+    return np.ascontiguousarray(arr.real)
 
 
 def _checked(s, tol: Tolerance) -> np.ndarray:

@@ -86,7 +86,7 @@ class KrausFamily:
             raise ValueError("an empty Kraus family has no algebra size")
         if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
             raise ValueError(f"Kraus family of shape {a.shape} is not d×n×n with n ≥ 1")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("Kraus family contains non-finite entries")
         return cls(a)
 
@@ -147,16 +147,15 @@ def _entry_key(op: np.ndarray) -> tuple:
 
 def _canonical_family(vals: np.ndarray, ops: np.ndarray, tol: Tolerance) -> KrausFamily:
     # the kept eigenvalues' sqrt-scaled operators, phase-fixed, by descending rounded
-    # eigenvalue; only operators whose rounded eigenvalues tie, by rounded entries
+    # eigenvalue; only operators whose rounded eigenvalues tie, by rounded entries, which
+    # are read only when some tie
     if not len(vals):
         raise ValueError("the map is zero within the rank cutoff: it has no Kraus operators")
     ops = phase_fixed(ops, tol.cutoff)
     keys = [-round(float(v), 12) for v in vals]
-    order = []
-    for _, tied in groupby(sorted(range(len(ops)), key=keys.__getitem__), key=keys.__getitem__):
-        tied = list(tied)
-        order += tied if len(tied) == 1 else sorted(tied, key=lambda k: _entry_key(ops[k]))
-    return KrausFamily(ops[order])
+    if keys == sorted(set(keys)):  # distinct and in order, as from_kraus's descending values are
+        return KrausFamily(ops)
+    return KrausFamily(ops[sorted(range(len(ops)), key=lambda k: (keys[k], _entry_key(ops[k])))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,13 +178,13 @@ class Channel:
         w = a.reshape(len(a), -1)  # any flattening of the v_k gives the same G
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.conj(w) @ w.T
-        if not np.any(g) or not np.all(np.isfinite(g)):
+        if not g.any() or not np.isfinite(g).all():
             raise ValueError("the Kraus products are zero or overflow: no finite nonzero map")
         vals, vecs = np.linalg.eigh(g)  # G is hermitian to rounding: eigh reads one triangle
-        keep = vals > rank_cutoff(vals, tol)
-        mixed = (vecs[:, keep].T @ w).reshape(-1, *a.shape[1:])  # Σ_k u_k v_k for each kept u
-        canon = _canonical_family(vals[keep][::-1], mixed[::-1], tol)
-        return cls(canon)
+        low = np.count_nonzero(vals <= rank_cutoff(vals, tol))  # the kept eigenpairs: eigh's top slice
+        # Σ_k u_k v_k for each kept u, the u as contiguous rows: the bits of a one-row product follow strides
+        mixed = (np.ascontiguousarray(vecs[:, low:].T) @ w).reshape(-1, *a.shape[1:])
+        return cls(_canonical_family(vals[low:][::-1], mixed[::-1], tol))
 
     @classmethod
     def from_choi(cls, choi, tol: Tolerance = DEFAULT_TOLERANCE) -> "Channel":

@@ -9,7 +9,8 @@ coefficient matrix of a null vector.  Past the counting bound (more operators
 than the rank bound allows to be independent) the verdict is by counting, and
 the null vector comes from a QR of the matrix's transpose, one trace row
 dropped for CP_phi; an SVD decides the rank below the bound, and past it when
-R's diagonal shows a drop at the cutoff.  Walking along witnesses reaches an
+R's diagonal shows a drop at the cutoff, its singular vectors found only for a
+null vector.  Walking along witnesses reaches an
 extremal channel in the face, and peeling off its largest multiple leaves a
 remainder.  Every walk step and every peel lowers the index, so a walk takes
 at most index − 1 steps and a decomposition has at most index-many terms.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,13 +76,8 @@ class DependencyCertificate:
     def residuals(self, family: KrausFamily) -> tuple[float, float]:
         """Entrywise-max residuals of (product sum, reversed-product sum)."""
         fwd = np.tensordot(self.lam, family.products(), axes=2)
-        rev = np.tensordot(self.lam, _reversed_products(family), axes=2)
+        rev = np.tensordot(self.lam, dagger(family.ops)[None, :] @ family.ops[:, None], axes=2)  # v_j* v_i
         return max_abs(fwd), max_abs(rev)
-
-
-def _reversed_products(family: KrausFamily) -> np.ndarray:
-    # entry (i, j) is v_j* v_i
-    return dagger(family.ops)[None, :] @ family.ops[:, None]
 
 
 def product_matrix(family: KrausFamily) -> np.ndarray:
@@ -90,21 +87,28 @@ def product_matrix(family: KrausFamily) -> np.ndarray:
 
 def stacked_matrix(family: KrausFamily) -> np.ndarray:
     """Real 2n²×d²: the product matrix over that of λ ↦ Σ λ_ij v_j* v_i."""
-    return np.vstack([hermitian_pair_map(family.products()), hermitian_pair_map(_reversed_products(family))])
+    a, a_star = family.ops, dagger(family.ops)
+    return np.concatenate((hermitian_pair_map(a[:, None] @ a_star[None, :]),
+                           hermitian_pair_map(a_star[None, :] @ a[:, None])))
 
 
 def _least_covered(kept: np.ndarray) -> np.ndarray:
     # e_k minus its part in the span of kept's orthonormal rows, normalized, k the first
     # coordinate they cover least: it depends on that span alone, never on its basis
-    k = int(np.argmin(np.sum(np.abs(kept) ** 2, axis=0)))
+    k = int((np.abs(kept) ** 2).sum(axis=0).argmin())
     x = -(dagger(kept) @ kept[:, k])
     x[k] += 1.0
     return x / np.linalg.norm(x)
 
 
-def _rank_and_null(m, tol: Tolerance):
-    # rank and a unit x with m x ≈ 0, None at full column rank: the least-covered rule on
-    # the kept right singular vectors, which span m's row space
+def _rank_and_null(m, tol: Tolerance, values_first: bool = True):
+    # rank and a unit x with m x ≈ 0, None at full column rank: the least-covered rule on the kept
+    # right singular vectors, which span m's row space.  Where full column rank is possible (m not
+    # wide, and ``values_first``), the singular values alone decide it first
+    if values_first and m.shape[1] <= len(m):
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] > rank_cutoff(s, tol):
+            return len(s), None
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
     if rank == m.shape[1]:
@@ -119,15 +123,21 @@ def _null_vector(m, kind: str, tol: Tolerance):
     # reversed half's others), with no |R_ii| at its rank cutoff makes Q an orthonormal basis of
     # m's row space, for the least-covered rule.  Otherwise the SVD decides, as below the bound
     # and for CP_phi on M_2: a unital qubit channel is U·Ψ(V x V*)·U* with Ψ a Pauli channel
-    # (King–Ruskai), so unless Ψ's weights tie its stacked matrix has rank 4 of 7 rows
+    # (King–Ruskai), so unless Ψ's weights tie its stacked matrix has rank 4 of 7 rows, and a
+    # doubly stochastic qubit family of index 2 or more, a mixture of unitaries, is never extremal
     n2 = len(m) // 2
-    if m.shape[1] > len(m) - (kind == CP_PHI) and (kind == CP or n2 > 4):
-        rows = np.delete(m, n2 + math.isqrt(n2) - 1, axis=0) if kind == CP_PHI else m
-        q, r = np.linalg.qr(rows.T)
+    qubit_phi = kind == CP_PHI and n2 == 4
+    if m.shape[1] > len(m) - (kind == CP_PHI) and not qubit_phi:
+        q, r = np.linalg.qr((m[_phi_rows(n2)] if kind == CP_PHI else m).T)
         diag = np.abs(r.diagonal())
         if diag.min() > rank_cutoff(diag, tol):
             return _least_covered(q.T)
-    return _rank_and_null(m, tol)[1]
+    return _rank_and_null(m, tol, values_first=not qubit_phi)[1]
+
+
+@lru_cache(maxsize=None)
+def _phi_rows(n2: int) -> np.ndarray:
+    return np.delete(np.arange(2 * n2), n2 + math.isqrt(n2) - 1)
 
 
 def hermitize_certificate(
@@ -148,7 +158,7 @@ def hermitize_certificate(
     vals, vecs = np.linalg.eigh(hermitian_from_coordinates(x))
     scale = max(-vals[0], vals[-1])
     x, vals = x / scale, vals / scale
-    if not x[np.argmax(np.abs(x) > tol.cutoff)] > 0.0:  # −λ: eigenpairs negated, still ascending
+    if not x[(np.abs(x) > tol.cutoff).argmax()] > 0.0:  # −λ: eigenpairs negated, still ascending
         x, vals, vecs = -x, -vals[::-1], vecs[:, ::-1]
     residual = max_abs(m @ x)
     if residual > tol.residual:
@@ -260,7 +270,7 @@ def _walk_step(cert: DependencyCertificate, rows: np.ndarray, tol: Tolerance) ->
     if -vals[0] > vals[-1]:
         vals, vecs = -vals[::-1], vecs[:, ::-1]
     b, j = psd_columns(1.0 - vals, vecs, tol)[1].T, len(vals)
-    return _lowered(np.vstack([b @ rows[:j], rows[j:]]), len(rows), "a walk step")
+    return _lowered(np.concatenate((b @ rows[:j], rows[j:])), len(rows), "a walk step")
 
 
 def _peel(rows: np.ndarray, tol: Tolerance):

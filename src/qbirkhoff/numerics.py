@@ -256,12 +256,13 @@ def phase_fixed(m, cutoff: float) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     flat = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])  # one row per matrix, or none
     above = np.abs(flat) > cutoff
-    found = above.any(axis=1)[:, None]
-    z = np.where(found, flat[np.arange(len(flat)), np.argmax(above, axis=1)][:, None], 1.0)
+    at = np.arange(len(flat)), above.argmax(axis=1)
+    found, z = above[at][:, None], flat[at][:, None]
+    z[~found] = 1.0  # no entry above the cutoff: a turn by 1, whose product is then dropped
     # hypot, not np.abs: on arrays np.abs rounds differently from abs() of one
     # entry, and the canonical Kraus bytes must not move
-    turn = np.conj(z) / np.hypot(z.real, z.imag)
-    return np.where(found, flat * turn, flat).reshape(arr.shape)
+    out = flat * (np.conj(z) / np.hypot(z.real, z.imag))
+    return (out if found.all() else np.where(found, out, flat)).reshape(arr.shape)
 
 
 def projection_eigenbasis(p, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, np.ndarray]:
@@ -358,9 +359,9 @@ def hermitian_from_coordinates(x) -> np.ndarray:
     """The d×d matrix Σ x_a B_a of d² real coordinates x: real diagonal (imaginary
     parts +0.0), and each entry below it the exact conjugate of its mirror.  A
     size that is not a square is ``ValueError``."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
     d = math.isqrt(x.size)
     if d * d != x.size:
         raise ValueError(f"{x.size} coordinates are not those of a square matrix")
     src, coef = _coordinate_plan(d)
-    return (np.append(x, 0.0).take(src) * coef).view(complex).reshape(d, d)
+    return (np.concatenate((x, [0.0])).take(src) * coef).view(complex).reshape(d, d)

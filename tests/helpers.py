@@ -402,6 +402,36 @@ def canonical_order_by_full_key(vals, ops):
     return sorted(range(len(ops)), key=key)
 
 
+def phase_fixed_by_loop(ops, cutoff=DEFAULT_TOLERANCE.cutoff):
+    """Each matrix of a d×n×n stack on its own: times conj(z)/|z| (|z| by hypot), z its
+    first entry of modulus above ``cutoff`` in row-major order, or, with no such entry,
+    the matrix itself, signed zeros included."""
+    out = []
+    for op in np.asarray(ops, dtype=complex):
+        row = op.reshape(1, -1)
+        lead = [k for k, z in enumerate(row[0]) if abs(z) > cutoff]
+        if lead:
+            z = row[:, lead[0], None]
+            row = row * (np.conj(z) / np.hypot(z.real, z.imag))
+        out.append(row)
+    return np.array(out, dtype=complex).reshape(np.shape(ops))
+
+
+def canonical_kraus_by_loop(ops, cutoff=DEFAULT_TOLERANCE.cutoff):
+    """The canonical Kraus operators of ``Channel.from_kraus`` by its rule, spelled out:
+    the eigenpairs of the Gram matrix conj(W)·Wᵀ (W's rows the flattened v_k) whose
+    eigenvalue is above cutoff·max(1, max|λ|), picked by a boolean mask; Σ_k u_k v_k for
+    each, in one product; each phase-fixed on its own; ordered by the full key of
+    :func:`canonical_order_by_full_key`."""
+    a = np.asarray(ops, dtype=complex)
+    w = a.reshape(len(a), -1)
+    vals, vecs = np.linalg.eigh(np.conj(w) @ w.T)
+    keep = vals > cutoff * max(1.0, float(np.abs(vals).max()))
+    mixed = (vecs[:, keep].T @ w).reshape(-1, *a.shape[1:])[::-1]
+    fixed = phase_fixed_by_loop(mixed, cutoff)
+    return fixed[canonical_order_by_full_key(vals[keep][::-1], fixed)]
+
+
 def blocks_by_plain_bfs(m):
     """Connected components of m's exact nonzero pattern, m[i][j] != 0 joining
     i and j either way, by breadth-first search over Python sets: each a sorted

@@ -36,6 +36,21 @@ def test_an_empty_matrix_is_not_doubly_stochastic():
             call(np.zeros((0, 0)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_complex_matrix_is_refused_without_a_warning():
+    # P + 0.5j·I has real part P, doubly stochastic; a cast to float would drop the
+    # imaginary part with a ComplexWarning (an error here) and accept it
+    p = np.eye(3)[[1, 2, 0]]
+    bad = p + 0.5j * np.eye(3)
+    assert is_doubly_stochastic(bad) is False
+    for call in (birkhoff_decompose, embed_classical, ds_matrix_to_dict):
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            call(bad)
+    # a complex array whose imaginary part is zero is the real matrix
+    assert is_doubly_stochastic(p + 0j)
+    assert birkhoff_decompose(p + 0j).terms == birkhoff_decompose(p).terms
+
+
 def test_decompose_small_frozen():
     s = np.array(
         [

@@ -12,7 +12,7 @@ from qbirkhoff import (
     channel_to_dict,
     family_from_dict,
 )
-from qbirkhoff.catalog import depolarizing_channel, identity_channel
+from qbirkhoff.catalog import depolarizing_channel, identity_channel, weyl_basis
 from qbirkhoff.channels import (
     _canonical_family,
     choi_from_kraus,
@@ -229,6 +229,63 @@ def test_canonical_order_matches_the_full_key_sort():
         fixed = phase_fixed(ops, DEFAULT_TOLERANCE.cutoff)
         got = _canonical_family(vals, ops, DEFAULT_TOLERANCE).ops
         assert np.array_equal(got, fixed[helpers.canonical_order_by_full_key(vals, fixed)])
+
+
+def _byte_oracle_families(gen):
+    # (what, ops): 240 seeded Kraus inputs for the canonical form's byte oracle
+    for _ in range(80):  # simple spectra
+        n, d = int(gen.integers(1, 5)), int(gen.integers(2, 10))
+        yield "simple", gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+    for _ in range(40):  # exactly duplicated operators: a rank drop
+        n, d = int(gen.integers(1, 5)), int(gen.integers(2, 8))
+        ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+        ops[gen.integers(1, d)] = ops[0]
+        yield "duplicated", ops
+    for _ in range(40):  # orthogonal unitaries at tied weights, gauge-mixed: tied eigenvalues
+        n = int(gen.integers(2, 5))
+        basis = np.array(weyl_basis(n)[: int(gen.integers(2, n * n + 1))])
+        ops = np.sqrt(gen.choice([0.25, 0.5], size=len(basis)))[:, None, None] * basis
+        yield "tied", helpers.gauge_mixed(ops, helpers.haar_unitary(len(ops), gen))
+    for _ in range(40):  # near-ties 1e-14 apart, in the operators and in the weights
+        n, d = int(gen.integers(1, 5)), int(gen.integers(2, 8))
+        ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+        ops[gen.integers(1, d)] = ops[0] + 1e-14
+        yield "near-tie", ops
+        p, q = gen.uniform(0.1, 0.5, size=2)
+        yield "near-tie", np.sqrt([p, p + 1e-14, q, q - 1e-14])[:, None, None] * np.array(weyl_basis(2))
+    for _ in range(20):  # one operator
+        n = int(gen.integers(1, 6))
+        yield "d=1", (gen.normal(size=(1, n, n)) + 1j * gen.normal(size=(1, n, n)))
+
+
+def test_canonical_kraus_bytes_match_the_loop_oracle():
+    gen = np.random.default_rng(1905)
+    seen = {}
+    for what, ops in _byte_oracle_families(gen):
+        got = Channel.from_kraus(ops).kraus.ops
+        assert got.tobytes() == helpers.canonical_kraus_by_loop(ops).tobytes(), what
+        seen[what] = seen.get(what, 0) + 1
+    assert sum(seen.values()) >= 200 and len(seen) == 5
+
+
+def test_phase_fix_keeps_a_matrix_with_no_entry_above_the_cutoff_bit_for_bit():
+    # no canonical operator is that small (its squared norm is above the cutoff), so the
+    # stack goes through phase_fixed and _canonical_family directly; its signed zeros stay
+    gen = np.random.default_rng(1906)
+    for _ in range(20):
+        n, d = int(gen.integers(1, 5)), int(gen.integers(2, 7))
+        ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
+        small = int(gen.integers(d))
+        ops[small] *= 1e-12
+        signs = gen.random((2, n, n))
+        ops[small].real[signs[0] < 0.5] = -0.0
+        ops[small].imag[signs[1] < 0.5] = 0.0
+        fixed = phase_fixed(ops, DEFAULT_TOLERANCE.cutoff)
+        assert fixed.tobytes() == helpers.phase_fixed_by_loop(ops).tobytes()
+        assert fixed[small].tobytes() == ops[small].tobytes()
+        vals = np.sort(gen.choice([1.0, 0.5, 0.25], size=d))[::-1]
+        got = _canonical_family(vals, ops, DEFAULT_TOLERANCE).ops
+        assert got.tobytes() == fixed[helpers.canonical_order_by_full_key(vals, fixed)].tobytes()
 
 
 def test_zero_within_the_cutoff_has_no_kraus_family():

@@ -125,9 +125,9 @@ def _rank_test_routes(monkeypatch):
     # _rank_and_null's SVD decides, call by call
     routes, svd_rule, qr = [], extremality._rank_and_null, np.linalg.qr
 
-    def recorded_svd(m, tol):
+    def recorded_svd(m, *args, **kwargs):
         routes.append(("svd", m.shape))
-        return svd_rule(m, tol)
+        return svd_rule(m, *args, **kwargs)
 
     def recorded_qr(a, *args, **kwargs):
         routes.append(("qr", a.shape))
@@ -185,6 +185,61 @@ def test_rank_drops_past_the_bound_keep_the_svd_certificate(monkeypatch):
             assert not ok and routes[1:] == [("svd", m.shape)] and routes[0][0] == "qr"
             _, nullvec = _rank_and_null(m, DEFAULT_TOLERANCE)
             assert np.array_equal(cert.lam[:j, :j], hermitize_certificate(nullvec, m, kind).lam)
+
+
+def _svd_calls(monkeypatch):
+    # ("values", shape) for each np.linalg.svd call without singular vectors, ("vectors",
+    # shape) for each with them
+    calls, svd = [], np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        calls.append(("values" if kwargs.get("compute_uv") is False else "vectors", np.shape(m)))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def test_rank_and_null_runs_the_vector_svd_only_for_a_null_vector(monkeypatch):
+    # tall of full column rank: one values-only SVD decides.  Tall and rank-deficient: the
+    # values, then the vectors, for the same (rank, null vector) as the vector SVD alone, the
+    # projector column's.  Wide: straight to the vector SVD
+    calls, tol = _svd_calls(monkeypatch), DEFAULT_TOLERANCE
+    gen = np.random.default_rng(2950)
+    for rows, cols, rank in ((72, 16, None), (512, 9, None), (18, 16, None), (9, 9, None),
+                             (256, 9, 4), (9, 9, 5), (18, 16, 12), (4, 16, None), (6, 16, 3)):
+        m = gen.normal(size=(rows, cols)) if rank is None else (
+            gen.normal(size=(rows, rank)) @ gen.normal(size=(rank, cols)))
+        calls.clear()
+        got_rank, x = _rank_and_null(m, tol)
+        assert got_rank == (min(rows, cols) if rank is None else rank)
+        if cols > rows:
+            assert calls == [("vectors", m.shape)]
+        elif rank is None:
+            assert calls == [("values", m.shape)] and x is None
+            continue
+        else:
+            assert calls == [("values", m.shape), ("vectors", m.shape)]
+        again_rank, again = _rank_and_null(m, tol, values_first=False)
+        assert again_rank == got_rank and again.tobytes() == x.tobytes()
+        assert max_abs(x - helpers.null_vector_by_projector(m, tol.cutoff)) < 1e-10
+
+
+def test_doubly_stochastic_qubit_families_go_straight_to_the_vector_svd(monkeypatch):
+    # a doubly stochastic qubit family of index 2 or more is a mixture of unitaries, never
+    # extremal, so its stacked matrix (8×d², tall at d = 2) skips the values-only try.  The
+    # unital cone has extremal qubit maps of index 2, such as {E_00, E_10}, whose 4×4
+    # product matrix is tried by its values first
+    calls = _svd_calls(monkeypatch)
+    for d in (2, 3, 4):
+        ch = helpers.random_unitary_mixture(2, d, np.random.default_rng(2960 + d))
+        calls.clear()
+        assert not landau_streater_test(ch)[0]
+        assert calls == [("vectors", (8, min(d, 3) ** 2))]
+    ch = Channel.from_kraus([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    calls.clear()
+    assert ch.kraus.validate() == (True, False) and choi_extremal_test(ch) == (True, None)
+    assert calls == [("values", (4, 4))]
 
 
 def test_certificates_hold_under_rounding_level_perturbations():

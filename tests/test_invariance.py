@@ -9,9 +9,12 @@ superoperator, so the spectrum, fixed_dim and period hold too.
 
 The corpus is the builtins, seeded unitary mixtures, a seeded doubly stochastic
 channel on M_3 and the heaviest term of each kind of its decomposition (an
-extremal term of index above 1), each checked first to
-have every decision far from the default cutoff: a decision near it may flip
-under rounding, and such channels stay out of these strict checks.
+extremal term of index above 1), every term of a seeded doubly stochastic
+channel's CP_phi decomposition on M_4 and one such term on M_5, each checked
+first to have every decision far from the default cutoff: a decision near it
+may flip under rounding, and such channels stay out of these strict checks.
+The decomposed terms guard the rank tests that the decomposition's walk ends
+on, whose full column rank the singular values alone decide.
 """
 
 import functools
@@ -37,11 +40,21 @@ import helpers
 SEEDS = (2111, 2112, 2113)
 MIXTURES = {f"mixture n={n} k={k}": (n, k) for n, k in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 5))}
 TERMS = {"CP_phi term": CP_PHI, "CP term": CP}
-NAMES = [*BUILTINS, *MIXTURES, "doubly stochastic", *TERMS]
+# (n, position) of a CP_phi decomposition's term: all 12 on M_4, the heaviest on M_5
+DECOMPOSED = {**{f"n=4 CP_phi term {k}": (4, k) for k in range(12)}, "n=5 CP_phi term": (5, 0)}
+NAMES = [*BUILTINS, *MIXTURES, "doubly stochastic", *TERMS, *DECOMPOSED]
+
+
+@functools.cache
+def _decomposition(n):
+    return decompose_extremal(helpers.random_ds_channel(n, np.random.default_rng(2120 + n)))
 
 
 @functools.cache
 def _channel(name):
+    if name in DECOMPOSED:
+        n, k = DECOMPOSED[name]
+        return _decomposition(n).terms[k][1]
     if name in BUILTINS:
         return build_example(name)
     if name in MIXTURES:
@@ -100,6 +113,13 @@ def _same_spectrum(a, b):
 @pytest.mark.parametrize("name", NAMES)
 def test_every_corpus_decision_is_far_from_the_cutoff(name):
     assert _far_from_cutoff(_channel(name))
+
+
+def test_the_corpus_holds_every_term_of_the_m4_decomposition():
+    terms = _decomposition(4).terms
+    assert len(terms) == sum(n == 4 for n, _ in DECOMPOSED.values())
+    assert all(term.dim == 4 and 1 < term.index <= 5 for _, term in terms)
+    assert _channel("n=5 CP_phi term").dim == 5
 
 
 @pytest.mark.parametrize("seed", SEEDS)
