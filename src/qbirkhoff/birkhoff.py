@@ -36,12 +36,13 @@ _MASS_FLOOR = 1e-13
 
 def _as_real_square(s) -> np.ndarray:
     # complex input is read as complex: an imaginary part is refused, not cast away with a warning
-    arr = as_matrix(s, complex if np.iscomplexobj(s) else float)
+    arr = np.asarray(s)
+    arr = as_matrix(arr, complex if np.iscomplexobj(arr) else float)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square real matrix, got shape {arr.shape}")
     if np.iscomplexobj(arr) and arr.imag.any():
         raise ValueError("a doubly stochastic matrix is real: this one has a nonzero imaginary part")
-    return np.ascontiguousarray(arr.real)
+    return arr.real.copy() if np.iscomplexobj(arr) else arr
 
 
 def _checked(s, tol: Tolerance) -> np.ndarray:

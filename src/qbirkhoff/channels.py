@@ -147,15 +147,18 @@ def _entry_key(op: np.ndarray) -> tuple:
 
 def _canonical_family(vals: np.ndarray, ops: np.ndarray, tol: Tolerance) -> KrausFamily:
     # the kept eigenvalues' sqrt-scaled operators, phase-fixed, by descending rounded
-    # eigenvalue; only operators whose rounded eigenvalues tie, by rounded entries, which
-    # are read only when some tie
+    # eigenvalue; only operators whose rounded eigenvalues tie, by rounded entries
     if not len(vals):
         raise ValueError("the map is zero within the rank cutoff: it has no Kraus operators")
     ops = phase_fixed(ops, tol.cutoff)
     keys = [-round(float(v), 12) for v in vals]
     if keys == sorted(set(keys)):  # distinct and in order, as from_kraus's descending values are
         return KrausFamily(ops)
-    return KrausFamily(ops[sorted(range(len(ops)), key=lambda k: (keys[k], _entry_key(ops[k])))])
+    order = []
+    for _, tied in groupby(sorted(range(len(ops)), key=keys.__getitem__), key=keys.__getitem__):
+        tied = list(tied)
+        order += tied if len(tied) == 1 else sorted(tied, key=lambda k: _entry_key(ops[k]))
+    return KrausFamily(ops[order])
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +75,13 @@ class DependencyCertificate:
     def residuals(self, family: KrausFamily) -> tuple[float, float]:
         """Entrywise-max residuals of (product sum, reversed-product sum)."""
         fwd = np.tensordot(self.lam, family.products(), axes=2)
-        rev = np.tensordot(self.lam, dagger(family.ops)[None, :] @ family.ops[:, None], axes=2)  # v_j* v_i
+        rev = np.tensordot(self.lam, _reversed_products(family), axes=2)
         return max_abs(fwd), max_abs(rev)
+
+
+def _reversed_products(family: KrausFamily) -> np.ndarray:
+    # entry (i, j) is v_j* v_i
+    return dagger(family.ops)[None, :] @ family.ops[:, None]
 
 
 def product_matrix(family: KrausFamily) -> np.ndarray:
@@ -87,9 +91,7 @@ def product_matrix(family: KrausFamily) -> np.ndarray:
 
 def stacked_matrix(family: KrausFamily) -> np.ndarray:
     """Real 2n²×d²: the product matrix over that of λ ↦ Σ λ_ij v_j* v_i."""
-    a, a_star = family.ops, dagger(family.ops)
-    return np.concatenate((hermitian_pair_map(a[:, None] @ a_star[None, :]),
-                           hermitian_pair_map(a_star[None, :] @ a[:, None])))
+    return np.concatenate((product_matrix(family), hermitian_pair_map(_reversed_products(family))))
 
 
 def _least_covered(kept: np.ndarray) -> np.ndarray:
@@ -101,11 +103,11 @@ def _least_covered(kept: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _rank_and_null(m, tol: Tolerance, values_first: bool = True):
+def _rank_and_null(m, tol: Tolerance):
     # rank and a unit x with m x ≈ 0, None at full column rank: the least-covered rule on the kept
     # right singular vectors, which span m's row space.  Where full column rank is possible (m not
-    # wide, and ``values_first``), the singular values alone decide it first
-    if values_first and m.shape[1] <= len(m):
+    # wide), the singular values alone decide it first
+    if m.shape[1] <= len(m):
         s = np.linalg.svd(m, compute_uv=False)
         if s[-1] > rank_cutoff(s, tol):
             return len(s), None
@@ -123,21 +125,15 @@ def _null_vector(m, kind: str, tol: Tolerance):
     # reversed half's others), with no |R_ii| at its rank cutoff makes Q an orthonormal basis of
     # m's row space, for the least-covered rule.  Otherwise the SVD decides, as below the bound
     # and for CP_phi on M_2: a unital qubit channel is U·Ψ(V x V*)·U* with Ψ a Pauli channel
-    # (King–Ruskai), so unless Ψ's weights tie its stacked matrix has rank 4 of 7 rows, and a
-    # doubly stochastic qubit family of index 2 or more, a mixture of unitaries, is never extremal
+    # (King–Ruskai), so unless Ψ's weights tie its stacked matrix has rank 4 of 7 rows
     n2 = len(m) // 2
-    qubit_phi = kind == CP_PHI and n2 == 4
-    if m.shape[1] > len(m) - (kind == CP_PHI) and not qubit_phi:
-        q, r = np.linalg.qr((m[_phi_rows(n2)] if kind == CP_PHI else m).T)
+    if m.shape[1] > len(m) - (kind == CP_PHI) and (kind == CP or n2 > 4):
+        rows = np.delete(m, n2 + math.isqrt(n2) - 1, axis=0) if kind == CP_PHI else m
+        q, r = np.linalg.qr(rows.T)
         diag = np.abs(r.diagonal())
         if diag.min() > rank_cutoff(diag, tol):
             return _least_covered(q.T)
-    return _rank_and_null(m, tol, values_first=not qubit_phi)[1]
-
-
-@lru_cache(maxsize=None)
-def _phi_rows(n2: int) -> np.ndarray:
-    return np.delete(np.arange(2 * n2), n2 + math.isqrt(n2) - 1)
+    return _rank_and_null(m, tol)[1]
 
 
 def hermitize_certificate(

@@ -15,7 +15,7 @@ from qbirkhoff import (
     landau_streater_test,
 )
 from qbirkhoff import extremality, numerics
-from qbirkhoff.extremality import _rank_and_null, product_matrix, stacked_matrix
+from qbirkhoff.extremality import _least_covered, _rank_and_null, product_matrix, stacked_matrix
 from qbirkhoff.catalog import build_example, weyl_basis
 from qbirkhoff.numerics import (
     DEFAULT_TOLERANCE,
@@ -25,6 +25,7 @@ from qbirkhoff.numerics import (
     max_abs,
     numerical_rank,
     operator_norm,
+    rank_cutoff,
 )
 
 import helpers
@@ -125,9 +126,9 @@ def _rank_test_routes(monkeypatch):
     # _rank_and_null's SVD decides, call by call
     routes, svd_rule, qr = [], extremality._rank_and_null, np.linalg.qr
 
-    def recorded_svd(m, *args, **kwargs):
+    def recorded_svd(m, tol):
         routes.append(("svd", m.shape))
-        return svd_rule(m, *args, **kwargs)
+        return svd_rule(m, tol)
 
     def recorded_qr(a, *args, **kwargs):
         routes.append(("qr", a.shape))
@@ -203,7 +204,8 @@ def _svd_calls(monkeypatch):
 def test_rank_and_null_runs_the_vector_svd_only_for_a_null_vector(monkeypatch):
     # tall of full column rank: one values-only SVD decides.  Tall and rank-deficient: the
     # values, then the vectors, for the same (rank, null vector) as the vector SVD alone, the
-    # projector column's.  Wide: straight to the vector SVD
+    # projector column's.  Wide: straight to the vector SVD.  The unital qubit map {E_00, E_10}
+    # is extremal, and its 4×4 product matrix is decided by its values alone
     calls, tol = _svd_calls(monkeypatch), DEFAULT_TOLERANCE
     gen = np.random.default_rng(2950)
     for rows, cols, rank in ((72, 16, None), (512, 9, None), (18, 16, None), (9, 9, None),
@@ -220,22 +222,10 @@ def test_rank_and_null_runs_the_vector_svd_only_for_a_null_vector(monkeypatch):
             continue
         else:
             assert calls == [("values", m.shape), ("vectors", m.shape)]
-        again_rank, again = _rank_and_null(m, tol, values_first=False)
-        assert again_rank == got_rank and again.tobytes() == x.tobytes()
+        _, s, vh = np.linalg.svd(m, full_matrices=False)  # the vector SVD alone, as before
+        assert np.count_nonzero(s > rank_cutoff(s, tol)) == got_rank
+        assert _least_covered(vh[:got_rank]).tobytes() == x.tobytes()
         assert max_abs(x - helpers.null_vector_by_projector(m, tol.cutoff)) < 1e-10
-
-
-def test_doubly_stochastic_qubit_families_go_straight_to_the_vector_svd(monkeypatch):
-    # a doubly stochastic qubit family of index 2 or more is a mixture of unitaries, never
-    # extremal, so its stacked matrix (8×d², tall at d = 2) skips the values-only try.  The
-    # unital cone has extremal qubit maps of index 2, such as {E_00, E_10}, whose 4×4
-    # product matrix is tried by its values first
-    calls = _svd_calls(monkeypatch)
-    for d in (2, 3, 4):
-        ch = helpers.random_unitary_mixture(2, d, np.random.default_rng(2960 + d))
-        calls.clear()
-        assert not landau_streater_test(ch)[0]
-        assert calls == [("vectors", (8, min(d, 3) ** 2))]
     ch = Channel.from_kraus([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
     calls.clear()
     assert ch.kraus.validate() == (True, False) and choi_extremal_test(ch) == (True, None)
