@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .birkhoff import (
+    PermutationDecomposition,
     birkhoff_decompose,
-    decomposition_to_dicts,
     loads_ds_matrix,
 )
 from .catalog import BUILTINS, build_example, build_family
@@ -103,12 +103,21 @@ def _render(o, pad: str = "\n") -> str:
     # cached template of its own shape.  A list whose items share one shape (records
     # with the same keys in the same order, equal rows) fills, through _column, one
     # template made of its cached item template; any other list renders item by item.
+    # A PermutationDecomposition renders as its decomposition_to_dicts, term by term.
     if type(o) in (float, int) and "n" not in (text := type(o).__repr__(o)):
         return text
     if type(o) is np.ndarray:
         found = _column([o])
         return _layout(found[0], pad) % tuple(found[1]) if found else _render(o.tolist(), pad)
     inner = pad + "  "
+    if type(o) is PermutationDecomposition:
+        # weights are positive finite floats; each permutation is one join over a table of
+        # its column texts, where the stdlib writes one str(int) at a time
+        cols, leaf = [str(c) for c in range(o.n)], inner + "  "
+        head, mid = "{" + leaf + '"weight": ', "," + leaf + '"permutation": [' + leaf + "  "
+        sep, tail = "," + leaf + "  ", leaf + "]" + inner + "}"
+        terms = [head + float.__repr__(w) + mid + sep.join([cols[c] for c in p]) + tail for w, p in o.terms]
+        return "[" + inner + ("," + inner).join(terms) + pad + "]" if terms else "[]"
     if isinstance(o, dict) and o:
         items = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -123,7 +132,8 @@ def _render(o, pad: str = "\n") -> str:
 def _emit(payload):
     """The one JSON writer, every subcommand's stdout: exactly ``json.dumps(payload,
     indent=2, allow_nan=False, default=np.ndarray.tolist)`` and a newline (dict keys
-    are strings), in one write.
+    are strings; a ``PermutationDecomposition`` stands for its
+    ``decomposition_to_dicts``), in one write.
     Rendering comes first, so a payload that does not encode (a non-finite float is
     ``ValueError``) leaves stdout empty."""
     sys.stdout.write(_render(payload) + "\n")
@@ -288,7 +298,7 @@ def cmd_birkhoff(args) -> int:
     tol = Tolerance(args.tol)
     s = loads_ds_matrix(_read_text(args.matrix), tol)
     dec = birkhoff_decompose(s, tol)
-    _emit(decomposition_to_dicts(dec))
+    _emit(dec)
     if not args.json:  # as in cmd_decompose: the error is for the stderr line only
         err = float(np.max(np.abs(dec.mixture() - s)))
         _say(

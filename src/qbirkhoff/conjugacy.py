@@ -117,9 +117,10 @@ def conjugate_data_test(dm, dm2, tol: Tolerance = DEFAULT_TOLERANCE):
 def verify_certificate(
     ch, ch2, cert: ConjugacyCertificate, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> bool:
-    """Check u v_k u* = w Σ_j g_kj v'_j for every k (conjugated v_k when
-    anti-unitary); certificates relate the families as given, so raw Kraus
-    families are accepted alongside channels."""
+    """Check that u, g and w are unitary and that u v_k u* = w Σ_j g_kj v'_j for
+    every k (conjugated v_k when anti-unitary), each entrywise within ``tol.cutoff``;
+    certificates relate the families as given, so raw Kraus families are accepted
+    alongside channels."""
     fam, fam2 = _family(ch), _family(ch2)
     if fam.dim != fam2.dim:
         raise ValueError(f"dimension mismatch: {fam.dim} vs {fam2.dim}")
@@ -129,6 +130,8 @@ def verify_certificate(
     u, g, w = as_matrix(cert.u), as_matrix(cert.g), as_matrix(cert.w)
     if u.shape != (n, n) or w.shape != (n, n) or g.shape != (d, d):
         raise ValueError("certificate matrices do not match the channel sizes")
+    if any(max_abs(x @ dagger(x) - np.eye(len(x))) > tol.cutoff for x in (u, g, w)):
+        return False
     ops = np.conj(fam.ops) if cert.antiunitary else fam.ops
     lhs = u @ ops @ dagger(u)
     rhs = w @ np.tensordot(g, fam2.ops, axes=1)

@@ -12,7 +12,7 @@ import pytest
 
 import helpers
 import qbirkhoff.cli as cli
-from qbirkhoff.birkhoff import PermutationDecomposition
+from qbirkhoff.birkhoff import PermutationDecomposition, birkhoff_decompose, decomposition_to_dicts
 from qbirkhoff.cli import build_parser, main
 from qbirkhoff.extremality import CP, CP_PHI, ExtremalDecomposition, decompose_extremal
 from qbirkhoff.channels import channel_to_dict, matrix_to_pairs
@@ -603,7 +603,9 @@ def test_every_subcommand_prints_the_stdlib_bytes_of_its_payload(
     for argv in [*_builtin_argvs(), *_corpus_argvs(paths, ds_files)]:
         payloads.clear()
         code, out, _ = run_cli(capsys, *argv, "--json")
-        assert out == "".join(map(dumps, payloads)), argv
+        # birkhoff's payload is the decomposition itself, whose JSON is its dicts
+        dicts = [decomposition_to_dicts(p) if type(p) is PermutationDecomposition else p for p in payloads]
+        assert out == "".join(map(dumps, dicts)), argv
         assert len(payloads) == (code == 0), argv
         if code == 0:
             succeeded.add(argv[0])
@@ -632,6 +634,41 @@ def test_birkhoff_json_skips_the_stderr_only_error(tmp_path, capsys, monkeypatch
     assert err == (
         "2 permutation terms, weight sum 1.000000000000, reconstruction error 0.00e+00\n"
     )
+
+
+def _birkhoff_inputs():
+    # Sinkhorn-balanced matrices, exact permutation mixtures (a few permutations, so
+    # one round frees several rows at once, and n² of them) and the identity
+    rng = np.random.default_rng(3501)
+    for n in (1, 2, 3, 10, 25, 30):
+        yield from (helpers.sinkhorn_ds_matrix(n, rng), helpers.random_ds_matrix(n, rng, k=3))
+        yield from (helpers.random_ds_matrix(n, rng), np.eye(n))
+
+
+def test_birkhoff_prints_the_stdlib_bytes_of_its_decomposition_dicts(tmp_path, capsys):
+    path = tmp_path / "ds.json"
+    for s in _birkhoff_inputs():
+        n = len(s)
+        path.write_text(json.dumps({"n": n, "rows": s.tolist()}))
+        code, out, _ = run_cli(capsys, "birkhoff", str(path), "--json")
+        dec = birkhoff_decompose(s)
+        assert code == 0 and out == json.dumps(decomposition_to_dicts(dec), indent=2) + "\n", n
+        # at any caller's pad, and for no terms at all
+        assert cli._render(dec, "\n  ") == cli._render(decomposition_to_dicts(dec), "\n  ")
+    assert cli._render(PermutationDecomposition(terms=(), n=0)) == "[]"
+
+
+def test_birkhoff_output_never_reaches_the_record_path(tmp_path, capsys, monkeypatch):
+    # the terms render one by one, so the generic column walk is never asked
+    def refused(level):
+        raise AssertionError("birkhoff called _column")
+
+    monkeypatch.setattr(cli, "_column", refused)
+    path = tmp_path / "ds.json"
+    s = helpers.sinkhorn_ds_matrix(25, np.random.default_rng(3502))
+    path.write_text(json.dumps({"n": 25, "rows": s.tolist()}))
+    code, out, _ = run_cli(capsys, "birkhoff", str(path), "--json")
+    assert code == 0 and len(json.loads(out)) == len(birkhoff_decompose(s).terms)
 
 
 def test_decompose_json_skips_the_stderr_only_error(capsys, monkeypatch):

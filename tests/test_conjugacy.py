@@ -16,7 +16,8 @@ from qbirkhoff import (
     spectrum_invariant,
     verify_certificate,
 )
-from qbirkhoff.catalog import diagonal_pair_family, spin_triple_family
+from qbirkhoff.catalog import build_example, build_family, diagonal_pair_family, spin_triple_family
+from qbirkhoff.cli import main
 from qbirkhoff.conjugacy import certificate_from_dict, certificate_to_dict, spectra_match
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, NumericalFailure, Tolerance, dagger, max_abs
 
@@ -99,6 +100,39 @@ def test_wrong_certificate_rejected(rng):
         u=helpers.haar_unitary(2, rng), g=np.eye(ch.kraus.index), w=np.eye(2)
     )
     assert not verify_certificate(ch.kraus, rotated, bad)
+
+
+def test_a_certificate_that_is_not_unitary_is_refused():
+    # the zero certificate solves the relation outright, and (2I, I, 4I) solves it
+    # since 2v·2 = 4v; neither is a unitary triple, so neither verifies
+    ch = build_example("ex2.12")
+    n, d = ch.dim, ch.index
+    assert (n, d) == (3, 2)
+    assert verify_certificate(ch, ch, ConjugacyCertificate(u=np.eye(n), g=np.eye(d), w=np.eye(n)))
+    zero = ConjugacyCertificate(u=np.zeros((n, n)), g=np.zeros((d, d)), w=np.zeros((n, n)))
+    scaled = ConjugacyCertificate(u=2 * np.eye(n), g=np.eye(d), w=4 * np.eye(n))
+    assert not verify_certificate(ch, ch, zero)
+    assert not verify_certificate(ch, ch, scaled)
+    # one factor off unitary by more than the cutoff is enough; within it still verifies
+    for name, scale, verified in (("u", 1 + 1e-8, False), ("g", 1 + 1e-8, False), ("w", 1 + 1e-12, True)):
+        factors = {"u": np.eye(n), "g": np.eye(d), "w": np.eye(n)}
+        factors[name] = scale * factors[name]
+        assert verify_certificate(ch, ch, ConjugacyCertificate(**factors)) is verified, name
+
+
+@pytest.mark.parametrize("name, params", [("ex2.12", {}), ("depolarizing", {"n": 2})])
+def test_the_cli_prints_the_failed_verdict_for_an_all_zero_certificate(tmp_path, capsys, name, params):
+    fam = build_family(name, **params)
+    n, d = fam.dim, fam.index
+    path = tmp_path / "zero.json"
+    zero = ConjugacyCertificate(u=np.zeros((n, n)), g=np.zeros((d, d)), w=np.zeros((n, n)))
+    path.write_text(json.dumps(certificate_to_dict(zero)))
+    flags = [f"--{key}={value}" for key, value in params.items()]
+    code = main(["conjugacy", name, name, *flags, "--certificate", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["spectra_match"] is True
+    assert report["certificate_verified"] is False
+    assert report["verdict"] == "certificate FAILED verification (invariants match)"
 
 
 def test_conjugate_data_test_finds_g(rng):

@@ -10,9 +10,10 @@ superoperator, so the spectrum, fixed_dim and period hold too.
 The corpus is the builtins, seeded unitary mixtures, a seeded doubly stochastic
 channel on M_3 and the heaviest term of each kind of its decomposition (an
 extremal term of index above 1), every term of a seeded doubly stochastic
-channel's CP_phi decomposition on M_4 and one such term on M_5, each checked
-first to have every decision far from the default cutoff: a decision near it
-may flip under rounding, and such channels stay out of these strict checks.
+channel's CP_phi and CP decompositions on M_4 and one CP_phi term on M_5, each
+checked first to have every decision far from the default cutoff: a decision
+near it may flip under rounding, and such channels stay out of these strict
+checks.
 The decomposed terms guard the rank tests that the decomposition's walk ends
 on, whose full column rank the singular values alone decide.
 """
@@ -40,21 +41,26 @@ import helpers
 SEEDS = (2111, 2112, 2113)
 MIXTURES = {f"mixture n={n} k={k}": (n, k) for n, k in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 5))}
 TERMS = {"CP_phi term": CP_PHI, "CP term": CP}
-# (n, position) of a CP_phi decomposition's term: all 12 on M_4, the heaviest on M_5
-DECOMPOSED = {**{f"n=4 CP_phi term {k}": (4, k) for k in range(12)}, "n=5 CP_phi term": (5, 0)}
+# (n, kind, position) of a decomposition's term: every CP_phi and CP term on M_4 (12 and 13),
+# the heaviest CP_phi term on M_5
+DECOMPOSED = {
+    **{f"n=4 CP_phi term {k}": (4, CP_PHI, k) for k in range(12)},
+    **{f"n=4 CP term {k}": (4, CP, k) for k in range(13)},
+    "n=5 CP_phi term": (5, CP_PHI, 0),
+}
 NAMES = [*BUILTINS, *MIXTURES, "doubly stochastic", *TERMS, *DECOMPOSED]
 
 
 @functools.cache
-def _decomposition(n):
-    return decompose_extremal(helpers.random_ds_channel(n, np.random.default_rng(2120 + n)))
+def _decomposition(n, kind):
+    return decompose_extremal(helpers.random_ds_channel(n, np.random.default_rng(2120 + n)), kind=kind)
 
 
 @functools.cache
 def _channel(name):
     if name in DECOMPOSED:
-        n, k = DECOMPOSED[name]
-        return _decomposition(n).terms[k][1]
+        n, kind, k = DECOMPOSED[name]
+        return _decomposition(n, kind).terms[k][1]
     if name in BUILTINS:
         return build_example(name)
     if name in MIXTURES:
@@ -116,9 +122,12 @@ def test_every_corpus_decision_is_far_from_the_cutoff(name):
 
 
 def test_the_corpus_holds_every_term_of_the_m4_decomposition():
-    terms = _decomposition(4).terms
-    assert len(terms) == sum(n == 4 for n, _ in DECOMPOSED.values())
-    assert all(term.dim == 4 and 1 < term.index <= 5 for _, term in terms)
+    # most: the index bound of an extremal point on M_4, d ≤ n (Choi) and d² ≤ 2n² − 1
+    # (Landau–Streater)
+    for kind, most in ((CP_PHI, 5), (CP, 4)):
+        terms = _decomposition(4, kind).terms
+        assert len(terms) == sum(n == 4 and k == kind for n, k, _ in DECOMPOSED.values())
+        assert all(term.dim == 4 and 1 < term.index <= most for _, term in terms)
     assert _channel("n=5 CP_phi term").dim == 5
 
 
