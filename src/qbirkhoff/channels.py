@@ -55,7 +55,6 @@ __all__ = [
     "superoperator_from_kraus",
     "adjoint_channel",
     "pairs_array",
-    "matrix_to_pairs",
     "matrix_from_pairs",
     "channel_to_dict",
     "family_from_dict",
@@ -295,11 +294,6 @@ def pairs_array(m) -> np.ndarray:
     return np.stack((a.real, a.imag), -1)
 
 
-def matrix_to_pairs(m) -> list:
-    """Nested lists of [re, im] pairs, ``pairs_array(m).tolist()``."""
-    return pairs_array(m).tolist()
-
-
 def float_array(value, axes: int, what: str) -> np.ndarray:
     """The one decode rule of the file formats: ``value`` as a float array with
     ``axes`` axes and finite entries.  Its leaves must be JSON numbers, int or
@@ -333,7 +327,7 @@ def matrix_from_pairs(rows) -> np.ndarray:
 
 
 def channel_to_dict(ch: Channel) -> dict:
-    return {"dim": ch.dim, "kraus": matrix_to_pairs(ch.kraus.ops)}
+    return {"dim": ch.dim, "kraus": pairs_array(ch.kraus.ops).tolist()}
 
 
 def family_from_dict(data) -> KrausFamily:

@@ -22,7 +22,7 @@ from .channels import (
     KrausFamily,
     loads_json,
     matrix_from_pairs,
-    matrix_to_pairs,
+    pairs_array,
 )
 from .numerics import (
     DEFAULT_TOLERANCE,
@@ -210,9 +210,9 @@ def conjugate_channel(ch) -> KrausFamily:
 
 def certificate_to_dict(cert: ConjugacyCertificate) -> dict:
     return {
-        "u": matrix_to_pairs(cert.u),
-        "g": matrix_to_pairs(cert.g),
-        "w": matrix_to_pairs(cert.w),
+        "u": pairs_array(cert.u).tolist(),
+        "g": pairs_array(cert.g).tolist(),
+        "w": pairs_array(cert.w).tolist(),
         "antiunitary": bool(cert.antiunitary),
     }
 

@@ -8,9 +8,14 @@ produced by explicit projection/mixture constructions.
 
 import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import qbirkhoff
 from qbirkhoff import Channel, KrausFamily, embed_classical
 from qbirkhoff.birkhoff import _CLAMP_FACTOR, _MASS_FLOOR, PermutationDecomposition, _checked
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, vec
@@ -32,6 +37,17 @@ def partial_trace(m, dims, side):
     if side == "second":
         return np.trace(four, axis1=1, axis2=3)
     raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+
+
+def run_module(*argv, stdin=None):
+    """``python -m qbirkhoff.cli argv`` in a fresh interpreter that imports the package
+    under test: pytest's pythonpath setting does not reach a child process, so the
+    child's path starts with the directory this process imported ``qbirkhoff`` from."""
+    paths = [str(Path(qbirkhoff.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "qbirkhoff.cli", *argv], input=stdin, capture_output=True, text=True, env=env
+    )
 
 
 def unitary_channel(u):
@@ -261,6 +277,14 @@ def null_vector_by_projector(m, rel=1e-9):
 
 def apply_by_kraus(family, x):
     return sum(v @ x @ dagger(v) for v in family.ops)
+
+
+def pairs_by_loop(a):
+    """Nested [re, im] lists of a complex array, one entry at a time."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 0:
+        return [float(a.real), float(a.imag)]
+    return [pairs_by_loop(x) for x in a]
 
 
 def choi_by_columns(ops):

@@ -19,7 +19,7 @@ from qbirkhoff.channels import (
     kraus_from_choi,
     loads_json,
     matrix_from_pairs,
-    matrix_to_pairs,
+    pairs_array,
     superoperator_from_kraus,
 )
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, dagger, max_abs, phase_fixed, psd_factor, unvec, vec
@@ -355,6 +355,13 @@ def test_json_roundtrip(ds_corpus):
         assert max_abs(back.choi() - ch.choi()) < 1e-12
 
 
+def test_channel_to_dict_writes_each_entry_as_its_re_im_pair(ds_corpus):
+    for ch in ds_corpus:
+        # compared as text, where repr tells a signed zero from 0.0
+        expect = {"dim": ch.dim, "kraus": helpers.pairs_by_loop(ch.kraus.ops)}
+        assert json.dumps(channel_to_dict(ch)) == json.dumps(expect)
+
+
 def test_json_rejects_non_finite():
     doc = {
         "dim": 2,
@@ -419,10 +426,10 @@ def test_load_channel_reproduces_the_saved_bytes(ds_corpus):
 
 def test_matrix_pairs_roundtrip_and_malformed_input():
     m = np.array([[1.5, -0.0 + 2j], [1e-300j, -3.0]])
-    pairs = matrix_to_pairs(m)
+    pairs = pairs_array(m).tolist()
     assert pairs == [[[1.5, 0.0], [-0.0, 2.0]], [[0.0, 1e-300], [-3.0, 0.0]]]
     assert np.array_equal(matrix_from_pairs(json.loads(json.dumps(pairs))), m)
-    assert matrix_to_pairs(np.array([1 + 2j, -1j])) == [[1.0, 2.0], [-0.0, -1.0]]
+    assert pairs_array(np.array([1 + 2j, -1j])).tolist() == [[1.0, 2.0], [-0.0, -1.0]]
     for bad in (
         [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]],  # ragged rows
         [[[1.0, 0.0, 0.0]]],  # triples, not pairs

@@ -1,9 +1,6 @@
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +12,7 @@ import qbirkhoff.cli as cli
 from qbirkhoff.birkhoff import PermutationDecomposition, birkhoff_decompose, decomposition_to_dicts
 from qbirkhoff.cli import build_parser, main
 from qbirkhoff.extremality import CP, CP_PHI, ExtremalDecomposition, decompose_extremal
-from qbirkhoff.channels import channel_to_dict, matrix_to_pairs
+from qbirkhoff.channels import channel_to_dict, pairs_array
 from qbirkhoff.numerics import DEFAULT_TOLERANCE
 from qbirkhoff.catalog import BUILTINS, build_example
 
@@ -236,7 +233,7 @@ def test_conjugacy_rejects_nan_in_certificate(tmp_path, capsys):
 @pytest.mark.parametrize("flag, code", [(False, 0), ("false", 1), (0, 1)])
 def test_certificate_antiunitary_must_be_a_json_boolean(tmp_path, capsys, flag, code):
     # bool("false") is True: a string flag would silently flip the check
-    u, g = matrix_to_pairs(np.eye(4)), matrix_to_pairs(np.eye(2))
+    u, g = pairs_array(np.eye(4)).tolist(), pairs_array(np.eye(2)).tolist()
     cpath = tmp_path / "cert.json"
     cpath.write_text(json.dumps({"u": u, "g": g, "w": u, "antiunitary": flag}))
     got, out, err = run_cli(
@@ -377,26 +374,17 @@ def test_size_zero_operators_are_exit_1(capsys, command):
     assert out == ""
 
 
-def run_module(*argv):
-    # pytest's pythonpath setting does not reach a child process
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run(
-        [sys.executable, "-m", "qbirkhoff.cli", *argv], capture_output=True, text=True, env=env
-    )
-
-
 def test_python_m_runs_the_cli():
-    bad = run_module("analyze", "ex2.8", "--z", "1.5")
+    bad = helpers.run_module("analyze", "ex2.8", "--z", "1.5")
     assert bad.returncode == 2
     assert "outside the face" in bad.stderr
-    ok = run_module("analyze", "ex2.4", "--json")
+    ok = helpers.run_module("analyze", "ex2.4", "--json")
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["dim"] == 4
 
 
 def test_reused_parser_prints_the_bytes_of_a_fresh_process(capsys):
-    fresh = run_module("classify", "ex2.12", "--json")
+    fresh = helpers.run_module("classify", "ex2.12", "--json")
     assert fresh.returncode == 0
     assert run_cli(capsys, "analyze", "--bogus")[0] == 1
     assert run_cli(capsys, "--help")[0] == 0
@@ -548,7 +536,7 @@ def test_classify_counts_every_fixed_eigenvalue_as_peripheral(tmp_path, capsys, 
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
     ops = [np.sqrt(1 - 3 * p / 4) * paulis[0]] + [np.sqrt(p / 4) * s for s in paulis[1:]]
     path = tmp_path / "depolarizing.json"
-    path.write_text(json.dumps({"dim": 2, "kraus": matrix_to_pairs(ops)}))
+    path.write_text(json.dumps({"dim": 2, "kraus": pairs_array(ops).tolist()}))
     payloads, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda payload: payloads.append(payload) or emit(payload))
     code, out, _ = run_cli(capsys, "classify", str(path), "--tol", "1e-6", "--json")

@@ -326,7 +326,11 @@ def test_certificate_dict_roundtrip(rng, antiunitary):
         w=helpers.haar_unitary(3, rng),
         antiunitary=antiunitary,
     )
-    back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+    text = json.dumps(certificate_to_dict(cert))
+    expect = {name: helpers.pairs_by_loop(getattr(cert, name)) for name in ("u", "g", "w")}
+    assert text == json.dumps({**expect, "antiunitary": antiunitary})
+    back = certificate_from_dict(json.loads(text))
     for name in ("u", "g", "w"):
         assert np.array_equal(getattr(back, name), getattr(cert, name))
     assert back.antiunitary is antiunitary
+    assert json.dumps(certificate_to_dict(back)) == text
