@@ -344,9 +344,13 @@ def family_from_dict(data) -> KrausFamily:
 
 
 def loads_json(text: str):
-    """Parse JSON text, rejecting the NaN/Infinity tokens Python would accept."""
+    """Parse JSON text, rejecting the NaN/Infinity tokens Python would accept, and
+    nesting deeper than the decoder's recursion allows."""
 
     def reject(token):
         raise ValueError(f"non-finite number {token!r} in JSON input")
 
-    return json.loads(text, parse_constant=reject)
+    try:
+        return json.loads(text, parse_constant=reject)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -59,56 +57,26 @@ def _say(args, text: str):
 
 @functools.lru_cache(maxsize=256)
 def _layout(shape: tuple, pad: str) -> str:
-    # json.dumps(indent=2) at indent pad of a value of this shape, leaves as %s: a
-    # shape is () for a leaf, (length, item shape) for a list (of length 0 from an
-    # array's zero extent), and a tuple of (key, value shape) pairs for a nonempty dict
+    # json.dumps(indent=2) at indent pad of an array of this numpy shape, leaves as %s
     if not shape:
         return "%s"
     inner = pad + "  "
-    if type(shape[0]) is int:
-        items = [_layout(shape[1], inner)] * shape[0]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    items = [encode_basestring_ascii(k).replace("%", "%%") + ": " + _layout(v, inner) for k, v in shape]
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
-
-
-def _column(level):
-    # (shape, leaves) when every value in level has one shape whose leaf positions
-    # each hold all exact int or all exact finite float (not bool, not numpy
-    # scalars), leaves value by value; None otherwise.  Finite float64 or int64
-    # arrays of one shape and dtype join into one, whose ravel().tolist() is the leaves
-    kinds = set(map(type, level))
-    if kinds == {int} or kinds == {float} and all(map(math.isfinite, level)):
-        return (), level
-    if kinds == {np.ndarray} and len({(a.shape, a.dtype) for a in level}) == 1:
-        if (a := np.array(level)).dtype in (np.float64, np.int64) and np.isfinite(a).all():
-            return functools.reduce(lambda item, n: (n, item), a.shape[:0:-1], ()), a.ravel().tolist()
-    if kinds == {list} and len(sizes := set(map(len, level))) == 1 and (size := sizes.pop()):
-        found = _column(list(itertools.chain.from_iterable(level)))
-        return found and ((size, found[0]), found[1])
-    if kinds == {dict} and len(keys := set(map(tuple, level))) == 1 and (keys := keys.pop()):
-        if not all(found := list(map(_column, zip(*map(dict.values, level))))):
-            return None
-        # each column's leaves cut into one group per value, groups interleaved value by value
-        groups = [zip(*[iter(leaves)] * (len(leaves) // len(level))) for _, leaves in found if leaves]
-        leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*groups)))
-        return tuple(zip(keys, [shape for shape, _ in found])), list(leaves)
-    return None
+    items = [_layout(shape[1:], inner)] * shape[0]
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def _render(o, pad: str = "\n") -> str:
     # Exact float and int (not bool, not numpy scalars) print as float.__repr__
     # and int.__repr__, as in the stdlib encoder, whose finite reprs hold no "n".
-    # A numpy array renders as its tolist, a finite float64 or int64 one from the
-    # cached template of its own shape.  A list whose items share one shape (records
-    # with the same keys in the same order, equal rows) fills, through _column, one
-    # template made of its cached item template; any other list renders item by item.
+    # A finite float64 or int64 numpy array fills the cached template of its shape
+    # from one ravel().tolist(); any other array renders as its tolist.
     # A PermutationDecomposition renders as its decomposition_to_dicts, term by term.
     if type(o) in (float, int) and "n" not in (text := type(o).__repr__(o)):
         return text
     if type(o) is np.ndarray:
-        found = _column([o])
-        return _layout(found[0], pad) % tuple(found[1]) if found else _render(o.tolist(), pad)
+        if o.dtype in (np.float64, np.int64) and np.isfinite(o).all():
+            return _layout(o.shape, pad) % tuple(o.ravel().tolist())
+        return _render(o.tolist(), pad)
     inner = pad + "  "
     if type(o) is PermutationDecomposition:
         # weights are positive finite floats; each permutation is one join over a table of
@@ -121,9 +89,6 @@ def _render(o, pad: str = "\n") -> str:
     if isinstance(o, dict) and o:
         items = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if type(o) is list and o and (found := _column(o)):
-        # the list's own level uncached: its length varies from call to call
-        return _layout.__wrapped__((len(o), found[0]), pad) % tuple(found[1])
     if isinstance(o, (list, tuple)) and o:
         return "[" + inner + ("," + inner).join([_render(v, inner) for v in o]) + pad + "]"
     return json.dumps(o, allow_nan=False)

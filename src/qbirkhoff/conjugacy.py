@@ -96,7 +96,7 @@ def spectra_match(spec_a, spec_b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether two invariant spectra (descending) agree: equal sizes and every
     entry within ``tol.residual``, ten times the cutoff (1e-8 at the default)."""
     a, b = np.asarray(spec_a), np.asarray(spec_b)
-    return a.size == b.size and bool(np.max(np.abs(a - b)) <= tol.residual)
+    return a.size == b.size and max_abs(a - b) <= tol.residual
 
 
 def conjugate_data_test(dm, dm2, tol: Tolerance = DEFAULT_TOLERANCE):

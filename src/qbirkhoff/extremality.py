@@ -273,7 +273,7 @@ def _peel(rows: np.ndarray, tol: Tolerance):
     # (w, b): w = 1/g_max of G = rowsᵀ·conj(rows), the extremal term's coefficient matrix, and
     # rows b with bᵀ·conj(b) = (I − wG)/(1 − w), the remainder's, from G's eigenpairs
     g, u = np.linalg.eigh(rows.T @ np.conj(rows))
-    w = float(1.0 / g[-1])  # an exact float: the weights render as one column
+    w = float(1.0 / g[-1])  # an exact float: it prints as float.__repr__, as in the stdlib
     return w, _lowered(psd_columns((1.0 - w * g) / (1.0 - w), u, tol)[1].T, len(u), "a peel")
 
 

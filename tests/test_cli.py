@@ -152,6 +152,19 @@ def test_malformed_file_is_one_error_line_and_exit_1(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+# past the decoder's recursion limit; json.dumps cannot write it, so it is raw text
+DEEP_NESTING = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("argv", [_ANALYZE, _BIRKHOFF, _CERTIFICATE], ids=["channel", "matrix", "certificate"])
+def test_deeply_nested_json_is_one_error_line_and_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "input.json"
+    path.write_text(DEEP_NESTING)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_numerical_failures_are_exit_2(capsys, monkeypatch):
     # the Kraus file format cannot encode a non-CP map, so exit 2 surfaces
     # only through the failure exceptions; check the mapping directly
@@ -647,11 +660,11 @@ def test_birkhoff_prints_the_stdlib_bytes_of_its_decomposition_dicts(tmp_path, c
 
 
 def test_birkhoff_output_never_reaches_the_record_path(tmp_path, capsys, monkeypatch):
-    # the terms render one by one, so the generic column walk is never asked
-    def refused(level):
-        raise AssertionError("birkhoff called _column")
+    # the terms render one by one, so no array template is ever asked
+    def refused(shape, pad):
+        raise AssertionError("birkhoff called _layout")
 
-    monkeypatch.setattr(cli, "_column", refused)
+    monkeypatch.setattr(cli, "_layout", refused)
     path = tmp_path / "ds.json"
     s = helpers.sinkhorn_ds_matrix(25, np.random.default_rng(3502))
     path.write_text(json.dumps({"n": 25, "rows": s.tolist()}))
@@ -672,16 +685,15 @@ def test_decompose_json_skips_the_stderr_only_error(capsys, monkeypatch):
     assert re.fullmatch(r"2 extremal terms, depth 1, reconstruction error \d\.\d\de-1\d\n", err)
 
 
-def test_decompose_weights_are_exact_floats_and_equal_index_terms_render_as_one_column():
-    # numpy scalars never fill a template, so float weights let a payload whose terms share
-    # one index render from one record template; its bytes stay the stdlib's
+def test_decompose_weights_are_exact_floats_and_equal_index_terms_render_as_the_stdlib():
+    # exact float weights print as float.__repr__, as the stdlib does; a payload whose
+    # terms share one index keeps the stdlib's bytes
     for n, d, kind in ((3, 9, CP), (3, 9, CP_PHI), (2, 4, CP)):
         dec = decompose_extremal(helpers.random_unitary_mixture(n, d, np.random.default_rng(60)), kind)
         assert len(dec.terms) > 1 and all(type(w) is float for w, _ in dec.terms)
     assert {term.index for _, term in dec.terms} == {1}  # the qubit CP walk ends at unitaries
     payload = [{"weight": w, "channel": channel_to_dict(term)} for w, term in dec.terms]
-    assert cli._column(payload) is not None
     assert cli._render(payload) == json.dumps(payload, indent=2)
-    # as the CLI hands them over, the terms' Kraus stacks are arrays, which join into one
+    # as the CLI hands them over, the terms' Kraus stacks are arrays, each from its own template
     arrays = [{"weight": w, "channel": cli._channel_dict(term)} for w, term in dec.terms]
-    assert cli._column(arrays) is not None and cli._render(arrays) == cli._render(payload)
+    assert cli._render(arrays) == cli._render(payload)

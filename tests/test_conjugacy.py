@@ -184,6 +184,8 @@ def test_spectra_match_follows_the_tolerance():
     ):
         assert spectra_match(a, a + [gap, -gap], tol) is match, (gap, tol)
     assert spectra_match(a, a + [5e-9, -5e-9]) is True
+    # two empty spectra agree; spectra of different sizes never do
+    assert spectra_match([], []) is True and spectra_match([], a) is False
     # conjugate_data_test reads the same cutoff
     dm = np.diag([0.75, 0.25])
     assert conjugate_data_test(dm, dm + np.diag([5e-8, -5e-8])) is None

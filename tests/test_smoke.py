@@ -138,12 +138,21 @@ def test_a_malformed_channel_on_stdin_is_an_error_line_and_exit_1(capsys, monkey
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("entry", ["1e308", "1e-6"])
-def test_a_fresh_process_writes_one_error_line_and_no_numpy_warning(entry):
-    # an entry whose square overflows, and a nonzero map whose Choi eigenvalues all lie
-    # within the rank cutoff (no Kraus family, not an index-0 channel): invalid input,
-    # and the error line is all of stderr, with no numpy warning before it
-    got = helpers.run_module("analyze", "-", "--json", stdin='{"dim": 1, "kraus": [[[[%s, 0]]]]}' % entry)
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        '{"dim": 1, "kraus": [[[[1e308, 0]]]]}',
+        '{"dim": 1, "kraus": [[[[1e-6, 0]]]]}',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["1e308", "1e-6", "deep-nesting"],
+)
+def test_a_fresh_process_writes_one_error_line_and_no_numpy_warning(stdin):
+    # an entry whose square overflows, a nonzero map whose Choi eigenvalues all lie
+    # within the rank cutoff (no Kraus family, not an index-0 channel), and a document
+    # nested past the decoder's recursion limit: invalid input, and the error line is
+    # all of stderr, with no numpy warning or traceback before it
+    got = helpers.run_module("analyze", "-", "--json", stdin=stdin)
     assert got.returncode == 1
     assert len(got.stderr.splitlines()) == 1 and got.stderr.startswith("error:")
 
