@@ -381,7 +381,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:  # a malformed file is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if type(exc) is KeyError else exc}", file=sys.stderr)
         return 1
 
 

@@ -153,24 +153,15 @@ def m3_real_face_scan(grid_step: float, tol: Tolerance = DEFAULT_TOLERANCE) -> M
         if m3_face_membership(s1, s2, s3, tol=tol) == "boundary"
     )
 
-    # a boundary point is dropped as non-extreme when it is the midpoint of
-    # two distinct face points of the grid
+    # a boundary point p is not extreme when some other face point q of the grid
+    # has its mirror 2p − q in the face too: p is their midpoint
     face = {idx for idx, cls in classes.items() if cls != "outside"}
-    candidates = []
-    for idx, cls in classes.items():
-        if cls != "boundary":
-            continue
-        extreme = True
-        for off in product(range(-(m - 1), m), repeat=3):
-            if off == (0, 0, 0):
-                continue
-            hi = (idx[0] + off[0], idx[1] + off[1], idx[2] + off[2])
-            lo = (idx[0] - off[0], idx[1] - off[1], idx[2] - off[2])
-            if hi in face and lo in face:
-                extreme = False
-                break
-        if extreme:
-            candidates.append((float(xs[idx[0]]), float(xs[idx[1]]), float(xs[idx[2]])))
+    candidates = [
+        (float(xs[p[0]]), float(xs[p[1]]), float(xs[p[2]]))
+        for p, cls in classes.items()
+        if cls == "boundary"
+        and not any(q != p and (2 * p[0] - q[0], 2 * p[1] - q[1], 2 * p[2] - q[2]) in face for q in face)
+    ]
     return M3FaceScan(
         entries=tuple(entries), vertices=vertices, extreme_candidates=tuple(candidates)
     )

@@ -275,10 +275,6 @@ def null_vector_by_projector(m, rel=1e-9):
     return proj[:, k] / np.linalg.norm(proj[:, k])
 
 
-def apply_by_kraus(family, x):
-    return sum(v @ x @ dagger(v) for v in family.ops)
-
-
 def pairs_by_loop(a):
     """Nested [re, im] lists of a complex array, one entry at a time."""
     a = np.asarray(a, dtype=complex)
@@ -627,9 +623,9 @@ def random_json_payload(rng, depth=3):
     """A random JSON value built the way the CLI's payloads are: rectangular
     float and int arrays, as numpy arrays (the shape of ``pairs_array`` output)
     or nested lists (permutations), inside dicts and lists, at every indent
-    depth up to ``depth``, beside what such an array must not be taken for:
-    ragged, empty and mixed lists, and bool, None, string and numpy float
-    leaves, and bool and float32 arrays."""
+    depth up to ``depth``, beside ragged, empty and mixed lists, bool, None,
+    string and numpy float leaves, bool and float32 arrays, and dict keys
+    whose text needs escaping."""
     roll = rng.integers(7 if depth > 0 else 2)
     if roll == 0:
         return _json_leaf(rng, ("float", "int", "float64", "other")[rng.integers(4)])
@@ -650,90 +646,10 @@ def random_json_payload(rng, depth=3):
         return mixed if rng.random() < 0.5 else [mixed[:1], mixed[-1]]
     if roll == 4:
         return {}
-    if roll == 5:
-        keys = ("weight", "lambda", "\u00e9", "a b", "")
-        return {k: random_json_payload(rng, depth - 1) for k in keys[: rng.integers(1, 6)]}
+    if roll == 5:  # keys with a quote, %-format directives and non-ASCII text
+        keys = ("weight", "lambda", "\u00e9", "a b", "", 'a"b', "%", "%s")
+        return {k: random_json_payload(rng, depth - 1) for k in keys[: rng.integers(1, len(keys) + 1)]}
     return [random_json_payload(rng, depth - 1) for _ in range(rng.integers(0, 4))]
-
-
-# key text the renderer must escape: empty, %-format directives, a quote, non-ASCII
-_RECORD_KEYS = ("weight", "permutation", "", "%", "%s", 'a"b', "\u00e9")
-
-
-def _record_value(rng, depth):
-    # a maker of one key's values, of one shape and leaf kind in every record: a
-    # float or int, a rectangular array of either as nested lists, as a float64 or
-    # int64 numpy array (zero extents allowed) or as a list of such arrays, or
-    # (above depth 0) a nested dict
-    kind = ("float", "int")[rng.integers(2)]
-    roll = rng.integers(5 if depth > 0 else 4)
-    if roll == 0:
-        return lambda: _json_leaf(rng, kind)
-    if roll == 1:
-        shape = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
-        return lambda: _json_array(rng, shape, lambda: _json_leaf(rng, kind))
-    if roll in (2, 3):
-        shape = tuple(rng.integers(0 if rng.random() < 0.2 else 1, 4, size=rng.integers(0, 4)))
-        dtype = kind + "64"
-        if roll == 2:
-            return lambda: _ndarray(rng, shape, dtype)
-        count = rng.integers(1, 4)
-        return lambda: [_ndarray(rng, shape, dtype) for _ in range(count)]
-    return _record(rng, depth - 1)
-
-
-def _record(rng, depth):
-    # a maker of dicts with 1–3 keys in one order, each key's values from one maker
-    keys = [_RECORD_KEYS[k] for k in rng.permutation(len(_RECORD_KEYS))[: rng.integers(1, 4)]]
-    makers = [_record_value(rng, depth) for _ in keys]
-    return lambda: {k: make() for k, make in zip(keys, makers)}
-
-
-def _broken(record, rng):
-    # the record with its uniformity broken one way: keys reordered or missing, a
-    # bool, None, string or numpy float leaf, an int for a float, a ragged or empty
-    # array, or a numpy array of another dtype or shape
-    leaves = _paths(record, lambda o: not isinstance(o, (dict, list)))
-    floats = _paths(record, lambda o: type(o) is float)
-    arrays = _paths(record, lambda o: type(o) is list)
-    ndarrays = _paths(record, lambda o: type(o) is np.ndarray)
-    ways = ["keys", "leaf"] + ["int"] * bool(floats) + ["array"] * bool(arrays)
-    ways += ["ndarray"] * bool(ndarrays)
-    way = ways[rng.integers(len(ways))]
-    if way == "keys":
-        items = list(record.items())
-        if len(items) > 1 and rng.random() < 0.5:
-            items.reverse()
-        else:
-            del items[rng.integers(len(items))]
-        return dict(items)
-    if way == "leaf":
-        other = (True, None, "x", np.float64(0.5))[rng.integers(4)]
-        return _replaced(record, leaves[rng.integers(len(leaves))], other)
-    if way == "int":
-        return _replaced(record, floats[rng.integers(len(floats))], 1)
-    if way == "ndarray":
-        path = ndarrays[rng.integers(len(ndarrays))]
-        a = _at(record, path)
-        other = np.zeros(a.shape, np.int64 if a.dtype == np.float64 else np.float64)
-        ways = [other, a.astype(bool), a[None]] + ([a[:-1]] if a.ndim else [])
-        return _replaced(record, path, ways[rng.integers(len(ways))])
-    path = arrays[rng.integers(len(arrays))]
-    array = _at(record, path)
-    return _replaced(record, path, array[:-1] if len(array) > 1 else [])
-
-
-def random_record_list(rng):
-    """A list of 1–60 records with the same keys in the same order, each key's
-    values of one shape and leaf kind, as in the Birkhoff terms {"weight",
-    "permutation"}, with key text that needs escaping; in half of the lists one
-    record breaks that uniformity (see :func:`_broken`)."""
-    make = _record(rng, depth=1)
-    records = [make() for _ in range(rng.integers(1, 61))]
-    if rng.random() < 0.5:
-        k = rng.integers(len(records))
-        records[k] = _broken(records[k], rng)
-    return records
 
 
 def _paths(o, keep, path=()):

@@ -324,17 +324,26 @@ def test_the_readme_quick_start_runs_as_its_comments_say(capsys):
 
 
 def _readme_shell_lines():
-    # the command-line examples that name only builtins, or the channel file the first writes
     for block in _readme_blocks("sh"):
         for line in block.splitlines():
             words = shlex.split(line, comments=True)
-            if words[:1] == ["qbirkhoff"] and {w for w in words if w.endswith(".json")} <= {"weyl.json"}:
+            if words[:1] == ["qbirkhoff"]:
                 yield words
 
 
+def _readme_example(key):
+    # the README's file-format example whose object has this key
+    (doc,) = [doc for doc in map(json.loads, _readme_blocks("json")) if key in doc]
+    return doc
+
+
 def test_the_readme_command_lines_exit_0(capsys, monkeypatch, workdir):
+    # the files they name are the README's own examples: a channel conjugate to itself
+    # by the certificate, and a stochastic matrix
+    for name, key in (("a.json", "kraus"), ("b.json", "kraus"), ("cert.json", "u"), ("matrix.json", "rows")):
+        Path(name).write_text(json.dumps(_readme_example(key)))
     lines = list(_readme_shell_lines())
-    assert len(lines) == 7
+    assert len(lines) == 9
     for words in lines:
         out = ""
         for command in " ".join(words).split(" | "):
@@ -345,3 +354,17 @@ def test_the_readme_command_lines_exit_0(capsys, monkeypatch, workdir):
             out = cli(capsys, *argv)
             if target:
                 Path(target).write_text(out)
+        if "--certificate" in words:
+            assert json.loads(out)["verdict"] == "certificate verified: conjugate"
+
+
+def test_every_test_the_readme_names_as_a_contract_exists():
+    section = README.read_text(encoding="utf-8").split("\n## Contracts\n")[1].split("\n## ")[0]
+    contracts = section.split("\n- ")[1:]
+    assert len(contracts) == 8
+    for contract in contracts:
+        named = re.findall(r"`tests/(\w+\.py)::(\w+)`", contract)
+        assert named, contract
+        for module, name in named:
+            source = (Path(__file__).parent / module).read_text(encoding="utf-8")
+            assert re.search(rf"^def {name}\(", source, re.M), f"{module}::{name}"
