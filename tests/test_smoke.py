@@ -358,13 +358,23 @@ def test_the_readme_command_lines_exit_0(capsys, monkeypatch, workdir):
             assert json.loads(out)["verdict"] == "certificate verified: conjugate"
 
 
-def test_every_test_the_readme_names_as_a_contract_exists():
-    section = README.read_text(encoding="utf-8").split("\n## Contracts\n")[1].split("\n## ")[0]
-    contracts = section.split("\n- ")[1:]
-    assert len(contracts) == 8
-    for contract in contracts:
-        named = re.findall(r"`tests/(\w+\.py)::(\w+)`", contract)
-        assert named, contract
-        for module, name in named:
-            source = (Path(__file__).parent / module).read_text(encoding="utf-8")
-            assert re.search(rf"^def {name}\(", source, re.M), f"{module}::{name}"
+def _readme_contracts():
+    # the "- **Title.** ..." entries of the README's Contracts section, keyed by title
+    section = README.read_text(encoding="utf-8").partition("\n## Contracts\n")[2].split("\n## ")[0]
+    return {re.sub(r"\W+", "-", e.split("**")[1].lower()).strip("-"): e for e in section.split("\n- ")[1:] if "**" in e}
+
+
+CONTRACTS = _readme_contracts()
+
+
+def test_the_readme_lists_eight_contracts():
+    assert " ".join(CONTRACTS) == "term-bounds canonical-form-as-it-stands tol no-recursion-limit-deep-nesting-refused exit-codes stdout-byte-rule file-formats builtin-flag-routing"
+
+
+@pytest.mark.parametrize("contract", list(CONTRACTS.values()), ids=list(CONTRACTS))
+def test_every_test_the_readme_names_as_a_contract_exists(contract):
+    named = re.findall(r"`tests/(\w+\.py)::(\w+)`", contract)
+    assert named, contract
+    for module, name in named:
+        source = (Path(__file__).parent / module).read_text(encoding="utf-8")
+        assert re.search(rf"^def {name}\(", source, re.M), f"{module}::{name}"
