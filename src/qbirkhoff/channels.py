@@ -263,9 +263,6 @@ class Channel:
         vals.flags.writeable = False
         return vals
 
-    def is_doubly_stochastic(self, tol: Tolerance) -> bool:
-        return all(self.kraus.validate(tol))
-
 
 def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
     """Canonical minimal Kraus family of a PSD Choi matrix, :meth:`Channel.from_choi`'s."""
@@ -274,7 +271,7 @@ def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:
 
 def adjoint_channel(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """The dual map x -> sum v_k* x v_k; defined for input doubly stochastic at ``tol``."""
-    if not ch.is_doubly_stochastic(tol):
+    if not all(ch.kraus.validate(tol)):
         raise ValueError("adjoint channel requires a unital trace-preserving input")
     return Channel.from_kraus(ch.kraus.adjoint(), tol)
 

@@ -4,12 +4,17 @@ Machine-readable JSON goes to stdout, human commentary to stderr, so the
 commands compose in pipelines (``example`` emits channel files that
 ``analyze``, ``decompose`` and ``classify`` read back, from a path or "-").
 
+Each ``cmd_*`` handler is ``(args, tol) -> (payload, note)``: ``note`` is a
+zero-argument callable giving the stderr text, called only without ``--json``.
+``main`` alone writes: the payload to stdout, then the note to stderr.
+
 Exit codes: 0 ok, 1 invalid input, 2 CP/numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -48,11 +53,6 @@ from .numerics import DEFAULT_TOLERANCE, NumericalFailure, Tolerance
 from .spectral import classify, cyclic_projections
 
 __all__ = ["main", "run", "build_parser"]
-
-
-def _say(args, text: str):
-    if not args.json:
-        print(text, file=sys.stderr)
 
 
 @functools.lru_cache(maxsize=256)
@@ -156,26 +156,29 @@ def _channel_dict(ch: Channel) -> dict:  # channel_to_dict's keys, the Kraus sta
     return {"dim": ch.dim, "kraus": pairs_array(ch.kraus.ops)}
 
 
-def _certificate_dict(cert) -> dict | None:
-    if cert is None:
-        return None
-    return {"kind": cert.kind, "lambda": pairs_array(cert.lam)}
+def _test_dict(result) -> dict:
+    extremal, cert = result  # an extremality test's verdict and certificate
+    certificate = None if cert is None else {"kind": cert.kind, "lambda": pairs_array(cert.lam)}
+    return {"extremal": extremal, "certificate": certificate}
 
 
 def _classification_dict(sc) -> dict:
-    return {
-        "eigenvalues": pairs_array(sc.eigenvalues),
-        "fixed_dim": sc.fixed_dim,
-        "ergodic": sc.ergodic,
-        "peripheral": pairs_array(sc.peripheral),
-        "period": sc.period,
-        "aperiodic": sc.aperiodic,
-        "strongly_mixing": sc.strongly_mixing,
-    }
+    # every field of the classification in order, its two eigenvalue arrays as [re, im] pairs
+    report = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)}
+    return report | {key: pairs_array(report[key]) for key in ("eigenvalues", "peripheral")}
 
 
-def cmd_analyze(args) -> int:
-    tol = Tolerance(args.tol)
+def _summary(sp: dict, sep: str) -> str:
+    # the ergodic structure of a classification dict, for analyze's and classify's notes
+    return (
+        f"fixed_dim {sp['fixed_dim']}{sep}"
+        + ("ergodic" if sp["ergodic"] else "non-ergodic")
+        + (f"{sep}period {sp['period']}" if sp["period"] else "")
+        + (f"{sep}strongly mixing" if sp["strongly_mixing"] else "")
+    )
+
+
+def cmd_analyze(args, tol: Tolerance):
     ch = _load_channel(args, tol)
     unital, tp = ch.kraus.validate(tol)
     report = {
@@ -185,57 +188,41 @@ def cmd_analyze(args) -> int:
         "trace_preserving": tp,
     }
     if unital:
-        extremal, cert = choi_extremal_test(ch, tol)
-        report["choi_extremal"] = {"extremal": extremal, "certificate": _certificate_dict(cert)}
+        report["choi_extremal"] = _test_dict(choi_extremal_test(ch, tol))
         if tp:
-            ls_extremal, ls_cert = landau_streater_test(ch, tol)
-            report["landau_streater"] = {
-                "extremal": ls_extremal,
-                "certificate": _certificate_dict(ls_cert),
-            }
+            report["landau_streater"] = _test_dict(landau_streater_test(ch, tol))
     if unital and tp:
         report["spectral"] = _classification_dict(classify(ch, tol))
     report["data_spectrum"] = spectrum_invariant(data_matrix(ch, tol=tol), tol)
-    _emit(report)
 
-    flags = []
-    flags.append("unital" if unital else "not unital")
-    flags.append("trace-preserving" if tp else "not trace-preserving")
-    _say(args, f"channel on M_{ch.dim}, index {ch.index} ({', '.join(flags)})")
-    for key, label in (("choi_extremal", "unital cone"), ("landau_streater", "doubly stochastic set")):
-        if key in report:
-            _say(args, f"{label}: {'extremal' if report[key]['extremal'] else 'not extremal'}")
-    if "spectral" in report:
-        sp = report["spectral"]
-        _say(
-            args,
-            f"spectral: fixed_dim {sp['fixed_dim']}, "
-            f"{'ergodic' if sp['ergodic'] else 'non-ergodic'}"
-            + (f", period {sp['period']}" if sp["period"] else "")
-            + (", strongly mixing" if sp["strongly_mixing"] else ""),
-        )
-    return 0
+    def note():
+        flags = ("unital" if unital else "not unital", "trace-preserving" if tp else "not trace-preserving")
+        lines = [f"channel on M_{ch.dim}, index {ch.index} ({', '.join(flags)})"]
+        for key, label in (("choi_extremal", "unital cone"), ("landau_streater", "doubly stochastic set")):
+            if key in report:
+                lines.append(f"{label}: {'extremal' if report[key]['extremal'] else 'not extremal'}")
+        if "spectral" in report:
+            lines.append("spectral: " + _summary(report["spectral"], ", "))
+        return "\n".join(lines)
+
+    return report, note
 
 
-def cmd_decompose(args) -> int:
-    tol = Tolerance(args.tol)
+def cmd_decompose(args, tol: Tolerance):
     ch = _load_channel(args, tol)
-    kind = CP_PHI if args.kind == "CP_phi" else CP
-    dec = decompose_extremal(ch, kind=kind, tol=tol)
-    _emit([{"weight": w, "channel": _channel_dict(term)} for w, term in dec.terms])
-    if not args.json:  # the error is for the stderr line only, which --json mutes
-        err = dec.reconstruction_error(ch)
-        _say(args, f"{len(dec.terms)} extremal terms, depth {dec.depth}, reconstruction error {err:.2e}")
-    return 0
+    dec = decompose_extremal(ch, kind=args.kind, tol=tol)
+    terms = [{"weight": w, "channel": _channel_dict(term)} for w, term in dec.terms]
+    return terms, lambda: (  # the error is for the note only, which --json skips
+        f"{len(dec.terms)} extremal terms, depth {dec.depth}, "
+        f"reconstruction error {dec.reconstruction_error(ch):.2e}"
+    )
 
 
-def cmd_conjugacy(args) -> int:
-    tol = Tolerance(args.tol)
+def cmd_conjugacy(args, tol: Tolerance):
     fam_a, fam_b = _load_families(args, tol, args.channel_a, args.channel_b)
     if fam_a.dim != fam_b.dim:
         raise ValueError(f"dimension mismatch: {fam_a.dim} vs {fam_b.dim}")
-    spec_a = spectrum_invariant(data_matrix(fam_a, tol=tol), tol)
-    spec_b = spectrum_invariant(data_matrix(fam_b, tol=tol), tol)
+    spec_a, spec_b = (spectrum_invariant(data_matrix(fam, tol=tol), tol) for fam in (fam_a, fam_b))
     match = spectra_match(spec_a, spec_b, tol)
     report = {
         "spectrum_a": spec_a,
@@ -254,54 +241,48 @@ def cmd_conjugacy(args) -> int:
         report["verdict"] = "certificate FAILED verification (invariants match)"
     else:
         report["verdict"] = "invariants match (no certificate supplied)"
-    _emit(report)
-    _say(args, report["verdict"])
-    return 0
+    return report, lambda: report["verdict"]
 
 
-def cmd_birkhoff(args) -> int:
-    tol = Tolerance(args.tol)
+def cmd_birkhoff(args, tol: Tolerance):
     s = loads_ds_matrix(_read_text(args.matrix), tol)
     dec = birkhoff_decompose(s, tol)
-    _emit(dec)
-    if not args.json:  # as in cmd_decompose: the error is for the stderr line only
-        err = float(np.max(np.abs(dec.mixture() - s)))
-        _say(
-            args,
-            f"{len(dec.terms)} permutation terms, weight sum {dec.total_weight():.12f}, "
-            f"reconstruction error {err:.2e}",
-        )
-    return 0
+    return dec, lambda: (  # as in cmd_decompose: the error is for the note only
+        f"{len(dec.terms)} permutation terms, weight sum {dec.total_weight():.12f}, "
+        f"reconstruction error {float(np.max(np.abs(dec.mixture() - s))):.2e}"
+    )
 
 
-def cmd_example(args) -> int:
+def cmd_example(args, tol: Tolerance):
     (params,) = _builtin_params(args, [args.name])
-    ch = build_example(args.name, tol=Tolerance(args.tol), **params)
-    _emit(_channel_dict(ch))
-    _say(args, f"{args.name}: channel on M_{ch.dim}, index {ch.index}")
-    return 0
+    ch = build_example(args.name, tol=tol, **params)
+    return _channel_dict(ch), lambda: f"{args.name}: channel on M_{ch.dim}, index {ch.index}"
 
 
-def cmd_classify(args) -> int:
-    tol = Tolerance(args.tol)
+def cmd_classify(args, tol: Tolerance):
     ch = _load_channel(args, tol)
     sc = classify(ch, tol)
     report = _classification_dict(sc)
-    report["cyclic_projections"] = None
-    period = sc.period if sc.period is not None else 0
-    if period > 1:
-        fam = cyclic_projections(ch, tol)
-        if fam is not None:
-            report["cyclic_projections"] = pairs_array(fam.projections)
-    _emit(report)
-    _say(
-        args,
-        f"fixed_dim {sc.fixed_dim}; "
-        + ("ergodic" if sc.ergodic else "non-ergodic")
-        + (f"; period {sc.period}" if sc.period else "")
-        + ("; strongly mixing" if sc.strongly_mixing else ""),
-    )
-    return 0
+    fam = cyclic_projections(ch, tol) if sc.ergodic and not sc.aperiodic else None  # period > 1
+    report["cyclic_projections"] = None if fam is None else pairs_array(fam.projections)
+    return report, lambda: _summary(report, "; ")
+
+
+# one row per subcommand: name, help, its own arguments (name and add_argument
+# keywords, in help order), whether it takes the builtin flags, and its handler
+_COMMANDS = (
+    ("analyze", "validation, extremality, spectra of a channel",
+     [("channel", {"help": 'channel file, "-" for stdin, or a builtin name'})], True, cmd_analyze),
+    ("decompose", "convex decomposition into extremal channels",
+     [("channel", {}), ("--kind", {"choices": (CP, CP_PHI), "default": CP_PHI})], True, cmd_decompose),
+    ("conjugacy", "conjugacy invariants and certificate check",
+     [("channel_a", {}), ("channel_b", {}), ("--certificate", {"help": "certificate JSON file to verify"})],
+     True, cmd_conjugacy),
+    ("birkhoff", "permutation decomposition of a stochastic matrix",
+     [("matrix", {"help": 'matrix JSON file or "-"'})], False, cmd_birkhoff),
+    ("example", "emit a builtin channel file", [("name", {"help": ", ".join(BUILTINS)})], True, cmd_example),
+    ("classify", "spectral/ergodic classification", [("channel", {})], True, cmd_classify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         "decompositions of doubly stochastic channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, text, arguments, builtin_flags, func in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for arg, keywords in arguments:
+            p.add_argument(arg, **keywords)
         p.add_argument(
             "--tol", type=float, default=DEFAULT_TOLERANCE.cutoff,
             help="the one cutoff of every rank, PSD and equality decision "
@@ -320,49 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
             "peripheral band are 10 times it, the structural checks 100 times",
         )
         p.add_argument("--json", action="store_true", help="machine output only (mute stderr text)")
-
-    def example_params(p):
-        for key, (kind, text) in _PARAMS.items():
-            p.add_argument(f"--{key}", type=kind, help=text)
-
-    p = sub.add_parser("analyze", help="validation, extremality, spectra of a channel")
-    p.add_argument("channel", help='channel file, "-" for stdin, or a builtin name')
-    common(p)
-    example_params(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("decompose", help="convex decomposition into extremal channels")
-    p.add_argument("channel")
-    p.add_argument("--kind", choices=("CP", "CP_phi"), default="CP_phi")
-    common(p)
-    example_params(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("conjugacy", help="conjugacy invariants and certificate check")
-    p.add_argument("channel_a")
-    p.add_argument("channel_b")
-    p.add_argument("--certificate", help="certificate JSON file to verify")
-    common(p)
-    example_params(p)
-    p.set_defaults(func=cmd_conjugacy)
-
-    p = sub.add_parser("birkhoff", help="permutation decomposition of a stochastic matrix")
-    p.add_argument("matrix", help='matrix JSON file or "-"')
-    common(p)
-    p.set_defaults(func=cmd_birkhoff)
-
-    p = sub.add_parser("example", help="emit a builtin channel file")
-    p.add_argument("name", help=", ".join(BUILTINS))
-    common(p)
-    example_params(p)
-    p.set_defaults(func=cmd_example)
-
-    p = sub.add_parser("classify", help="spectral/ergodic classification")
-    p.add_argument("channel")
-    common(p)
-    example_params(p)
-    p.set_defaults(func=cmd_classify)
-
+        for key, (kind, param_help) in _PARAMS.items() if builtin_flags else ():
+            p.add_argument(f"--{key}", type=kind, help=param_help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -376,13 +319,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        payload, note = args.func(args, Tolerance(args.tol))
+        _emit(payload)
+        if not args.json:
+            print(note(), file=sys.stderr)
+        return 0
     except (NotCompletelyPositive, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:  # a malformed file is a ValueError
-        # str() of a KeyError is the repr of its message
-        print(f"error: {exc.args[0] if type(exc) is KeyError else exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as exc:  # a malformed file is a ValueError
+        # str() of a KeyError is the repr of its message; a bare MemoryError has none
+        text = exc.args[0] if type(exc) is KeyError else str(exc) or "size too large for memory"
+        print(f"error: {text}", file=sys.stderr)
         return 1
 
 

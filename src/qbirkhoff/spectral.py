@@ -72,7 +72,7 @@ class CyclicFamily:
 
 
 def _require_doubly_stochastic(ch: Channel, tol: Tolerance):
-    if not ch.is_doubly_stochastic(tol):
+    if not all(ch.kraus.validate(tol)):
         raise ValueError("spectral classification needs a unital trace-preserving channel")
 
 

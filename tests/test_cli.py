@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -55,6 +56,51 @@ def test_analyze_prose_goes_to_stderr(capsys):
     assert code == 0
     json.loads(out)  # stdout stays machine-readable
     assert "index" in err
+
+
+# the stderr note of a subcommand on a builtin, byte for byte; decompose's and
+# birkhoff's are pinned beside their reconstruction errors below
+STDERR_NOTES = {
+    ("analyze", "ex2.12"): "channel on M_3, index 2 (unital, trace-preserving)\n"
+    "unital cone: not extremal\ndoubly stochastic set: not extremal\n"
+    "spectral: fixed_dim 1, ergodic, period 3\n",
+    ("analyze", "ex2.11"): "channel on M_3, index 3 (unital, trace-preserving)\n"
+    "unital cone: extremal\ndoubly stochastic set: extremal\n"
+    "spectral: fixed_dim 1, ergodic, period 1, strongly mixing\n",
+    ("analyze", "identity"): "channel on M_2, index 1 (unital, trace-preserving)\n"
+    "unital cone: extremal\ndoubly stochastic set: extremal\nspectral: fixed_dim 4, non-ergodic\n",
+    ("analyze", "m2"): "channel on M_2, index 2 (unital, not trace-preserving)\nunital cone: extremal\n",
+    ("classify", "ex2.12", "--m", "3"): "fixed_dim 1; ergodic; period 1; strongly mixing\n",
+    ("classify", "ex2.12"): "fixed_dim 1; ergodic; period 3\n",
+    ("classify", "identity"): "fixed_dim 4; non-ergodic\n",
+    ("conjugacy", "ex2.4", "ex2.4"): "invariants match (no certificate supplied)\n",
+    ("conjugacy", "ex2.12", "ex2.11"): "invariants differ: not conjugate\n",
+    ("example", "ex2.4"): "ex2.4: channel on M_4, index 2\n",
+    ("example", "depolarizing", "--n", "3"): "depolarizing: channel on M_3, index 9\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDERR_NOTES), ids=" ".join)
+def test_stderr_notes_are_pinned_and_json_mutes_them(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == STDERR_NOTES[argv]
+    assert run_cli(capsys, *argv, "--json") == (0, out, "")
+
+
+def test_stderr_notes_of_a_channel_file_and_of_certificates(tmp_path, capsys):
+    damping = tmp_path / "damping.json"  # trace-preserving, not unital: no extremality lines
+    damping.write_text(json.dumps({"dim": 2, "kraus": pairs_array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]]).tolist()}))
+    assert run_cli(capsys, "analyze", str(damping))[2] == (
+        "channel on M_2, index 2 (not unital, trace-preserving)\n"
+    )
+    u, swap = pairs_array(np.eye(4)).tolist(), np.array([[0, 1], [1, 0]])
+    for g, verdict in (
+        (np.eye(2), "certificate verified: conjugate\n"),
+        (swap, "certificate FAILED verification (invariants match)\n"),
+    ):
+        cpath = tmp_path / "cert.json"
+        cpath.write_text(json.dumps({"u": u, "g": pairs_array(g).tolist(), "w": u, "antiunitary": False}))
+        assert run_cli(capsys, "conjugacy", "ex2.4", "ex2.4", "--certificate", str(cpath))[2] == verdict
 
 
 def test_analyze_reports_certificate_for_weyl_pair(capsys):
@@ -182,6 +228,49 @@ def test_numerical_failures_are_exit_2(capsys, monkeypatch):
         code = cli.main(["analyze", "ex2.4", "--json"])
         capsys.readouterr()
         assert code == 2
+
+
+@pytest.mark.parametrize("exc, text", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+     "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+    (MemoryError(), "size too large for memory"),
+], ids=["numpy", "bare"])
+def test_a_size_too_large_for_memory_is_exit_1(capsys, monkeypatch, exc, text):
+    # `analyze identity --n 100000` asks numpy for a 74.5 GiB array; stand in for its
+    # refusal without allocating anything
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_family", refuse)
+    code, out, err = run_cli(capsys, "analyze", "identity", "--n", "100000")
+    assert code == 1 and out == "" and err == f"error: {text}\n"
+
+
+# every subcommand's positionals and options as the parser declares them: option
+# strings, default and choices, in declaration order (help text is left out: argparse
+# formats it differently across Python versions)
+_HELP = (("-h", "--help"), argparse.SUPPRESS, None)
+_COMMON = [(("--tol",), DEFAULT_TOLERANCE.cutoff, None), (("--json",), False, None)]
+_BUILTIN_FLAGS = [((f"--{key}",), None, None) for key in dict.fromkeys(k for _, d in BUILTINS.values() for k in d)]
+SUBCOMMANDS = {
+    "analyze": (["channel"], [_HELP, *_COMMON, *_BUILTIN_FLAGS]),
+    "decompose": (["channel"], [_HELP, (("--kind",), "CP_phi", ("CP", "CP_phi")), *_COMMON, *_BUILTIN_FLAGS]),
+    "conjugacy": (["channel_a", "channel_b"], [_HELP, (("--certificate",), None, None), *_COMMON, *_BUILTIN_FLAGS]),
+    "birkhoff": (["matrix"], [_HELP, *_COMMON]),
+    "example": (["name"], [_HELP, *_COMMON, *_BUILTIN_FLAGS]),
+    "classify": (["channel"], [_HELP, *_COMMON, *_BUILTIN_FLAGS]),
+}
+
+
+def test_each_subparser_declares_its_positionals_and_options():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(SUBCOMMANDS)
+    for name, (positionals, options) in SUBCOMMANDS.items():
+        p = subparsers.choices[name]
+        assert [a.dest for a in p._actions if not a.option_strings] == positionals, name
+        declared = [(tuple(a.option_strings), a.default, a.choices) for a in p._actions if a.option_strings]
+        assert declared == options, name
+        assert p.get_default("func") is getattr(cli, f"cmd_{name}")
 
 
 def test_decompose_weyl_pair(capsys):

@@ -511,7 +511,7 @@ def test_every_fixed_eigenvalue_is_peripheral_at_every_cutoff(ds_corpus, c):
     sources += [np.concatenate([[np.sqrt(1 - lam) * np.eye(v.shape[-1])], np.sqrt(lam) * v]) for v in sources]
     for ch in (Channel.from_kraus(v, Tolerance(c)) for v in sources):
         for tol in map(Tolerance, LADDER):
-            if not ch.is_doubly_stochastic(tol):
+            if not all(ch.kraus.validate(tol)):
                 with pytest.raises(ValueError, match="unital trace-preserving"):
                     classify(ch, tol)
                 continue
