@@ -153,8 +153,7 @@ def _build(name: str, tol: Tolerance, params: dict) -> Channel | KrausFamily:
 def build_family(name: str, *, tol: Tolerance = DEFAULT_TOLERANCE, **params) -> KrausFamily:
     """Raw (displayed) Kraus family of a builtin, for gauge-sensitive checks;
     the canonical family where the builtin displays none."""
-    made = _build(name, tol, params)
-    return made.kraus if isinstance(made, Channel) else made
+    return KrausFamily.from_ops(_build(name, tol, params))
 
 
 def build_example(name: str, *, tol: Tolerance = DEFAULT_TOLERANCE, **params) -> Channel:

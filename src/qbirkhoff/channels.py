@@ -55,7 +55,7 @@ __all__ = [
     "superoperator_from_kraus",
     "adjoint_channel",
     "pairs_array",
-    "matrix_from_pairs",
+    "complex_array",
     "channel_to_dict",
     "family_from_dict",
     "loads_json",
@@ -74,7 +74,9 @@ class KrausFamily:
     @classmethod
     def from_ops(cls, ops) -> "KrausFamily":
         """The one coercion of a Kraus input: a sequence of n×n matrices, a
-        d×n×n array, or a family (returned as is)."""
+        d×n×n array, a family (returned as is) or a channel (its family)."""
+        if isinstance(ops, Channel):
+            ops = ops.kraus
         if isinstance(ops, cls):
             return ops
         try:
@@ -221,19 +223,13 @@ class Channel:
         a = self.kraus.ops
         return (a @ x @ dagger(a)).sum(axis=0)
 
-    def choi(self) -> np.ndarray:
-        return choi_from_kraus(self.kraus)
-
-    def superoperator(self) -> np.ndarray:
-        return superoperator_from_kraus(self.kraus)
-
     @cached_property
     def real_superoperator(self) -> np.ndarray:
         """The real form, built once: read-only, real and unitarily similar to T,
         since τ(x*) = τ(x)*: the hermitian pair map of p_ij = τ(E_ij), a view of T
         (τ(E_ij)[r, s] is T[s·n + r, j·n + i])."""
         n = self.dim
-        r = hermitian_pair_map(self.superoperator().reshape(n, n, n, n).transpose(3, 2, 1, 0))
+        r = hermitian_pair_map(superoperator_from_kraus(self).reshape(n, n, n, n).transpose(3, 2, 1, 0))
         r.flags.writeable = False
         return r
 
@@ -311,16 +307,13 @@ def float_array(value, axes: int, what: str) -> np.ndarray:
     return arr
 
 
-def _from_pairs(value, axes: int, what: str) -> np.ndarray:
-    # a complex array with ``axes`` axes from nested [re, im] pairs
+def complex_array(value, axes: int, what: str) -> np.ndarray:
+    """A complex array with ``axes`` axes from nested [re, im] pairs, by
+    :func:`float_array`'s rule; ``what`` names the value in its errors."""
     arr = float_array(value, axes + 1, what)
     if arr.shape[-1] != 2:
         raise ValueError(f"{what} of shape {arr.shape} is not made of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_from_pairs(rows) -> np.ndarray:
-    return _from_pairs(rows, 2, "complex matrix")
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -334,7 +327,7 @@ def family_from_dict(data) -> KrausFamily:
     n = data["dim"]
     if type(n) is not int or n <= 0:  # not isinstance: JSON true is a bool, an int subclass
         raise ValueError(f'"dim" must be a positive integer, got {n!r}')
-    fam = KrausFamily.from_ops(_from_pairs(data["kraus"], 3, '"kraus"'))
+    fam = KrausFamily.from_ops(complex_array(data["kraus"], 3, '"kraus"'))
     if fam.dim != n:
         raise ValueError(f'Kraus operators of size {fam.dim} do not match "dim" {n}')
     return fam

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    KrausFamily,
-    loads_json,
-    matrix_from_pairs,
-    pairs_array,
-)
+from .channels import KrausFamily, complex_array, loads_json, pairs_array
 from .numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -52,10 +46,6 @@ __all__ = [
 ]
 
 
-def _family(obj) -> KrausFamily:
-    return obj.kraus if isinstance(obj, Channel) else KrausFamily.from_ops(obj)
-
-
 @dataclass(frozen=True, eq=False)
 class ConjugacyCertificate:
     u: np.ndarray
@@ -67,7 +57,7 @@ class ConjugacyCertificate:
 def data_matrix(ch, state=None, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Basic data matrix D_ij = φ(v_i v_j*) of a channel at a state φ (default:
     normalized trace): the d×d Gram matrix, hermitian PSD."""
-    fam = _family(ch)
+    fam = KrausFamily.from_ops(ch)
     n = fam.dim
     if state is None:
         rho = np.eye(n) / n
@@ -121,7 +111,7 @@ def verify_certificate(
     every k (conjugated v_k when anti-unitary), each entrywise within ``tol.cutoff``;
     certificates relate the families as given, so raw Kraus families are accepted
     alongside channels."""
-    fam, fam2 = _family(ch), _family(ch2)
+    fam, fam2 = KrausFamily.from_ops(ch), KrausFamily.from_ops(ch2)
     if fam.dim != fam2.dim:
         raise ValueError(f"dimension mismatch: {fam.dim} vs {fam2.dim}")
     if fam.index != fam2.index:
@@ -138,16 +128,12 @@ def verify_certificate(
     return max_abs(lhs - rhs) <= tol.cutoff
 
 
-def choi_block_projection(k, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, bool]:
-    """The nd×nd block matrix ((v_i v_j*)) and whether it is a projection.
-
-    The block matrix is a projection exactly when the family is doubly
-    stochastic (within ``tol``), and then its rank is n.
-    """
-    fam = _family(k)
+def choi_block_projection(k) -> np.ndarray:
+    """The nd×nd block matrix P = ((v_i v_j*)) = WW*, with W the nd×n stack of
+    the v_i: a rank-n projection when the family is trace-preserving (W*W = I)."""
+    fam = KrausFamily.from_ops(k)
     n, d = fam.dim, fam.index
-    p = fam.products().transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    return p, all(fam.validate(tol))
+    return fam.products().transpose(0, 2, 1, 3).reshape(d * n, d * n)
 
 
 def _eigenbasis(p: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
@@ -166,18 +152,15 @@ def choi_block_intertwiner(k, k2, tol: Tolerance = DEFAULT_TOLERANCE):
     families' measured defects, floored at ``tol.structural``: a family accepted at a
     loose ``tol`` is not refused by them.
     """
-    fam, fam2 = _family(k), _family(k2)
+    fam, fam2 = KrausFamily.from_ops(k), KrausFamily.from_ops(k2)
     if fam.dim != fam2.dim or fam.index != fam2.index:
         raise ValueError("intertwiner needs equal dimension and index")
-    blocks = []
     for name, f in (("first", fam), ("second", fam2)):
-        p, is_projection = choi_block_projection(f, tol)
-        if not is_projection:
+        if not all(f.validate(tol)):
             raise ValueError(f"{name} family is not doubly stochastic")
-        blocks.append(p)
     allowance = max(tol.structural, sum(fam.unit_defects + fam2.unit_defects))
     n, d = fam.dim, fam.index
-    p, p2 = blocks
+    p, p2 = choi_block_projection(fam), choi_block_projection(fam2)
     w_full = _eigenbasis(p, n, tol) @ dagger(_eigenbasis(p2, n, tol))
     if max_abs(dagger(w_full) @ p @ w_full - p2) > allowance:
         raise NumericalFailure("intertwiner failed to conjugate the block projections")
@@ -202,7 +185,7 @@ def conjugate_channel(ch) -> KrausFamily:
     exactly; ``Channel.from_kraus`` of it is the canonical channel, as for
     :meth:`KrausFamily.adjoint`.
     """
-    return KrausFamily(np.conj(_family(ch).ops))
+    return KrausFamily(np.conj(KrausFamily.from_ops(ch).ops))
 
 
 # --- certificate files ----------------------------------------------------
@@ -226,12 +209,8 @@ def certificate_from_dict(data) -> ConjugacyCertificate:
     antiunitary = data.get("antiunitary", False)
     if not isinstance(antiunitary, bool):
         raise ValueError(f'"antiunitary" must be true or false, got {antiunitary!r}')
-    return ConjugacyCertificate(
-        u=matrix_from_pairs(data["u"]),
-        g=matrix_from_pairs(data["g"]),
-        w=matrix_from_pairs(data["w"]),
-        antiunitary=antiunitary,
-    )
+    u, g, w = (complex_array(data[key], 2, f'"{key}"') for key in ("u", "g", "w"))
+    return ConjugacyCertificate(u, g, w, antiunitary)
 
 
 def load_certificate(path) -> ConjugacyCertificate:

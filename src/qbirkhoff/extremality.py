@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, KrausFamily
+from .channels import Channel, KrausFamily, choi_from_kraus
 from .numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -221,10 +221,10 @@ class ExtremalDecomposition:
         return float(sum(w for w, _ in self.terms))
 
     def mixture_choi(self) -> np.ndarray:
-        return sum(w * term.choi() for w, term in self.terms)
+        return sum(w * choi_from_kraus(term) for w, term in self.terms)
 
     def reconstruction_error(self, ch: Channel) -> float:
-        return frobenius_norm(self.mixture_choi() - ch.choi())
+        return frobenius_norm(self.mixture_choi() - choi_from_kraus(ch))
 
 
 def _inverse_sqrt(h: np.ndarray, tol: Tolerance) -> np.ndarray:

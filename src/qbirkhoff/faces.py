@@ -147,10 +147,11 @@ def m3_real_face_scan(grid_step: float, tol: Tolerance = DEFAULT_TOLERANCE) -> M
         classes[idx] = cls
         entries.append((point, cls))
 
+    # the corners, already classified: linspace keeps ±1.0 exactly
     vertices = tuple(
-        (float(s1), float(s2), float(s3))
-        for s1, s2, s3 in product((-1.0, 1.0), repeat=3)
-        if m3_face_membership(s1, s2, s3, tol=tol) == "boundary"
+        (float(xs[i]), float(xs[j]), float(xs[k]))
+        for i, j, k in product((0, m - 1), repeat=3)
+        if classes[i, j, k] == "boundary"
     )
 
     # a boundary point p is not extreme when some other face point q of the grid
@@ -170,37 +171,36 @@ def m3_real_face_scan(grid_step: float, tol: Tolerance = DEFAULT_TOLERANCE) -> M
 @dataclass(frozen=True)
 class M2CanonicalForm:
     """Parameters of the index-2 normal form on M₂: v₁ = diag(c₁, c₂),
-    v₂ = d₁ e₁₂ − d₂ e₂₁ with c_k² + d_k² = 1."""
+    v₂ = d₁ e₁₂ − d₂ e₂₁ with d_k = √(1 − c_k²), read off c_k."""
 
     c1: float
     c2: float
-    d1: float
-    d2: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):  # NaN fails both
+            raise ValueError("diagonal coefficients must lie in [0, 1]")
 
     @classmethod
     def from_c(cls, c1: float, c2: float) -> "M2CanonicalForm":
-        if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-            raise ValueError("diagonal coefficients must lie in [0, 1]")
-        if c1 > c2:
-            c1, c2 = c2, c1
-        return cls(c1, c2, float(np.sqrt(1.0 - c1 * c1)), float(np.sqrt(1.0 - c2 * c2)))
+        """The form with the pair in ascending order; ``sorted`` keeps a NaN,
+        which the constructor refuses."""
+        return cls(*sorted((c1, c2)))
+
+    @property
+    def d1(self) -> float:
+        return float(np.sqrt(1.0 - self.c1 * self.c1))
+
+    @property
+    def d2(self) -> float:
+        return float(np.sqrt(1.0 - self.c2 * self.c2))
 
     def degenerate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         return abs(self.c1 - self.c2) <= tol.cutoff
 
 
-def _check_form(form: M2CanonicalForm, tol: Tolerance):
-    for name, c, d in (("1", form.c1, form.d1), ("2", form.c2, form.d2)):
-        if c < -tol.cutoff or d < -tol.cutoff:
-            raise ValueError(f"pair {name} has a negative coefficient")
-        if abs(c * c + d * d - 1.0) > tol.cutoff:
-            raise ValueError(f"pair {name} violates c² + d² = 1")
-
-
 def m2_index2_channel(form: M2CanonicalForm, tol: Tolerance = DEFAULT_TOLERANCE) -> Channel:
     """The two-Kraus unital channel of the normal form (trace-preserving only
     when d₁ = d₂; degenerate corners collapse to a unitary channel)."""
-    _check_form(form, tol)
     v1 = np.array([[form.c1, 0.0], [0.0, form.c2]], dtype=complex)
     v2 = np.array([[0.0, form.d1], [-form.d2, 0.0]], dtype=complex)
     return Channel.from_kraus([v1, v2], tol)
@@ -208,5 +208,4 @@ def m2_index2_channel(form: M2CanonicalForm, tol: Tolerance = DEFAULT_TOLERANCE)
 
 def m2_index2_is_extremal(form: M2CanonicalForm, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Closed-form extremality in the unital cone: d₁c₂ ≠ d₂c₁."""
-    _check_form(form, tol)
     return abs(form.d1 * form.c2 - form.d2 * form.c1) > tol.cutoff

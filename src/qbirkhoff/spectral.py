@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, superoperator_from_kraus
 from .numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -68,7 +68,10 @@ class CyclicFamily:
     """Orthogonal projections E_0..E_{p-1} with τ(E_k) = E_{k+1 mod p}."""
 
     projections: tuple
-    period: int
+
+    @property
+    def period(self) -> int:
+        return len(self.projections)
 
 
 def _require_doubly_stochastic(ch: Channel, tol: Tolerance):
@@ -116,7 +119,7 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     """
     _require_doubly_stochastic(ch, tol)
     n = ch.dim
-    basis = _eigenspace(ch.superoperator(), 1, tol)
+    basis = _eigenspace(superoperator_from_kraus(ch), 1, tol)
     if not len(basis):
         raise NumericalFailure("unital channel lost its fixed space — broken input")
     q = vec(basis)
@@ -227,14 +230,14 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     p = _snap_period(_peripheral(ch.spectrum, tol), ch.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
-    basis = _eigenspace(ch.superoperator(), np.exp(2j * np.pi / p), tol)
+    basis = _eigenspace(superoperator_from_kraus(ch), np.exp(2j * np.pi / p), tol)
     if not len(basis):
         return None
     w, _, vh = np.linalg.svd(_generic_element(basis))
     u = w @ vh
     u = u @ dagger(_unitary_root(np.linalg.matrix_power(u, p), p, tol))
     projections = _projection_family(u, p)
-    return CyclicFamily(tuple(projections), p) if _verify_family(ch, projections, tol) else None
+    return CyclicFamily(tuple(projections)) if _verify_family(ch, projections, tol) else None
 
 
 def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERANCE):

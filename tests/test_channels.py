@@ -17,8 +17,8 @@ from qbirkhoff.channels import (
     _canonical_family,
     choi_from_kraus,
     kraus_from_choi,
+    complex_array,
     loads_json,
-    matrix_from_pairs,
     pairs_array,
     superoperator_from_kraus,
 )
@@ -59,6 +59,15 @@ def test_family_validation_rejects_mixed_shapes():
     assert KrausFamily.from_ops(fam) is fam
 
 
+def test_from_ops_takes_a_channel_as_its_family():
+    ch = depolarizing_channel(2)
+    assert KrausFamily.from_ops(ch) is ch.kraus
+    # so every function that takes a Kraus family takes the channel too
+    assert np.array_equal(choi_from_kraus(ch), choi_from_kraus(ch.kraus))
+    assert np.array_equal(superoperator_from_kraus(ch), superoperator_from_kraus(ch.kraus))
+    assert np.array_equal(qbirkhoff.choi_block_projection(ch), qbirkhoff.choi_block_projection(ch.kraus))
+
+
 def test_identity_family_flags():
     fam = KrausFamily.from_ops([np.eye(3)])
     unital, tp = fam.validate()
@@ -68,7 +77,7 @@ def test_identity_family_flags():
 
 def test_choi_kraus_roundtrip_on_random_corpus(ds_corpus):
     for ch in ds_corpus:
-        back = Channel.from_choi(ch.choi())
+        back = Channel.from_choi(choi_from_kraus(ch))
         for e in basis_units(ch.dim):
             assert max_abs(ch.apply(e) - back.apply(e)) < 1e-8
 
@@ -86,7 +95,7 @@ def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
             unital = helpers.random_unitary_mixture(n, d, gen)
             ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
             for ch in (unital, Channel.from_kraus(ops)):
-                r, t = ch.real_superoperator, ch.superoperator()
+                r, t = ch.real_superoperator, superoperator_from_kraus(ch)
                 assert r.dtype == np.float64
                 scale = max(1.0, np.linalg.norm(t, 2))
                 oracle = helpers.real_form_by_apply(ch)
@@ -149,7 +158,8 @@ def test_from_kraus_agrees_with_the_choi_route():
     for ops in _raw_families(gen):
         ch = Channel.from_kraus(ops)
         ref = Channel.from_choi(choi_from_kraus(ops))
-        assert max_abs(choi_from_kraus(ops) - ch.choi()) < 1e-12 * max(1.0, max_abs(ch.choi()))
+        c = choi_from_kraus(ch)
+        assert max_abs(choi_from_kraus(ops) - c) < 1e-12 * max(1.0, max_abs(c))
         _assert_same_channel(ch, ref, helpers.simple_spectrum(ref))
         n2, d = ch.dim**2, len(ops)
         seen.add((d > n2) - (d < n2))
@@ -160,7 +170,7 @@ def test_from_choi_is_from_kraus_of_the_psd_factor(ds_corpus):
     # one canonicalization route: a Choi matrix enters from_kraus as the operators
     # unvec(√λ u) of its PSD factor, and leaves with their bytes
     gen = np.random.default_rng(1905)
-    chois = [ch.choi() for ch in ds_corpus] + [choi_from_kraus(ops) for ops in _raw_families(gen)]
+    chois = [choi_from_kraus(ch) for ch in ds_corpus] + [choi_from_kraus(ops) for ops in _raw_families(gen)]
     for c in chois:
         n = int(round(np.sqrt(len(c))))
         ch, ref = Channel.from_choi(c), Channel.from_kraus(unvec(psd_factor(c)[1].T, n))
@@ -311,7 +321,7 @@ def test_choi_psd_iff_kraus_extraction_succeeds(rng):
 def test_unital_tp_iff_partial_traces(ds_corpus, rng):
     for ch in ds_corpus[:6]:
         n = ch.dim
-        c = ch.choi()
+        c = choi_from_kraus(ch)
         assert max_abs(partial_trace(c, (n, n), "first") - np.eye(n)) < 1e-9
         assert max_abs(partial_trace(c, (n, n), "second") - np.eye(n)) < 1e-9
     # non-unital example: amplitude-damping-like contraction kept CP+TP
@@ -352,7 +362,7 @@ def test_json_roundtrip(ds_corpus):
         assert np.array_equal(fam.ops, ch.kraus.ops)
         back = Channel.from_kraus(fam)
         assert (back.index, *back.kraus.validate()) == (ch.index, *ch.kraus.validate())
-        assert max_abs(back.choi() - ch.choi()) < 1e-12
+        assert max_abs(choi_from_kraus(back) - choi_from_kraus(ch)) < 1e-12
 
 
 def test_channel_to_dict_writes_each_entry_as_its_re_im_pair(ds_corpus):
@@ -397,7 +407,7 @@ ARRAY_HOLDERS = {
     "SpectralClassification": lambda: qbirkhoff.SpectralClassification(
         np.ones(4), 4, False, np.ones(4), None, False, False
     ),
-    "CyclicFamily": lambda: qbirkhoff.CyclicFamily((_EYE,), 1),
+    "CyclicFamily": lambda: qbirkhoff.CyclicFamily((_EYE,)),
 }
 
 
@@ -428,7 +438,7 @@ def test_matrix_pairs_roundtrip_and_malformed_input():
     m = np.array([[1.5, -0.0 + 2j], [1e-300j, -3.0]])
     pairs = pairs_array(m).tolist()
     assert pairs == [[[1.5, 0.0], [-0.0, 2.0]], [[0.0, 1e-300], [-3.0, 0.0]]]
-    assert np.array_equal(matrix_from_pairs(json.loads(json.dumps(pairs))), m)
+    assert np.array_equal(complex_array(json.loads(json.dumps(pairs)), 2, "complex matrix"), m)
     assert pairs_array(np.array([1 + 2j, -1j])).tolist() == [[1.0, 2.0], [-0.0, -1.0]]
     for bad in (
         [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]],  # ragged rows
@@ -441,6 +451,39 @@ def test_matrix_pairs_roundtrip_and_malformed_input():
         [[[10**400, 0]]],  # an integer no float holds
     ):
         with pytest.raises(ValueError):
-            matrix_from_pairs(bad)
+            complex_array(bad, 2, "complex matrix")
     # JSON integers are numbers, also past 2^64 where numpy holds them as objects
-    assert np.array_equal(matrix_from_pairs([[[2**70, -1]]]), np.array([[2.0**70 - 1j]]))
+    assert np.array_equal(complex_array([[[2**70, -1]]], 2, "complex matrix"), np.array([[2.0**70 - 1j]]))
+
+
+# public calls that refuse their input, with the ValueError's message; None marks a
+# call whose documented answer is None
+LIBRARY_REFUSALS = {
+    "from_choi-not-n2-by-n2": (lambda: Channel.from_choi(np.eye(3)), "not n² by n²"),
+    "from_choi-zero": (lambda: Channel.from_choi(np.zeros((4, 4))), "Choi matrix is zero"),
+    "weyl_mixture-weight-above-1": (
+        lambda: qbirkhoff.catalog.weyl_mixture_channel(2, 1.5), r"mixing weight must lie in \[0, 1\]"
+    ),
+    "decompose-unknown-kind": (
+        lambda: qbirkhoff.decompose_extremal(depolarizing_channel(2), kind="CQ"), "unknown extremality kind"
+    ),
+    "m3_scan-step-1": (lambda: qbirkhoff.m3_real_face_scan(1.0), r"grid_step must lie in \(0, 1\)"),
+    "verify_certificate-index-1-and-2": (
+        lambda: qbirkhoff.verify_certificate(
+            [_EYE], [_EYE / np.sqrt(2)] * 2, qbirkhoff.ConjugacyCertificate(_EYE, np.eye(1), _EYE)
+        ),
+        "index mismatch: 1 vs 2",
+    ),
+    "apply-3x3-on-M2": (lambda: depolarizing_channel(2).apply(np.eye(3)), "does not act on M_2"),
+    "invariant_projection-ergodic": (lambda: qbirkhoff.invariant_projection(depolarizing_channel(2)), None),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_REFUSALS))
+def test_a_public_call_refuses_its_input_or_answers_none(name):
+    call, message = LIBRARY_REFUSALS[name]
+    if message is None:
+        assert call() is None
+    else:
+        with pytest.raises(ValueError, match=message):
+            call()

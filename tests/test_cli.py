@@ -154,7 +154,7 @@ def test_nan_rejected_as_invalid_input(tmp_path, capsys):
 _ANALYZE, _BIRKHOFF = ("analyze", "--json"), ("birkhoff", "--json")
 _CERTIFICATE = ("conjugacy", "ex2.4", "ex2.4", "--json", "--certificate")
 
-# argv before the file path, and the file's JSON value
+# argv before the file path, and the file's JSON value (or its raw text)
 MALFORMED_FILES = {
     "kraus-number": (_ANALYZE, {"dim": 1, "kraus": 5}),
     "kraus-null": (_ANALYZE, {"dim": 1, "kraus": None}),
@@ -182,6 +182,21 @@ MALFORMED_FILES = {
     ),
     # a nonzero map whose Choi eigenvalues all lie within the rank cutoff
     "kraus-within-cutoff": (_ANALYZE, {"dim": 1, "kraus": [[[[1e-6, 0]]]]}),
+    # the shape gates of each file format
+    "channel-list": (_ANALYZE, [1, 2]),
+    "channel-without-kraus": (_ANALYZE, {"dim": 2}),
+    "dim-above-the-operators": (_ANALYZE, {"dim": 2, "kraus": [[[[1.0, 0.0]]]]}),
+    # raw text: JSON's 1e400 decodes to inf, which json.dumps would write as Infinity
+    "kraus-decodes-to-inf": (_ANALYZE, '{"dim": 1, "kraus": [[[[1e400, 0]]]]}'),
+    "matrix-list": (_BIRKHOFF, [1, 2]),
+    "matrix-without-n": (_BIRKHOFF, {"rows": [[1.0]]}),
+    "rows-below-n": (_BIRKHOFF, {"n": 2, "rows": [[1.0]]}),
+    "certificate-list": (_CERTIFICATE, [1, 2]),
+    "certificate-without-g-and-w": (_CERTIFICATE, {"u": [[[1.0, 0.0]]]}),
+    "certificate-of-1x1-matrices": (
+        _CERTIFICATE,
+        {"u": [[[1.0, 0.0]]], "g": [[[1.0, 0.0]]], "w": [[[1.0, 0.0]]]},
+    ),
 }
 
 
@@ -189,7 +204,7 @@ MALFORMED_FILES = {
 def test_malformed_file_is_one_error_line_and_exit_1(tmp_path, capsys, case):
     argv, doc = MALFORMED_FILES[case]
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv, str(path))

@@ -193,14 +193,14 @@ def test_spectra_match_follows_the_tolerance():
 
 
 def test_block_projection_identity():
-    p, is_proj = choi_block_projection(KrausFamily.from_ops([np.eye(2)]))
-    assert is_proj
+    p = choi_block_projection(KrausFamily.from_ops([np.eye(2)]))
     assert max_abs(p - np.eye(2)) < 1e-12
 
 
 def test_block_projection_diagonal_pair():
-    p, is_proj = choi_block_projection(diagonal_pair_family())
-    assert is_proj and p.shape == (8, 8)
+    fam = diagonal_pair_family()
+    p = choi_block_projection(fam)
+    assert all(fam.validate()) and p.shape == (8, 8)
     assert max_abs(p @ p - p) < 1e-12
     assert max_abs(p - dagger(p)) < 1e-12
     assert abs(np.trace(p).real - 4) < 1e-12  # rank n = 4
@@ -213,33 +213,33 @@ def test_block_projection_fails_off_the_class():
     fam = KrausFamily.from_ops([v1, v2])
     unital, tp = fam.validate()
     assert unital and not tp
-    p, is_proj = choi_block_projection(fam)
-    assert not is_proj
+    p = choi_block_projection(fam)
     assert max_abs(p @ p - p) > 1e-6
 
 
 def test_block_projection_trace_preserving_boundary():
     # P² = P needs only Σ v_i* v_i = I, so a trace-preserving family that is
-    # not unital still yields an exact idempotent; the doubly stochastic flag
-    # is the stronger classifier and stays false here.
+    # not unital still yields an exact idempotent, of rank n; validate, the
+    # doubly stochastic classifier, reads false here.
     v1 = np.array([[1, 0], [0, np.sqrt(0.5)]], dtype=complex)
     v2 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
     fam = KrausFamily.from_ops([v1, v2])
     unital, tp = fam.validate()
     assert tp and not unital
-    p, is_proj = choi_block_projection(fam)
-    assert not is_proj
+    p = choi_block_projection(fam)
     assert max_abs(p @ p - p) < 1e-12
+    assert max_abs(p - dagger(p)) < 1e-12
+    assert abs(np.trace(p).real - 2) < 1e-12  # rank n = 2
 
 
-def test_block_projection_flag_follows_the_tolerance():
+def test_doubly_stochastic_verdict_follows_the_tolerance():
     # unit defects of about 2ε, between the default 1e-9 and 1e-6; from ε = 2e-7 the
     # intertwiner's ‖uu* − I‖ (about 4ε) is past the fixed 1e-7 structural cutoff too
     loose = Tolerance(1e-6)
     for eps in (1e-8, 2e-7, 4e-7):
         fam = KrausFamily.from_ops([(1.0 + eps) * np.eye(2)])
-        assert choi_block_projection(fam, loose)[1]
-        assert not choi_block_projection(fam)[1]
+        assert all(fam.validate(loose))
+        assert not all(fam.validate())
         w, u = choi_block_intertwiner(fam, fam, loose)
         assert max_abs(u - np.eye(2)) < 5 * eps  # u = (1 + ε)²·I
         with pytest.raises(ValueError, match="not doubly stochastic"):
@@ -265,8 +265,8 @@ def test_intertwiner_between_random_pairs(rng):
         nd = n * a.kraus.index
         assert max_abs(w @ dagger(w) - np.eye(nd)) < 1e-7
         assert max_abs(u @ dagger(u) - np.eye(n)) < 1e-7
-        pa, _ = choi_block_projection(a.kraus)
-        pb, _ = choi_block_projection(b.kraus)
+        pa = choi_block_projection(a.kraus)
+        pb = choi_block_projection(b.kraus)
         assert max_abs(dagger(w) @ pa @ w - pb) < 1e-7
         # defining relation: u l_j* = Σ_k v_k* W_kj
         for j in range(b.kraus.index):

@@ -9,6 +9,7 @@ from qbirkhoff import (
     Channel,
     KrausFamily,
     choi_extremal_test,
+    choi_from_kraus,
     decompose_extremal,
     embed_classical,
     hermitize_certificate,
@@ -471,7 +472,7 @@ def test_decompose_weights_hold_under_rounding_level_perturbations():
         assert len(dec.terms) == len(moved.terms) > 1
         for (w, term), (w_moved, term_moved) in zip(dec.terms, moved.terms):
             assert abs(w - w_moved) < 1e-12
-            assert max_abs(term.choi() - term_moved.choi()) < 1e-10
+            assert max_abs(choi_from_kraus(term) - choi_from_kraus(term_moved)) < 1e-10
 
 
 def test_decompose_unitary_mixtures_valid_or_numerical_failure():
@@ -572,7 +573,7 @@ def test_extremal_input_decomposes_to_single_term():
     assert len(dec.terms) == 1
     weight, leaf = dec.terms[0]
     assert abs(weight - 1.0) < 1e-12 and landau_streater_test(leaf)[0]
-    assert max_abs(leaf.choi() - ch.choi()) < 1e-12
+    assert max_abs(choi_from_kraus(leaf) - choi_from_kraus(ch)) < 1e-12
 
 
 def test_landau_streater_requires_doubly_stochastic():

@@ -122,6 +122,11 @@ def test_m2_form_validation():
         M2CanonicalForm.from_c(-0.1, 0.5)
     with pytest.raises(ValueError):
         M2CanonicalForm.from_c(0.5, 1.2)
+    # sorting keeps a NaN, and the constructor refuses it as it refuses a form built directly
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        M2CanonicalForm.from_c(0.5, float("nan"))
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        M2CanonicalForm(-0.1, 0.5)
     form = M2CanonicalForm.from_c(0.8, 0.2)  # arguments may arrive unsorted
     assert form.c1 <= form.c2
     assert abs(form.c1**2 + form.d1**2 - 1.0) < 1e-12
@@ -130,6 +135,24 @@ def test_m2_form_validation():
     # the caller's tolerance decides, as in m2_index2_is_extremal
     near = M2CanonicalForm.from_c(0.3, 0.3 + 1e-7)
     assert not near.degenerate() and near.degenerate(Tolerance(1e-6))
+
+
+# (c1, c2) -> the bytes of d1 = √(1 − c1²) and d2 = √(1 − c2²) after sorting, as
+# the form held them when it stored them
+D_BYTES = {
+    (0.0, 0.5): ("0x1.0000000000000p+0", "0x1.bb67ae8584caap-1"),
+    (0.8, 0.2): ("0x1.f5a7cecdb684ap-1", "0x1.3333333333332p-1"),
+    (0.3, 0.3 + 1e-7): ("0x1.e86ab810ea912p-1", "0x1.e86ab702c678ep-1"),
+    (1 / 3, 0.9): ("0x1.e2b7dddfefa66p-1", "0x1.be59eba3a1659p-2"),
+    (1.0, 0.1): ("0x1.fd6efe4c9b8a5p-1", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("pair", list(D_BYTES), ids=str)
+def test_m2_form_reads_d_off_c_with_the_stored_bytes(pair):
+    form = M2CanonicalForm.from_c(*pair)
+    assert (form.c1, form.c2) == tuple(sorted(pair))
+    assert (form.d1.hex(), form.d2.hex()) == D_BYTES[pair]
 
 
 def test_m2_channel_flags_and_formula():

@@ -53,7 +53,7 @@ def test_pair_kernels_match_per_pair_loops(n, d):
     checks = [
         (product_matrix(fam), helpers.product_coordinates_by_loop(fam)),
         (stacked_matrix(fam), helpers.stacked_coordinates_by_loop(fam)),
-        (choi_block_projection(fam)[0], helpers.block_matrix_by_loop(fam)),
+        (choi_block_projection(fam), helpers.block_matrix_by_loop(fam)),
     ]
     for state in (None, random_state(n, rng)):
         rho = np.eye(n) / n if state is None else state

@@ -6,6 +6,7 @@ import pytest
 
 from qbirkhoff import (
     Channel,
+    CyclicFamily,
     KrausFamily,
     adjoint_channel,
     choi_extremal_test,
@@ -114,7 +115,7 @@ def test_weyl_mixture_is_strongly_mixing():
 
 def test_spectral_radius_one_and_identity_fixed(ds_corpus):
     for ch in ds_corpus[:8]:
-        t = ch.superoperator()
+        t = channels.superoperator_from_kraus(ch)
         eigs = np.linalg.eigvals(t)
         assert np.max(np.abs(eigs)) < 1.0 + 1e-8
         assert max_abs(t @ vec(np.eye(ch.dim)) - vec(np.eye(ch.dim))) < 1e-9
@@ -159,6 +160,12 @@ def test_unitary_channel_peripheral_is_phase_differences(rng):
     got = sorted({round(float(np.angle(z)), 9) for z in cl.peripheral})
     assert len(got) == len(expected)
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-6
+
+
+def test_cyclic_family_period_is_its_projection_count():
+    ps = tuple(np.diag(e).astype(complex) for e in np.eye(3))
+    assert CyclicFamily(ps).period == len(ps) == 3
+    assert CyclicFamily(ps[:1]).period == 1
 
 
 def test_cyclic_family_weyl_pair():
