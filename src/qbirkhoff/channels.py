@@ -18,7 +18,9 @@ item 3).
 
 Validity is measured, not stored: ``KrausFamily.validate(tol)`` reads unit defects
 measured once per family at each caller's tolerance, and every gate refuses
-(``ValueError``) a channel that fails it at that gate's own ``tol``.
+(``ValueError``) a channel that fails it at that gate's own ``tol``.  The real
+form and the spectrum belong to the map, so they too are cached on the family,
+canonical or not: ``spectral.classify`` reads a family as given.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ __all__ = [
 class KrausFamily:
     """Ordered family of n-by-n operators v_k representing x -> sum v_k x v_k*.
 
-    ``ops`` is one C-contiguous complex d×n×n array whose entry k is v_k.
+    ``ops`` is one C-contiguous complex d×n×n array whose entry k is v_k.  Its
+    unit defects, real form and spectrum are measured once, on these operators.
     """
 
     ops: np.ndarray
@@ -110,13 +113,51 @@ class KrausFamily:
         # row i of ``wide`` is row i of every v_k side by side; ``tall`` stacks the v_k
         a, n = self.ops, self.dim
         wide, tall, eye = a.transpose(1, 0, 2).reshape(n, -1), a.reshape(-1, n), np.eye(n)
-        return max_abs(wide @ dagger(wide) - eye), max_abs(dagger(tall) @ tall - eye)
+        # products that overflow give a non-finite defect, which fails every gate, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max_abs(wide @ dagger(wide) - eye), max_abs(dagger(tall) @ tall - eye)
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, bool]:
         """(unital, trace_preserving) within ``tol.cutoff``: the one validity
         predicate, which every gate reads at its own call's tolerance."""
         out_dev, in_dev = self.unit_defects
         return out_dev <= tol.cutoff, in_dev <= tol.cutoff
+
+    @cached_property
+    def real_superoperator(self) -> np.ndarray:
+        """The real form, built once: read-only, real and unitarily similar to T,
+        since τ(x*) = τ(x)*: the hermitian pair map of p_ij = τ(E_ij), a view of T
+        (τ(E_ij)[r, s] is T[s·n + r, j·n + i])."""
+        n = self.dim
+        r = hermitian_pair_map(superoperator_from_kraus(self).reshape(n, n, n, n).transpose(3, 2, 1, 0))
+        r.flags.writeable = False
+        return r
+
+    @cached_property
+    def real_blocks(self) -> list:
+        """The real form's :func:`~qbirkhoff.numerics.diagonal_blocks`, found once."""
+        return diagonal_blocks(self.real_superoperator)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of τ from the real form, solved once per diagonal block and
+        concatenated in block order: read-only complex128, with exact conjugate
+        pairs and real ones as x + 0.0j.  A run of 1×1 blocks is read in one step:
+        each eigenvalue is the block's entry, as LAPACK returns it below 1e±138."""
+        r, blocks = self.real_superoperator, self.real_blocks
+        if len(blocks) == 1:
+            parts = [np.linalg.eigvals(r)]
+        else:
+            parts = []
+            for single, run in groupby(blocks, lambda b: len(b) == 1):
+                if single:
+                    at = np.concatenate(list(run))
+                    parts.append(r[at, at])
+                else:
+                    parts += [np.linalg.eigvals(r[np.ix_(b, b)]) for b in run]
+        vals = np.concatenate(parts).astype(complex)
+        vals.flags.writeable = False
+        return vals
 
     def adjoint(self) -> "KrausFamily":
         return KrausFamily.from_ops(dagger(self.ops))
@@ -168,7 +209,7 @@ class Channel:
 
     ``index`` equals the Choi rank by construction.  Unital and
     trace-preserving are not stored: ``kraus.validate(tol)`` decides both
-    at each caller's tolerance.
+    at each caller's tolerance, and the spectrum is ``kraus.spectrum``.
     """
 
     kraus: KrausFamily
@@ -222,42 +263,6 @@ class Channel:
             raise ValueError(f"operand of shape {x.shape} does not act on M_{self.dim}")
         a = self.kraus.ops
         return (a @ x @ dagger(a)).sum(axis=0)
-
-    @cached_property
-    def real_superoperator(self) -> np.ndarray:
-        """The real form, built once: read-only, real and unitarily similar to T,
-        since τ(x*) = τ(x)*: the hermitian pair map of p_ij = τ(E_ij), a view of T
-        (τ(E_ij)[r, s] is T[s·n + r, j·n + i])."""
-        n = self.dim
-        r = hermitian_pair_map(superoperator_from_kraus(self).reshape(n, n, n, n).transpose(3, 2, 1, 0))
-        r.flags.writeable = False
-        return r
-
-    @cached_property
-    def real_blocks(self) -> list:
-        """The real form's :func:`~qbirkhoff.numerics.diagonal_blocks`, found once."""
-        return diagonal_blocks(self.real_superoperator)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues of τ from the real form, solved once per diagonal block and
-        concatenated in block order: read-only complex128, with exact conjugate
-        pairs and real ones as x + 0.0j.  A run of 1×1 blocks is read in one step:
-        each eigenvalue is the block's entry, as LAPACK returns it below 1e±138."""
-        r, blocks = self.real_superoperator, self.real_blocks
-        if len(blocks) == 1:
-            parts = [np.linalg.eigvals(r)]
-        else:
-            parts = []
-            for single, run in groupby(blocks, lambda b: len(b) == 1):
-                if single:
-                    at = np.concatenate(list(run))
-                    parts.append(r[at, at])
-                else:
-                    parts += [np.linalg.eigvals(r[np.ix_(b, b)]) for b in run]
-        vals = np.concatenate(parts).astype(complex)
-        vals.flags.writeable = False
-        return vals
 
 
 def kraus_from_choi(choi, tol: Tolerance = DEFAULT_TOLERANCE) -> KrausFamily:

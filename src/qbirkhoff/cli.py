@@ -260,11 +260,11 @@ def cmd_example(args, tol: Tolerance):
 
 
 def cmd_classify(args, tol: Tolerance):
-    ch = _load_channel(args, tol)
-    sc = classify(ch, tol)
+    (fam,) = _load_families(args, tol, args.channel)  # as given: the spectrum needs no canonical form
+    sc = classify(fam, tol)
     report = _classification_dict(sc)
-    fam = cyclic_projections(ch, tol) if sc.ergodic and not sc.aperiodic else None  # period > 1
-    report["cyclic_projections"] = None if fam is None else pairs_array(fam.projections)
+    cyc = cyclic_projections(fam, tol) if sc.ergodic and not sc.aperiodic else None  # period > 1
+    report["cyclic_projections"] = None if cyc is None else pairs_array(cyc.projections)
     return report, lambda: _summary(report, "; ")
 
 

@@ -1,8 +1,11 @@
 """Ergodic classification of doubly stochastic channels.
 
-The spectrum of τ comes from its real form R, built and solved once per
-channel (``Channel.real_superoperator``, ``Channel.spectrum``).  Eigenvalue 1
-of a doubly stochastic channel, a Hilbert–Schmidt contraction, is semisimple,
+The spectrum of τ comes from its real form R, built and solved once per Kraus
+family (``KrausFamily.real_superoperator``, ``KrausFamily.spectrum``): both
+belong to τ, which fixes a Kraus family only up to a unitary gauge, so
+``classify`` and ``cyclic_projections`` read any Kraus input as given and
+decide validity on its own unit defects.  Eigenvalue 1 of a doubly
+stochastic channel, a Hilbert–Schmidt contraction, is semisimple,
 so the fixed-space dimension is the number of eigenvalues with |λ − 1| at the
 rank cutoff.  Eigenoperators τ(x) = μx are the kernel of the complex
 superoperator T − μI under the same rule.  Both solves run per exact diagonal
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import Channel, superoperator_from_kraus
+from .channels import Channel, KrausFamily, superoperator_from_kraus
 from .numerics import (
     DEFAULT_TOLERANCE,
     NumericalFailure,
@@ -74,9 +77,11 @@ class CyclicFamily:
         return len(self.projections)
 
 
-def _require_doubly_stochastic(ch: Channel, tol: Tolerance):
-    if not all(ch.kraus.validate(tol)):
+def _doubly_stochastic(ch, tol: Tolerance) -> KrausFamily:  # the Kraus input as given, or refused
+    fam = KrausFamily.from_ops(ch)
+    if not all(fam.validate(tol)):
         raise ValueError("spectral classification needs a unital trace-preserving channel")
+    return fam
 
 
 def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
@@ -117,7 +122,7 @@ def fixed_point_space(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> list:
     The span is checked to be closed under adjoints and products — the
     *-algebra property that holds for every doubly stochastic channel.
     """
-    _require_doubly_stochastic(ch, tol)
+    _doubly_stochastic(ch, tol)
     n = ch.dim
     basis = _eigenspace(superoperator_from_kraus(ch), 1, tol)
     if not len(basis):
@@ -163,16 +168,16 @@ def _snap_period(peripheral: np.ndarray, n: int) -> int:
     return math.lcm(*denominators) if denominators else 1
 
 
-def classify(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassification:
-    """Spectral classification: fixed space, ergodicity, period, mixing."""
-    _require_doubly_stochastic(ch, tol)
-    eigs = _sorted_eigs(ch.spectrum)
+def classify(ch, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralClassification:
+    """Spectral classification: fixed space, ergodicity, period, mixing, of any Kraus input as given."""
+    fam = _doubly_stochastic(ch, tol)
+    eigs = _sorted_eigs(fam.spectrum)
     # eigenvalue 1 is semisimple: its multiplicity is the fixed algebra's dimension
     gap = np.abs(eigs - 1.0)
     fixed_dim = int(np.count_nonzero(gap <= rank_cutoff(gap, tol)))
     ergodic = fixed_dim == 1
     peripheral = _peripheral(eigs, tol)
-    period = _snap_period(peripheral, ch.dim) if ergodic else None
+    period = _snap_period(peripheral, fam.dim) if ergodic else None
     aperiodic = bool(ergodic and period == 1)
     strongly_mixing = bool(ergodic and peripheral.size == 1)
     return SpectralClassification(
@@ -201,22 +206,22 @@ def _projection_family(x: np.ndarray, p: int) -> list:
     return [sum(theta ** (k * m) * powers[m] for m in range(p)) / p for k in range(p)]
 
 
-def _verify_family(ch: Channel, projections, tol: Tolerance) -> bool:
+def _verify_family(fam: KrausFamily, projections, tol: Tolerance) -> bool:
     # hermitian, E_a E_b = δ_ab E_a, Σ E_k = I and τ(E_k) = E_{k+1 mod p}
     e = np.stack(projections)
-    v = ch.kraus.ops
+    v = fam.ops
     orth = np.eye(len(e))[:, :, None, None] * e[:, None]
     image = (v[None] @ e[:, None] @ dagger(v)[None]).sum(axis=1)
     defects = (
         e - dagger(e),
         e[:, None] @ e[None, :] - orth,
-        e.sum(axis=0) - np.eye(ch.dim),
+        e.sum(axis=0) - np.eye(fam.dim),
         image - np.roll(e, -1, axis=0),
     )
     return max(max_abs(x) for x in defects) <= tol.cutoff
 
 
-def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
+def cyclic_projections(ch, tol: Tolerance = DEFAULT_TOLERANCE):
     """Construct a verified cyclic projection family from the peripheral spectrum.
 
     Works from the generic eigenoperator x with τ(x) = e^{2πi/p} x: its polar
@@ -224,20 +229,20 @@ def cyclic_projections(ch: Channel, tol: Tolerance = DEFAULT_TOLERANCE):
     eigenoperators, and u′^p = I, so the averaged powers of u′ are the spectral
     projections.  A failed post-verification, like an empty eigenspace, gives
     None rather than an unverified family.  Channels with trivial peripheral
-    structure are refused.
+    structure are refused.  Like :func:`classify`, it reads any Kraus input as given.
     """
-    _require_doubly_stochastic(ch, tol)
-    p = _snap_period(_peripheral(ch.spectrum, tol), ch.dim)
+    fam = _doubly_stochastic(ch, tol)
+    p = _snap_period(_peripheral(fam.spectrum, tol), fam.dim)
     if p <= 1:
         raise ValueError("channel has no nontrivial cyclic structure (period 1)")
-    basis = _eigenspace(superoperator_from_kraus(ch), np.exp(2j * np.pi / p), tol)
+    basis = _eigenspace(superoperator_from_kraus(fam), np.exp(2j * np.pi / p), tol)
     if not len(basis):
         return None
     w, _, vh = np.linalg.svd(_generic_element(basis))
     u = w @ vh
     u = u @ dagger(_unitary_root(np.linalg.matrix_power(u, p), p, tol))
     projections = _projection_family(u, p)
-    return CyclicFamily(tuple(projections)) if _verify_family(ch, projections, tol) else None
+    return CyclicFamily(tuple(projections)) if _verify_family(fam, projections, tol) else None
 
 
 def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -246,7 +251,7 @@ def deperiodize(ch: Channel, fam: CyclicFamily, tol: Tolerance = DEFAULT_TOLERAN
     α maps an orthonormal basis of range(E_k) onto one of range(E_{k+1});
     the residual channel x -> τ(α* x α) then fixes every E_k.
     """
-    _require_doubly_stochastic(ch, tol)
+    _doubly_stochastic(ch, tol)
     p = fam.period
     found = [projection_eigenbasis(e, tol) for e in fam.projections]
     ranks = [r for r, _ in found]

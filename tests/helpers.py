@@ -148,6 +148,41 @@ def simple_spectrum(ch, gap=1e-4):
     return len(vals) < 2 or np.min(-np.diff(vals)) > gap * vals[0]
 
 
+# --- planted-margin corpus (ROADMAP item 27) ---------------------------------
+#
+# Φ_δ = (1 − δ)·id + δ·depolarizing is exactly doubly stochastic for every δ, but
+# its margins sit near the default cutoff T: the fixed-point decision at δ = T,
+# and the Kraus keep, which drops the n² − 1 Gram eigenvalues δ/n of its family
+# while they lie at or below T·n.
+
+# δ/T on a geometric grid from 0.1 to 10³ that never lands on δ = T
+PLANTED_RATIOS = tuple(float(r) for r in np.geomspace(0.1, 1e3, 40))
+
+
+def planted_depolarizing(n, delta):
+    """The Kraus family of Φ_δ as written: √(1 − δ)·I and √(δ/n)·E_ij, unit
+    defects at rounding."""
+    units = np.eye(n * n).reshape(n * n, n, n)  # E_ij at i·n + j
+    ops = np.concatenate([[np.sqrt(1.0 - delta) * np.eye(n)], np.sqrt(delta / n) * units])
+    return KrausFamily.from_ops(ops)
+
+
+def planted_keep_band(n, ratio):
+    """Whether the Kraus keep drops Φ_δ's n² − 1 depolarizing directions (δ/n at or
+    below T·n, n the Gram's top eigenvalue to rounding) while the unit defect they
+    leave, δ(1 − 1/n²), exceeds T: where the kept family fails the validity gate."""
+    return 1.0 / (1.0 - 1.0 / n**2) < ratio < n**2
+
+
+def planted_mirror(n=3, eps=2e-9):
+    """{I, √ε·E_01}: the mirror of the band.  Its unit defects are ε, above the
+    default cutoff, while its Gram eigenvalue ε lies below the keep's T·n, so
+    the canonical channel is the identity."""
+    e01 = np.zeros((n, n))
+    e01[0, 1] = 1.0
+    return KrausFamily.from_ops([np.eye(n), np.sqrt(eps) * e01])
+
+
 def block_sum_channel(a, b):
     """Channel on M_{n+m} with Kraus operators v_k ⊕ w_k, for a and b of equal
     index: doubly stochastic when both are, and never ergodic (each block's

@@ -95,7 +95,7 @@ def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
             unital = helpers.random_unitary_mixture(n, d, gen)
             ops = gen.normal(size=(d, n, n)) + 1j * gen.normal(size=(d, n, n))
             for ch in (unital, Channel.from_kraus(ops)):
-                r, t = ch.real_superoperator, superoperator_from_kraus(ch)
+                r, t = ch.kraus.real_superoperator, superoperator_from_kraus(ch)
                 assert r.dtype == np.float64
                 scale = max(1.0, np.linalg.norm(t, 2))
                 oracle = helpers.real_form_by_apply(ch)
@@ -114,7 +114,7 @@ def test_real_superoperator_is_the_superoperator_in_a_hermitian_basis():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_identity_real_form_is_exactly_the_identity(n):
     # identity pairs map to I exactly, through the planned gather (n ≤ 8) and the strided one
-    assert np.array_equal(identity_channel(n).real_superoperator, np.eye(n * n))
+    assert np.array_equal(identity_channel(n).kraus.real_superoperator, np.eye(n * n))
 
 
 def test_index_is_gauge_invariant(rng):

@@ -82,7 +82,7 @@ def _far_from_cutoff(ch):
         s = np.linalg.svd(matrix(ch.kraus), compute_uv=False)
         found.append(s / s[0])
     if all(ch.kraus.validate()):
-        found += [np.abs(ch.spectrum - 1.0), np.abs(np.abs(ch.spectrum) - 1.0)]
+        found += [np.abs(ch.kraus.spectrum - 1.0), np.abs(np.abs(ch.kraus.spectrum) - 1.0)]
     return all(map(_outside, found))
 
 
@@ -161,7 +161,7 @@ def test_unitary_conjugation_also_keeps_the_spectrum_fixed_dim_and_period(name, 
     assert _verdicts(conj) == _verdicts(ch)
     assert _classification(conj) == _classification(ch)
     if _classification(ch) is not None:
-        assert _same_spectrum(conj.spectrum, ch.spectrum)
+        assert _same_spectrum(conj.kraus.spectrum, ch.kraus.spectrum)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,8 @@ from qbirkhoff.catalog import (
     weyl_mixture_channel,
 )
 from qbirkhoff import channels, spectral
+from qbirkhoff.channels import channel_to_dict
+from qbirkhoff.cli import main
 from qbirkhoff.numerics import DEFAULT_TOLERANCE, Tolerance, block_views, dagger, max_abs, vec
 from qbirkhoff.spectral import _unitary_root, _verify_family
 
@@ -178,10 +181,10 @@ def test_cyclic_family_weyl_pair():
 def test_verify_family_rejects_wrong_order_and_perturbation():
     ch = build_example("ex2.12", m=2)
     projections = list(cyclic_projections(ch).projections)
-    assert _verify_family(ch, projections, DEFAULT_TOLERANCE)
-    assert not _verify_family(ch, projections[::-1], DEFAULT_TOLERANCE)
+    assert _verify_family(ch.kraus, projections, DEFAULT_TOLERANCE)
+    assert not _verify_family(ch.kraus, projections[::-1], DEFAULT_TOLERANCE)
     bumped = [projections[0] + 1e-6 * np.diag([1.0, 0.0, 0.0]), *projections[1:]]
-    assert not _verify_family(ch, bumped, DEFAULT_TOLERANCE)
+    assert not _verify_family(ch.kraus, bumped, DEFAULT_TOLERANCE)
 
 
 def test_cyclic_family_swap():
@@ -323,12 +326,80 @@ def test_classify_and_cyclic_projections_share_one_eigensolve(monkeypatch):
         m.setattr(np.linalg, "svd", no_svd)
         cl = classify(ch)
     # one real solve per diagonal block of R, all of them inside classify, and no SVD
-    assert len(solved) == len(ch.real_blocks) and set(solved) == {np.dtype(np.float64)}
+    assert len(solved) == len(ch.kraus.real_blocks) and set(solved) == {np.dtype(np.float64)}
     fam = cyclic_projections(ch)
     assert cl.period == fam.period == 3
-    assert len(solved) == len(ch.real_blocks)
+    assert len(solved) == len(ch.kraus.real_blocks)
     with pytest.raises(ValueError):
-        ch.spectrum[0] = 0.0  # the cached spectrum is read-only
+        ch.kraus.spectrum[0] = 0.0  # the cached spectrum is read-only
+
+
+def _full_rank_mixture(n, rng):
+    # Σ p_k u_k x u_k* over n² Haar unitaries, as written: index and Choi rank n²
+    weights = rng.dirichlet(np.ones(n * n))
+    return np.stack([np.sqrt(w) * helpers.haar_unitary(n, rng) for w in weights])
+
+
+def test_the_classify_command_solves_once_per_block_and_builds_no_canonical_form(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(2401)
+    files = {
+        "aperiodic": KrausFamily.from_ops(_full_rank_mixture(3, rng)),
+        "periodic": helpers.random_periodic_channel(6, 3, 2, rng).kraus,
+    }
+    solved, hermitian = [], []
+    eigvals, eigh = np.linalg.eigvals, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a.dtype) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: hermitian.append(1) or eigh(*a, **k))
+    for name, fam in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(channel_to_dict(Channel(fam))))
+        solved.clear(), hermitian.clear()
+        assert main(["classify", str(path), "--json"]) == 0, name
+        report = json.loads(capsys.readouterr().out)
+        blocks = KrausFamily(fam.ops.copy()).real_blocks  # nothing cached, outside the count
+        assert all(len(b) > 1 for b in blocks), name
+        assert solved == [np.dtype(np.float64)] * len(blocks), name
+        # the Kraus canonical form starts with an eigh of the Gram matrix; only the
+        # periodic channel's cyclic projections solve a hermitian problem
+        if name == "aperiodic":
+            assert not hermitian
+        else:
+            assert report["period"] == 3 and report["cyclic_projections"] is not None
+
+
+def _as_given_families(seed):
+    # a gauge mix of a block sum (non-ergodic), a periodic family with every operator
+    # split in two (index 2d above the Choi rank d), and a full-rank mixture
+    rng = np.random.default_rng(seed)
+    block_sum = helpers.block_sum_channel(
+        helpers.random_unitary_mixture(2, 3, rng), helpers.random_unitary_mixture(3, 3, rng)
+    )
+    periodic = helpers.random_periodic_channel(6, 2, 3, rng).kraus.ops
+    split = rng.uniform(0.2, 0.8)
+    return {
+        "gauge-mixed": helpers.gauge_mixed(block_sum.kraus.ops, helpers.haar_unitary(block_sum.index, rng)),
+        "duplicated": np.concatenate([np.sqrt(split) * periodic, np.sqrt(1.0 - split) * periodic]),
+        "full-rank mixture": _full_rank_mixture(4, rng),
+    }
+
+
+def _discrete(cl):
+    return cl.fixed_dim, cl.ergodic, cl.period, cl.aperiodic, cl.strongly_mixing, cl.peripheral.size
+
+
+@pytest.mark.parametrize("seed", [2411, 2412, 2413])
+def test_classify_of_a_family_as_given_is_the_canonical_channels(seed):
+    for name, ops in _as_given_families(seed).items():
+        fam = KrausFamily.from_ops(ops)
+        ch = Channel.from_kraus(fam)
+        for spectrum in (fam.spectrum, ch.kraus.spectrum):
+            for margin in (np.abs(spectrum - 1.0), np.abs(np.abs(spectrum) - 1.0)):
+                assert np.all((margin < 1e-12) | (margin > 1e-6)), name
+        got, want = classify(fam), classify(ch)
+        assert _discrete(got) == _discrete(want), name
+        assert helpers.matched_distance(got.eigenvalues, want.eigenvalues) <= 1e-12, name
+        if got.ergodic and got.period > 1:
+            assert cyclic_projections(fam).period == cyclic_projections(ch).period == got.period, name
 
 
 def _split_channels(seed):
@@ -361,9 +432,9 @@ def _whole_matrix_solve(monkeypatch):
 def test_blockwise_spectrum_is_the_whole_spectrum(seed):
     split, dense = _split_channels(seed)
     for name, ch in {**split, **dense}.items():
-        assert (len(ch.real_blocks) > 1) == (name in split), name
-        whole = np.linalg.eigvals(ch.real_superoperator)
-        assert helpers.matched_distance(ch.spectrum, whole) <= 1e-12, name
+        assert (len(ch.kraus.real_blocks) > 1) == (name in split), name
+        whole = np.linalg.eigvals(ch.kraus.real_superoperator)
+        assert helpers.matched_distance(ch.kraus.spectrum, whole) <= 1e-12, name
 
 
 @pytest.mark.parametrize("seed", [2101, 2102])
@@ -376,7 +447,7 @@ def test_blockwise_classification_is_the_whole_classification(seed, monkeypatch)
         blockwise[name] = cl, fam
     _whole_matrix_solve(monkeypatch)
     for name, ch in {**split, **dense}.items():
-        ch = Channel(ch.kraus)  # nothing cached
+        ch = Channel(KrausFamily(ch.kraus.ops))  # nothing cached
         cl = classify(ch)
         got, got_fam = blockwise[name]
         assert (got.fixed_dim, got.ergodic, got.period) == (cl.fixed_dim, cl.ergodic, cl.period)
@@ -414,18 +485,18 @@ def test_one_by_one_blocks_read_bitwise_as_lapack_solves_them(monkeypatch):
     chans = _one_by_one_channels()
     read = {}
     for name, ch in chans.items():
-        assert any(len(b) == 1 for b in ch.real_blocks), name
-        read[name] = ch.spectrum, dataclasses.astuple(classify(ch))
+        assert any(len(b) == 1 for b in ch.kraus.real_blocks), name
+        read[name] = ch.kraus.spectrum, dataclasses.astuple(classify(ch))
 
-    def per_block(ch):
-        views = block_views(ch.real_superoperator, ch.real_blocks)
+    def per_block(fam):
+        views = block_views(fam.real_superoperator, fam.real_blocks)
         return np.concatenate([np.linalg.eigvals(v) for v in views]).astype(complex)
 
-    monkeypatch.setattr(Channel, "spectrum", property(per_block))
+    monkeypatch.setattr(KrausFamily, "spectrum", property(per_block))
     for name, ch in chans.items():
-        ch = Channel(ch.kraus)  # nothing cached
+        ch = Channel(KrausFamily(ch.kraus.ops))  # nothing cached
         spectrum, cl = read[name]
-        assert spectrum.tobytes() == ch.spectrum.tobytes(), name
+        assert spectrum.tobytes() == ch.kraus.spectrum.tobytes(), name
         for got, want in zip(cl, dataclasses.astuple(classify(ch))):
             assert type(got) is type(want), name
             assert (got.tobytes() == want.tobytes()) if type(got) is np.ndarray else got == want, name
@@ -439,7 +510,7 @@ def test_fixed_dim_is_the_multiplicity_of_one_as_the_rank_of_r_minus_i_gives_it(
         for group in _split_channels(seed):
             chans += group.values()
     for ch in chans:
-        gap = np.abs(ch.spectrum - 1.0)
+        gap = np.abs(ch.kraus.spectrum - 1.0)
         assert np.all((gap < 1e-12) | (gap > 1e-3))
         assert classify(ch).fixed_dim == helpers.fixed_dim_by_rank(ch)
 
