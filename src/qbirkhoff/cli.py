@@ -65,16 +65,36 @@ def _layout(shape: tuple, pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
+@functools.lru_cache(maxsize=256)
+def _zero_row(shape: tuple, dtype: np.dtype, pad: str) -> str:
+    # "," and an all-zero array of this shape and dtype at indent pad: one row of a padding run
+    return "," + pad + _layout(shape, pad) % tuple(np.zeros(shape, dtype).ravel().tolist())
+
+
+def _padded(o: np.ndarray, pad: str) -> str:
+    # o's rows up to its last one with a nonzero bit (−0.0 has one), and at least one row,
+    # fill the template; each later row is the cached zero row
+    nonzero = np.flatnonzero(o.reshape(len(o), -1).view(np.int64).any(axis=1))
+    k = int(nonzero[-1]) + 1 if nonzero.size else 1
+    head = _layout((k, *o.shape[1:]), pad) % tuple(o[:k].ravel().tolist())
+    close = len(pad) + 1  # pad and "]"
+    return head[:-close] + _zero_row(o.shape[1:], o.dtype, pad + "  ") * (len(o) - k) + head[-close:]
+
+
 def _render(o, pad: str = "\n") -> str:
     # Exact float and int (not bool, not numpy scalars) print as float.__repr__
     # and int.__repr__, as in the stdlib encoder, whose finite reprs hold no "n".
     # A finite float64 or int64 numpy array fills the cached template of its shape
-    # from one ravel().tolist(); any other array renders as its tolist.
+    # from one ravel().tolist(), but for a trailing run of all-zero rows, written
+    # from one cached row text; any other array renders as its tolist.
     # A PermutationDecomposition renders as its decomposition_to_dicts, term by term.
     if type(o) in (float, int) and "n" not in (text := type(o).__repr__(o)):
         return text
     if type(o) is np.ndarray:
         if o.dtype in (np.float64, np.int64) and np.isfinite(o).all():
+            # a certificate past the counting bound is zero outside its leading j×j block
+            if o.ndim > 1 and len(o) and not o[-1].tobytes().strip(b"\0"):
+                return _padded(o, pad)
             return _layout(o.shape, pad) % tuple(o.ravel().tolist())
         return _render(o.tolist(), pad)
     inner = pad + "  "

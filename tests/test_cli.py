@@ -12,7 +12,14 @@ import helpers
 import qbirkhoff.cli as cli
 from qbirkhoff.birkhoff import PermutationDecomposition, birkhoff_decompose, decomposition_to_dicts
 from qbirkhoff.cli import build_parser, main
-from qbirkhoff.extremality import CP, CP_PHI, ExtremalDecomposition, decompose_extremal
+from qbirkhoff.extremality import (
+    CP,
+    CP_PHI,
+    ExtremalDecomposition,
+    choi_extremal_test,
+    decompose_extremal,
+    landau_streater_test,
+)
 from qbirkhoff.channels import channel_to_dict, pairs_array
 from qbirkhoff.numerics import DEFAULT_TOLERANCE
 from qbirkhoff.catalog import BUILTINS, build_example
@@ -598,6 +605,53 @@ EMIT_EDGE_CASES = [
 @pytest.mark.parametrize("payload", EMIT_EDGE_CASES, ids=repr)
 def test_emit_edge_cases_are_the_stdlib_bytes(capsys, payload):
     assert emitted(capsys, payload) == dumps(payload)
+
+
+def _writer_cases():
+    # (id, array, whether its last row is all zero bits): the padded certificates of both
+    # extremality tests at full Choi rank, then float64 and int64 arrays of the pairs shapes
+    # with zero rows at the end, everywhere, at the front or in the middle, one row, and
+    # last rows of −0.0, which has a nonzero bit; a vector has no rows to pad
+    rng = np.random.default_rng(4201)
+    for n in (3, 5):
+        ch = helpers.random_ds_channel(n, rng)
+        assert ch.index == n * n
+        for test in (choi_extremal_test, landau_streater_test):
+            _, cert = test(ch)
+            yield f"{cert.kind} lambda n={n}", pairs_array(cert.lam), True
+    for shape in ((5, 2), (4, 4, 2), (3, 2, 2, 2)):
+        for dtype in (np.float64, np.int64):
+            a = rng.normal(size=shape) if dtype is np.float64 else rng.integers(1, 10**6, size=shape)
+            a *= rng.choice([-1, 1], size=shape)
+            tail, front, middle = a.copy(), a.copy(), a.copy()
+            tail[2:], front[:2], middle[1:-1] = 0, 0, 0
+            name = f"{np.dtype(dtype).name} {shape}"
+            yield f"{name} trailing zero rows", tail, True
+            yield f"{name} all rows zero", np.zeros_like(a), True
+            yield f"{name} one row", a[:1], False
+            yield f"{name} one zero row", np.zeros_like(a[:1]), True
+            yield f"{name} zero rows at the front", front, False
+            yield f"{name} zero rows in the middle", middle, False
+            if dtype is np.float64:
+                negative, mixed = tail.copy(), tail.copy()
+                negative[-1] = -0.0
+                mixed[-1].flat[0] = -0.0
+                yield f"{name} last row -0.0", negative, False
+                yield f"{name} last row mixing +0.0 and -0.0", mixed, False
+    yield "float64 (4,) trailing zeros: entries, not rows", np.array([1.5, -2.0, 0.0, 0.0]), False
+
+
+@pytest.mark.parametrize("case", list(_writer_cases()), ids=lambda case: case[0])
+def test_trailing_zero_rows_print_the_stdlib_bytes(case, monkeypatch):
+    """An array whose last row is all zero bits takes the padded path, any other the
+    template of its shape; both print what json.dumps prints of its tolist."""
+    _, a, padded = case
+    calls, padded_rows = [], cli._padded
+    monkeypatch.setattr(cli, "_padded", lambda o, pad: calls.append(pad) or padded_rows(o, pad))
+    for pad in ("\n", "\n  "):
+        assert cli._render(a, pad) == cli._render(a.tolist(), pad)
+    assert cli._render(a) == json.dumps(a.tolist(), indent=2)
+    assert len(calls) == 3 * padded
 
 
 def test_emit_refuses_a_complex_array_as_the_stdlib_does(capsys):

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -15,7 +16,8 @@ from qbirkhoff import (
     hermitize_certificate,
     landau_streater_test,
 )
-from qbirkhoff import extremality, numerics
+from qbirkhoff import cli, extremality, numerics
+from qbirkhoff.channels import channel_to_dict
 from qbirkhoff.extremality import _least_covered, _rank_and_null, product_matrix, stacked_matrix
 from qbirkhoff.catalog import build_example, weyl_basis
 from qbirkhoff.numerics import (
@@ -384,6 +386,29 @@ def test_decompose_step_that_keeps_the_index_raises(monkeypatch, rng):
     with pytest.raises(NumericalFailure, match="a peel kept the index at 9"):
         decompose_extremal(ch)
     assert peel_calls[-1] == 9 and 9 not in peel_calls[:-1] and len(peel_calls) > 1
+
+
+def test_a_certificate_residual_above_its_bound_is_a_numerical_failure(monkeypatch, tmp_path, capsys):
+    # hermitize_certificate's residual check: a null vector moved along a row of m until
+    # max|m x| is 10 × tol.residual fails both public tests, and the CLI exits 2 on it
+    null_vector = extremality._null_vector
+
+    def moved(m, kind, tol):
+        step = m[np.abs(m).sum(axis=1).argmax()]
+        return null_vector(m, kind, tol) + 10 * tol.residual * step / max_abs(m @ step)
+
+    ch = helpers.random_ds_channel(3, np.random.default_rng(4202))
+    assert ch.index == 9
+    monkeypatch.setattr(extremality, "_null_vector", moved)
+    for test in (choi_extremal_test, landau_streater_test):
+        with pytest.raises(NumericalFailure, match="certificate residual"):
+            test(ch)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel_to_dict(ch)))
+    for command in ("analyze", "decompose"):
+        assert cli.main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: certificate residual") and len(err.splitlines()) == 1
 
 
 def _mixtures_of_both_kinds(seed):
